@@ -242,6 +242,7 @@ def is_idempotent(g: DirectedGraph, x: AlgebraElement) -> bool:
 # coefficient, then a real path (edge ids, or a single vertex id), then
 # a ghost path whose edge ids each carry a trailing '*'; a '|' token
 # may separate the two parts.  Terms are joined by '+' / '-' tokens.
+# The expression "0" on its own is the zero element.
 # Examples over edges a: u->v, b: v->w, c: w->w and vertex u:
 #     "u"            the vertex idempotent at u
 #     "a b"          the path ab
@@ -254,6 +255,8 @@ def parse_element(g: DirectedGraph, text: str) -> AlgebraElement:
     tokens = text.split()
     if not tokens:
         raise GraphError("empty element expression")
+    if tokens == ["0"]:
+        return zero(g)
     terms: list[Monomial] = []
     current: list[str] = []
     sign = Fraction(1)

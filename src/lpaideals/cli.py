@@ -8,6 +8,7 @@ byte-identical across runs on identical input.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -77,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Element grammar (whitespace-tokenised): a term is an optional rational "
             "coefficient, then a real path as edge ids (or one vertex id), then a ghost "
             "path as edge ids each ending in '*'; an optional '|' separates the parts. "
-            "Terms are joined by '+' or '-' tokens. Examples: 'u', 'a b', 'a b | c*', "
-            "'c*', '2/3 a - b | b*'. Ids containing whitespace, '|', or a trailing '*', "
-            "and ids that look like numbers at the start of a term, are not addressable."
+            "Terms are joined by '+' or '-' tokens; '0' alone is the zero element. "
+            "Examples: 'u', 'a b', 'a b | c*', 'c*', '2/3 a - b | b*'. Ids containing "
+            "whitespace, '|', or a trailing '*', and ids that look like numbers at the "
+            "start of a term, are not addressable."
         ),
     )
     common(mul)
@@ -274,6 +276,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # The cyclic garbage collector stays off for the command: it builds
+    # tens of thousands of acyclic containers (the frozensets of H_E,
+    # cycles, admissible pairs), all freed by reference counting, so a
+    # collection during the command frees next to nothing and only
+    # rescans the young ones.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.cap < 1 or args.max_vertices < 1:
         print("error: --cap and --max-vertices must be positive", file=sys.stderr)

@@ -65,26 +65,31 @@ def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]
     cycles exist.
     """
     found: list[Cycle] = []
-
-    def grow(base: str, v: str, edge_acc: list[str], vert_acc: list[str], visited: set[str]):
-        for e in g.out_edges(v):
-            if e.dst == base:
-                if len(found) >= cap:
-                    raise ResourceCapError(f"more than {cap} simple cycles")
-                found.append(Cycle(tuple(edge_acc + [e.id]), tuple(vert_acc)))
-            elif e.dst > base and e.dst not in visited:
-                visited.add(e.dst)
-                edge_acc.append(e.id)
-                vert_acc.append(e.dst)
-                grow(base, e.dst, edge_acc, vert_acc, visited)
-                vert_acc.pop()
-                edge_acc.pop()
-                visited.remove(e.dst)
-
     for base in g.vertices:
-        grow(base, base, [], [base], {base})
+        _grow_cycles(g, cap, found, base, base, [], [base], {base})
     found.sort(key=lambda c: c.edges)
     return found
+
+
+def _grow_cycles(g, cap, found, base, v, edge_acc, vert_acc, visited) -> None:
+    """Extend the path ending at ``v`` by each out-edge: an edge back to
+    ``base`` closes a cycle, one to an unvisited vertex above ``base``
+    recurses.  Module-level rather than a closure that refers to itself,
+    so the cycles found are freed by reference counting, not left to the
+    cyclic garbage collector."""
+    for e in g.out_edges(v):
+        if e.dst == base:
+            if len(found) >= cap:
+                raise ResourceCapError(f"more than {cap} simple cycles")
+            found.append(Cycle(tuple(edge_acc + [e.id]), tuple(vert_acc)))
+        elif e.dst > base and e.dst not in visited:
+            visited.add(e.dst)
+            edge_acc.append(e.id)
+            vert_acc.append(e.dst)
+            _grow_cycles(g, cap, found, base, e.dst, edge_acc, vert_acc, visited)
+            vert_acc.pop()
+            edge_acc.pop()
+            visited.remove(e.dst)
 
 
 def _cycle_in_graph(g: DirectedGraph, c: Cycle) -> bool:

@@ -41,37 +41,85 @@ def is_saturated(g: DirectedGraph, subset) -> bool:
     return True
 
 
+class _Masks:
+    """A graph's vertex sets as int bitmasks.  Bit i stands for
+    ``vertices[i]``, the vertex ids in descending order, so that of two
+    sets of one size the larger mask has the smaller sorted id list.
+    """
+
+    def __init__(self, g: DirectedGraph):
+        self.vertices = g.vertices[::-1]
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.full = (1 << len(self.vertices)) - 1
+        self.descendants = [self.of(g.descendants(v)) for v in self.vertices]
+        self.regular = 0
+        self.targets = [0] * len(self.vertices)
+        # regular_preds[i]: the regular vertices with a named edge into vertex i
+        self.regular_preds = [0] * len(self.vertices)
+        for i, v in enumerate(self.vertices):
+            if g.vertex_kind(v) is not VertexKind.REGULAR:
+                continue
+            self.regular |= 1 << i
+            for e in g.out_edges(v):
+                self.targets[i] |= 1 << self.index[e.dst]
+                self.regular_preds[self.index[e.dst]] |= 1 << i
+
+    def of(self, subset) -> int:
+        out = 0
+        for v in subset:
+            out |= 1 << self.index[v]
+        return out
+
+    def bits(self, mask: int) -> list[int]:
+        return [i for i in range(len(self.vertices)) if mask >> i & 1]
+
+    def to_set(self, mask: int) -> frozenset[str]:
+        return frozenset(self.vertices[i] for i in self.bits(mask))
+
+    def sorted_sets(self, masks) -> tuple[frozenset[str], ...]:
+        """The masks as vertex sets, ordered by size, then by sorted ids."""
+        return tuple(self.to_set(m) for m in sorted(masks, key=lambda m: (m.bit_count(), -m)))
+
+    def hereditary(self, mask: int) -> int:
+        """The hereditary closure: the OR of the descendant masks."""
+        closed = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            closed |= self.descendants[low.bit_length() - 1]
+            rest &= ~closed
+        return closed
+
+    def close(self, mask: int) -> int:
+        """The hereditary saturated closure of a vertex mask.
+
+        A regular vertex joins the hereditary closure once all its edge
+        targets lie inside, and is checked again only when one of its
+        targets joins.  The set stays hereditary, because a regular
+        vertex has only named edges and all of them land inside.
+        """
+        closed = self.hereditary(mask)
+        pending = self.regular & ~closed
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            i = low.bit_length() - 1
+            if not self.targets[i] & ~closed:
+                closed |= low
+                pending |= self.regular_preds[i] & ~closed
+        return closed
+
+
 def hereditary_closure(g: DirectedGraph, subset) -> frozenset[str]:
     """Least hereditary superset: forward reachability closure."""
-    vs = g.require_vertices(subset)
-    out: set[str] = set()
-    for v in vs:
-        out |= g.descendants(v)
-    return frozenset(out)
-
-
-def _saturate(g: DirectedGraph, closed: frozenset[str]) -> frozenset[str]:
-    current = set(closed)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in current or g.vertex_kind(v) is not VertexKind.REGULAR:
-                continue
-            if all(e.dst in current for e in g.out_edges(v)):
-                current.add(v)
-                changed = True
-    return frozenset(current)
+    masks = _Masks(g)
+    return masks.to_set(masks.hereditary(masks.of(g.require_vertices(subset))))
 
 
 def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
     """Least hereditary and saturated superset (a closure operator)."""
-    current = g.require_vertices(subset)
-    while True:
-        nxt = _saturate(g, hereditary_closure(g, current))
-        if nxt == current:
-            return current
-        current = nxt
+    masks = _Masks(g)
+    return masks.to_set(masks.close(masks.of(g.require_vertices(subset))))
 
 
 @dataclass(frozen=True)
@@ -81,8 +129,11 @@ class HSLattice:
     graph: DirectedGraph
     sets: tuple[frozenset[str], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "_members", frozenset(self.sets))
+
     def __contains__(self, subset) -> bool:
-        return frozenset(subset) in set(self.sets)
+        return frozenset(subset) in self._members
 
     def join(self, a, b) -> frozenset[str]:
         return hs_closure(self.graph, frozenset(a) | frozenset(b))
@@ -99,9 +150,12 @@ def enumerate_HE(
     cap: int = DEFAULT_LATTICE_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> HSLattice:
-    """Exactly all hereditary saturated sets, via join-closure of the
-    closures of singletons.  Refuses graphs above ``max_vertices`` and
-    lattices above ``cap`` rather than approximating.
+    """Exactly all hereditary saturated sets, ordered by size and then by
+    their sorted vertex ids.  They are the closed sets of ``hs_closure``,
+    found by Ganter's NextClosure in lectic order, each exactly once and
+    with at most one closure per vertex between two of them.  Refuses
+    graphs above ``max_vertices`` and lattices above ``cap`` rather than
+    approximating.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -109,31 +163,50 @@ def enumerate_HE(
         raise ResourceCapError(
             f"exact enumeration limited to {max_vertices} vertices, graph has {len(g.vertices)}"
         )
-    atoms = sorted({hs_closure(g, {v}) for v in g.vertices}, key=sorted)
-    found: set[frozenset[str]] = {frozenset()} | set(atoms)
-    if len(found) > cap:
-        raise ResourceCapError(f"lattice exceeds cap {cap}")
-    frontier = list(found)
-    while frontier:
-        current = frontier.pop()
-        for atom in atoms:
-            if atom <= current:
+    masks = _Masks(g)
+    current = masks.close(0)
+    closed = [current]
+    while current != masks.full:
+        # the lectically next closed set: the largest i not in current
+        # whose closure of (current below i) + {i} adds nothing below i
+        for i in reversed(range(len(g.vertices))):
+            bit = 1 << i
+            if current & bit:
                 continue
-            joined = hs_closure(g, current | atom)
-            if joined not in found:
-                found.add(joined)
-                if len(found) > cap:
-                    raise ResourceCapError(f"lattice exceeds cap {cap}")
-                frontier.append(joined)
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return HSLattice(g, tuple(ordered))
+            below = current & (bit - 1)
+            candidate = masks.close(below | bit)
+            if candidate & (bit - 1) == below:
+                break
+        current = candidate
+        closed.append(current)
+        if len(closed) > cap:
+            raise ResourceCapError(f"lattice exceeds cap {cap}")
+    return HSLattice(g, masks.sorted_sets(closed))
 
 
 def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
-    """All H with H != E^0 and nothing strictly between H and E^0."""
-    full = frozenset(lat.graph.vertices)
-    proper = [s for s in lat.sets if s != full]
-    return [s for s in proper if not any(s < t for t in proper)]
+    """All H with H != E^0 and nothing strictly between H and E^0.
+
+    These are the complements of the minimal sets among the M(w) (the
+    vertices reaching w), where w is a sink, an infinite emitter or a
+    vertex on a closed path: exactly the w for which E^0 minus M(w) is
+    hereditary saturated.  Every other proper hereditary saturated set
+    lies inside one of those, because walking forward from outside it
+    stays outside until a sink, an infinite emitter or a cycle.
+    """
+    g = lat.graph
+    masks = _Masks(g)
+    ancestors = [0] * len(g.vertices)
+    for j, reach in enumerate(masks.descendants):
+        for i in masks.bits(reach):
+            ancestors[i] |= 1 << j
+    candidates = {
+        ancestors[i]
+        for i in range(len(g.vertices))
+        if not masks.regular >> i & 1 or masks.targets[i] & ancestors[i]
+    }
+    minimal = [m for m in candidates if not any(o != m and not o & ~m for o in candidates)]
+    return list(masks.sorted_sets(masks.full & ~m for m in minimal))
 
 
 def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:

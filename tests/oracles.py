@@ -277,3 +277,14 @@ def primes_brute(g):
             if not (set(sources) & h) and complement == m_of[base]:
                 primes.add(("family", tuple(sorted(h)), cyc))
     return primes
+
+
+def maximal_proper_brute(g):
+    """The coatoms of the subset-filtered lattice, by comparing every
+    proper set with every other, in (size, sorted ids) order."""
+    full = frozenset(g.vertices)
+    proper = sorted(
+        (s for s in hereditary_saturated_sets_brute(g) if s != full),
+        key=lambda s: (len(s), sorted(s)),
+    )
+    return [s for s in proper if not any(s < t for t in proper)]

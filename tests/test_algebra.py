@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import graph, omega_graph, unique_maximal_graph
+from conftest import graph, mixed_maximals_graph, omega_graph, unique_maximal_graph
 from lpaideals import (
     GraphError,
     edge_element,
@@ -198,6 +200,13 @@ def test_parse_and_render(unique_max):
     )
     for x in (combo, with_pipe, v_H_element(omega_graph(), {"w"}, "v")):
         assert parse_element(x.graph, render_element(x)) == x
+
+
+@given(st.sampled_from([unique_maximal_graph(), omega_graph(), mixed_maximals_graph()]), st.randoms())
+def test_render_then_parse_is_the_identity(g, rng):
+    x = _random_element(g, rng, _monomial_pool(g, max_len=2))
+    for y in (x, x - x, zero(g)):
+        assert parse_element(g, render_element(y)) == y
 
 
 def test_parse_rejects_garbage(unique_max):

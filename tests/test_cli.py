@@ -1,9 +1,11 @@
+import gc
 import json
 
 import pytest
 
 from conftest import omega_graph, unique_maximal_graph, mixed_maximals_graph
 from lpaideals import parse_graph, serialize_graph
+from lpaideals import cli
 from lpaideals.cli import main
 
 
@@ -160,6 +162,9 @@ def test_mul(run, tmp_path):
     code, out, _ = run("mul", path, "--lhs", "e1*", "--rhs", "f1")
     assert code == 0
     assert out.strip() == "0"
+    code, out, _ = run("mul", path, "--lhs", out.strip(), "--rhs", "u")
+    assert code == 0
+    assert out.strip() == "0"
     code, out, _ = run("mul", path, "--lhs", "f1 | g1*", "--rhs", "g1 e1", "--json")
     assert code == 0
     doc = json.loads(out)
@@ -187,3 +192,19 @@ def test_nonpositive_cap_is_a_usage_error(run, tmp_path):
     code, _, err = run("analyze", path, "--cap", "0")
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_during_a_command_and_restored(run, tmp_path, monkeypatch, enabled):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "hsets", lambda g, args: seen.append(gc.isenabled()))
+    path = write_graph(tmp_path, unique_maximal_graph())
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run("hsets", path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == 0
+    assert seen == [False]

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given
 
@@ -47,6 +49,17 @@ def test_simple_cycles_respects_cap():
     with pytest.raises(ResourceCapError):
         simple_cycles(g, cap=5)
     assert len(simple_cycles(g, cap=6)) == 6
+
+
+def test_simple_cycles_leave_no_cyclic_garbage():
+    g = chain_graph(3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(simple_cycles(g)) == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cycle_type_invariants():

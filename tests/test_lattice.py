@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -11,7 +13,7 @@ from conftest import (
     mixed_maximals_graph,
     random_corpus,
 )
-from oracles import hereditary_saturated_sets_brute
+from oracles import hereditary_saturated_sets_brute, maximal_proper_brute
 from lpaideals import (
     AdmissiblePair,
     GraphError,
@@ -28,6 +30,7 @@ from lpaideals import (
     serialize_graph,
     parse_graph,
 )
+from lpaideals import lattice
 
 
 def sets_of(lat):
@@ -88,6 +91,55 @@ def test_lattice_is_intersection_and_join_closed(g):
             assert join in family
             uppers = [s for s in family if a <= s and b <= s]
             assert join == min(uppers, key=len)
+
+
+def test_lattice_membership():
+    for g in random_corpus(30, seed=41):
+        lat = enumerate_HE(g)
+        for s in lat.sets:
+            assert s in lat and set(s) in lat
+        family = hereditary_saturated_sets_brute(g)
+        for r in range(len(g.vertices) + 1):
+            for subset in map(frozenset, combinations(g.vertices, r)):
+                assert (subset in lat) == (subset in family)
+    lat = enumerate_HE(unique_maximal_graph())
+    assert {"w"} not in lat  # hereditary but not saturated: v must join
+    assert {"u"} not in lat  # not hereditary
+
+
+def _check_coatoms_and_order(g):
+    lat = enumerate_HE(g)
+    assert len(set(lat.sets)) == len(lat.sets)
+    assert list(lat.sets) == sorted(lat.sets, key=lambda s: (len(s), sorted(s)))
+    assert maximal_proper_elements(lat) == maximal_proper_brute(g)
+
+
+@given(graphs())
+def test_maximal_proper_matches_the_quadratic_scan(g):
+    _check_coatoms_and_order(g)
+
+
+def test_maximal_proper_matches_the_quadratic_scan_on_the_acceptance_corpus():
+    for g in random_corpus(500, seed=20260809):
+        _check_coatoms_and_order(g)
+
+
+def test_enumerate_HE_refuses_within_bounded_work(monkeypatch):
+    n, cap = 20, 10_000
+    loops = [(f"{x}{i:02d}", f"v{i:02d}", f"v{i:02d}") for i in range(n) for x in "fg"]
+    antichain = graph([f"v{i:02d}" for i in range(n)], loops)
+    calls = 0
+    close = lattice._Masks.close
+
+    def counting(self, mask):
+        nonlocal calls
+        calls += 1
+        return close(self, mask)
+
+    monkeypatch.setattr(lattice._Masks, "close", counting)
+    with pytest.raises(ResourceCapError, match=f"lattice exceeds cap {cap}"):
+        enumerate_HE(antichain, cap=cap)
+    assert 0 < calls <= (cap + 1) * n
 
 
 def test_maximal_proper_examples():
