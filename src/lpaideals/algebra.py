@@ -64,8 +64,9 @@ class Monomial:
     beta: PathWord
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.coeff == 0:
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if not self.coeff:
             raise GraphError("monomials carry nonzero coefficients")
         if self.alpha.target != self.beta.target:
             raise GraphError("alpha and beta must have the same range")
@@ -79,8 +80,25 @@ def degree(m: Monomial) -> int:
     return m.degree
 
 
-def _key(m: Monomial):
-    return (m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges)
+def _canonical_terms(terms) -> tuple[Monomial, ...]:
+    """The canonical terms of a sum of (numerator, denominator, alpha, beta)
+    with positive denominators: terms with the same paths merged, zero
+    sums dropped, sorted by (alpha, beta).  Coefficients stay integer
+    pairs until the end, so each output term builds one Fraction."""
+    merged: dict[tuple, list] = {}
+    for num, den, alpha, beta in terms:
+        key = (alpha.source, alpha.edges, beta.source, beta.edges)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [num, den, alpha, beta]
+        else:
+            entry[0] = entry[0] * den + num * entry[1]
+            entry[1] *= den
+    return tuple(
+        Monomial(Fraction(num, den), alpha, beta)
+        for num, den, alpha, beta in (merged[key] for key in sorted(merged))
+        if num
+    )
 
 
 @dataclass(frozen=True)
@@ -91,21 +109,15 @@ class AlgebraElement:
     terms: tuple[Monomial, ...] = ()
 
     def __post_init__(self):
-        merged: dict[tuple, tuple[Fraction, PathWord, PathWord]] = {}
         for m in self.terms:
             _check_paths(self.graph, m)
-            key = _key(m)
-            if key in merged:
-                coeff, alpha, beta = merged[key]
-                merged[key] = (coeff + m.coeff, alpha, beta)
-            else:
-                merged[key] = (m.coeff, m.alpha, m.beta)
-        canon = tuple(
-            Monomial(coeff, alpha, beta)
-            for key, (coeff, alpha, beta) in sorted(merged.items())
-            if coeff != 0
+        object.__setattr__(
+            self,
+            "terms",
+            _canonical_terms(
+                (m.coeff.numerator, m.coeff.denominator, m.alpha, m.beta) for m in self.terms
+            ),
         )
-        object.__setattr__(self, "terms", canon)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -135,14 +147,42 @@ class AlgebraElement:
         )
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        """The product by the prefix rule: (a b*)(c d*) is non-zero only when
+        b and c start at one vertex and one is a prefix of the other.
+
+        The right factor's terms are indexed by the exact real path c and
+        by every prefix of it, so each left term looks up the c that extend
+        its b (c = b included) once, and the proper prefixes of b one by one.
+        The product of two valid monomials is valid, so it is not checked
+        again.
+        """
         self._same_algebra(other)
-        products = []
-        for m1 in self.terms:
-            for m2 in other.terms:
-                p = _mul_monomials(m1, m2)
-                if p is not None:
-                    products.append(p)
-        return AlgebraElement(self.graph, tuple(products))
+        exact: dict[tuple, list[Monomial]] = {}
+        extending: dict[tuple, list[Monomial]] = {}
+        for m in other.terms:
+            source, edges = m.alpha.source, m.alpha.edges
+            exact.setdefault((source, edges), []).append(m)
+            for k in range(len(edges) + 1):
+                extending.setdefault((source, edges[:k]), []).append(m)
+
+        def products():
+            for m1 in self.terms:
+                alpha, beta = m1.alpha, m1.beta
+                num, den = m1.coeff.numerator, m1.coeff.denominator
+                cut = len(beta.edges)
+                # gamma = beta + rest: (alpha beta*)(gamma delta*) = (alpha rest) delta*
+                for m2 in extending.get((beta.source, beta.edges), ()):
+                    gamma = m2.alpha
+                    path = PathWord(alpha.source, alpha.edges + gamma.edges[cut:], gamma.target)
+                    yield num * m2.coeff.numerator, den * m2.coeff.denominator, path, m2.beta
+                # beta = gamma + rest, rest non-empty: alpha (delta rest)*
+                for k in range(cut):
+                    for m2 in exact.get((beta.source, beta.edges[:k]), ()):
+                        delta = m2.beta
+                        path = PathWord(delta.source, delta.edges + beta.edges[k:], beta.target)
+                        yield num * m2.coeff.numerator, den * m2.coeff.denominator, alpha, path
+
+        return _element(self.graph, _canonical_terms(products()))
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -155,28 +195,19 @@ class AlgebraElement:
         return None
 
 
+def _element(g: DirectedGraph, terms: tuple[Monomial, ...]) -> AlgebraElement:
+    """An element over terms that are canonical and valid by construction."""
+    x = object.__new__(AlgebraElement)
+    object.__setattr__(x, "graph", g)
+    object.__setattr__(x, "terms", terms)
+    return x
+
+
 def _check_paths(g: DirectedGraph, m: Monomial) -> None:
     for p in (m.alpha, m.beta):
         rebuilt = make_path(g, p.source, p.edges)
         if rebuilt != p:
             raise GraphError("monomial uses paths foreign to this graph")
-
-
-def _is_prefix(p: PathWord, q: PathWord) -> bool:
-    return p.source == q.source and q.edges[: len(p.edges)] == p.edges
-
-
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial | None:
-    beta, gamma = m1.beta, m2.alpha
-    if _is_prefix(beta, gamma):
-        rest = gamma.edges[len(beta.edges):]
-        alpha = PathWord(m1.alpha.source, m1.alpha.edges + rest, gamma.target)
-        return Monomial(m1.coeff * m2.coeff, alpha, m2.beta)
-    if _is_prefix(gamma, beta):
-        rest = beta.edges[len(gamma.edges):]
-        new_beta = PathWord(m2.beta.source, m2.beta.edges + rest, beta.target)
-        return Monomial(m1.coeff * m2.coeff, m1.alpha, new_beta)
-    return None
 
 
 # -- constructors ------------------------------------------------------
@@ -355,14 +386,15 @@ def render_element(x: AlgebraElement) -> str:
     parts: list[str] = []
     for i, m in enumerate(x.terms):
         tokens: list[str] = []
+        # the coefficient as Fraction prints it, from its integer parts
+        num, den = m.coeff.numerator, m.coeff.denominator
         if i == 0:
             head = ""
-            if m.coeff != 1:
-                tokens.append(str(m.coeff))
         else:
-            head = " - " if m.coeff < 0 else " + "
-            if abs(m.coeff) != 1:
-                tokens.append(str(abs(m.coeff)))
+            head = " - " if num < 0 else " + "
+            num = abs(num)
+        if num != 1 or den != 1:
+            tokens.append(str(num) if den == 1 else f"{num}/{den}")
         if m.alpha.edges:
             tokens.extend(m.alpha.edges)
         elif not m.beta.edges:

@@ -8,9 +8,10 @@ byte-identical across runs on identical input.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import algebra
 from .cycles import DEFAULT_CYCLE_CAP, condition_K, condition_L
@@ -100,7 +101,45 @@ def _load_graph(path: str) -> DirectedGraph:
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    """Print ``doc`` as the stdlib's ``json.dumps`` does with sorted keys
+    and an indent of 2, byte for byte.
+
+    The stdlib turns to its pure-Python encoder when it indents; this
+    writer builds the same text with the C string encoder."""
+    print(_json_text(doc, "\n"))
+
+
+def _json_text(doc, newline: str) -> str:
+    """Indented JSON of ``doc`` (dicts with str keys, lists, tuples, str,
+    int, bool, None); ``newline`` is a line break plus the indentation of
+    the line that ``doc`` starts on.  String items are encoded in place
+    rather than by a recursive call, the bulk of every document."""
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            _encode_str(key) + ": " + (_encode_str(v) if type(v) is str else _json_text(v, inner))
+            for key, v in sorted(doc.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = newline + "  "
+        items = [_encode_str(v) if type(v) is str else _json_text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(doc, str):
+        return _encode_str(doc)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def _fmt_set(vs) -> str:
@@ -290,8 +329,15 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first command rather than at import and
+    then reused: parsing leaves no state in it."""
+    return build_parser()
+
+
 def _run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.cap < 1 or args.max_vertices < 1:
         print("error: --cap and --max-vertices must be positive", file=sys.stderr)
         return 2

@@ -157,6 +157,42 @@ def cycles_without_K(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cyc
     ]
 
 
+def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
+    """``c in cycles_without_K(g)``, decided without enumerating cycles.
+
+    A vertex of c lies on a second cycle exactly when the named edges
+    among c's vertices are more than c's own, or when the strongly
+    connected component of c (over named edges) is larger than its
+    vertex set: a way out of c and back in closes a second cycle.  Both
+    are checked in O(V + E), from forward and backward reachability.
+    """
+    if not _cycle_in_graph(g, c):
+        return False
+    on_cycle = set(c.vertices)
+    if any(g.has_self_bundle(v) for v in on_cycle):
+        return False
+    if sum(e.dst in on_cycle for v in on_cycle for e in g.out_edges(v)) != len(c):
+        return False
+    incoming: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for e in g.edges:
+        incoming[e.dst].append(e.src)
+    forward = _reach(c.base, lambda v: [e.dst for e in g.out_edges(v)])
+    backward = _reach(c.base, incoming.__getitem__)
+    return forward & backward == on_cycle
+
+
+def _reach(start: str, step) -> set[str]:
+    """The vertices reachable from ``start`` along ``step`` (start included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in step(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def condition_K(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionReport:
     """Holds iff the graph has no cycle without K."""
     bad = cycles_without_K(g, cap)

@@ -16,6 +16,7 @@ from .cycles import (
     DEFAULT_CYCLE_CAP,
     Cycle,
     _has_exit_unchecked,
+    _is_cycle_without_K,
     condition_L,
     cycles_without_K,
     is_downward_directed,
@@ -27,6 +28,7 @@ from .lattice import (
     DEFAULT_LATTICE_CAP,
     MAX_EXACT_VERTICES,
     AdmissiblePair,
+    _breaking_vertices,
     breaking_vertices,
     enumerate_HE,
     is_hereditary,
@@ -60,7 +62,7 @@ class NonGradedFamily:
         g = self.graph
         if not (is_hereditary(g, self.H) and is_saturated(g, self.H)):
             raise GraphError("H is not hereditary saturated")
-        if self.cycle not in cycles_without_K(g):
+        if not _is_cycle_without_K(g, self.cycle):
             raise GraphError("cycle is not a cycle without K of this graph")
         if set(self.cycle.vertices) & self.H:
             raise GraphError("cycle meets H")
@@ -137,7 +139,7 @@ def enumerate_primes(
         if hset == full:
             continue
         complement = full - hset
-        b_h = breaking_vertices(g, hset)
+        b_h = _breaking_vertices(g, hset)
         if is_downward_directed(g, complement):
             out.append(GradedIdeal(AdmissiblePair(g, hset, b_h)))
         for u in sorted(b_h):

@@ -217,6 +217,12 @@ def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:
     hset = g.require_vertices(subset)
     if not (is_hereditary(g, hset) and is_saturated(g, hset)):
         raise GraphError("set is not hereditary saturated")
+    return _breaking_vertices(g, hset)
+
+
+def _breaking_vertices(g: DirectedGraph, hset: frozenset[str]) -> frozenset[str]:
+    """``breaking_vertices`` for a set already known to be hereditary
+    saturated, such as a member of ``H_E``."""
     out = set()
     for w in g.vertices:
         if w in hset or g.vertex_kind(w) is not VertexKind.INFINITE_EMITTER:

@@ -57,6 +57,23 @@ def chain_graph(n, reverse=False):
     return graph(vertices, edges)
 
 
+def clique_with_loop(n):
+    """The complete graph on k1..kn plus a separate vertex z with one
+    loop c, which is a cycle without K."""
+    ks = [f"k{i}" for i in range(1, n + 1)]
+    edges = [(f"e{i}{j}", u, w) for i, u in enumerate(ks, 1) for j, w in enumerate(ks, 1) if i != j]
+    return graph(ks + ["z"], edges + [("c", "z", "z")])
+
+
+def breaking_emitters(k):
+    """k infinite emitters b_i, each with a loop f_i, an edge d_i to the
+    sink w and a bundle to w: every b_i breaks H = {w}."""
+    bs = [f"b{i}" for i in range(1, k + 1)]
+    edges = [(f"f{i}", b, b) for i, b in enumerate(bs, 1)]
+    edges += [(f"d{i}", b, "w") for i, b in enumerate(bs, 1)]
+    return graph(bs + ["w"], edges, [(b, "w") for b in bs])
+
+
 @pytest.fixture
 def unique_max():
     return unique_maximal_graph()

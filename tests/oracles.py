@@ -288,3 +288,27 @@ def maximal_proper_brute(g):
         key=lambda s: (len(s), sorted(s)),
     )
     return [s for s in proper if not any(s < t for t in proper)]
+
+
+def mul_brute(x, y):
+    """x * y by the prefix rule, testing every pair of terms: the
+    coefficient of each (alpha source, alpha edges, beta source, beta
+    edges) key, zero sums dropped.  (a b*)(c d*) is (a r) d* when c = b r,
+    a (d r)* when b = c r, and zero when neither is a prefix of the other.
+    """
+    out = {}
+    for m1 in x.terms:
+        for m2 in y.terms:
+            beta, gamma = m1.beta, m2.alpha
+            if beta.source != gamma.source:
+                continue
+            if gamma.edges[: len(beta.edges)] == beta.edges:
+                rest = gamma.edges[len(beta.edges):]
+                key = (m1.alpha.source, m1.alpha.edges + rest, m2.beta.source, m2.beta.edges)
+            elif beta.edges[: len(gamma.edges)] == gamma.edges:
+                rest = beta.edges[len(gamma.edges):]
+                key = (m1.alpha.source, m1.alpha.edges, m2.beta.source, m2.beta.edges + rest)
+            else:
+                continue
+            out[key] = out.get(key, 0) + m1.coeff * m2.coeff
+    return {key: c for key, c in out.items() if c != 0}

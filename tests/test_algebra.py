@@ -1,12 +1,23 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graph, mixed_maximals_graph, omega_graph, unique_maximal_graph
+from conftest import (
+    breaking_emitters,
+    graph,
+    graphs,
+    mixed_maximals_graph,
+    omega_graph,
+    random_corpus,
+    unique_maximal_graph,
+)
+from oracles import mul_brute
 from lpaideals import (
+    AlgebraElement,
     GraphError,
     edge_element,
     ghost_element,
@@ -79,8 +90,6 @@ def _random_element(g, rng, monomial_pool):
         if coeff == 0:
             coeff = Fraction(1)
         terms.append(Monomial(coeff, alpha, beta))
-    from lpaideals import AlgebraElement
-
     return AlgebraElement(g, tuple(terms))
 
 
@@ -213,3 +222,106 @@ def test_parse_rejects_garbage(unique_max):
     for text in ("", "unknown", "e1 |", "| |", "e2 e1", "u | c*", "e1 u", "3/0 u"):
         with pytest.raises(GraphError):
             parse_element(unique_max, text)
+
+
+def _terms_by_key(x):
+    return {(m.alpha.source, m.alpha.edges, m.beta.source, m.beta.edges): m.coeff for m in x.terms}
+
+
+def assert_product_matches_oracle(x, y):
+    """x * y has the all-pairs scan's terms, and it is canonical and valid:
+    the validating constructor rebuilds it unchanged."""
+    product = x * y
+    assert _terms_by_key(product) == mul_brute(x, y)
+    assert AlgebraElement(x.graph, product.terms).terms == product.terms
+
+
+def _prefix_partners(g, x, rng):
+    """An element whose real paths meet the ghost paths of x in every way
+    the prefix rule distinguishes: equal, a proper prefix, an extension,
+    and a path from a different vertex."""
+    terms = []
+    for m in x.terms:
+        beta = m.beta
+        reals = [beta, make_path(g, beta.source, beta.edges[: rng.randrange(len(beta.edges) + 1)])]
+        extensions = g.out_edges(beta.target)
+        if extensions:
+            reals.append(make_path(g, beta.source, beta.edges + (rng.choice(extensions).id,)))
+        reals.append(make_path(g, rng.choice(g.vertices)))
+        for gamma in reals:
+            coeff = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+            terms.append(Monomial(coeff, gamma, make_path(g, gamma.target)))
+            terms.append(Monomial(-coeff, gamma, gamma))
+    return AlgebraElement(g, tuple(terms))
+
+
+_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def graph_and_two_elements(draw):
+    g = draw(graphs(max_vertices=4, max_edges=6))
+    pool = _monomial_pool(g, max_len=2)
+    term = st.tuples(st.sampled_from(pool), _coefficients)
+
+    def element():
+        chosen = draw(st.lists(term, max_size=8))
+        return AlgebraElement(g, tuple(Monomial(c, a, b) for (a, b), c in chosen))
+
+    return element(), element()
+
+
+@given(graph_and_two_elements())
+def test_product_matches_all_pairs_oracle(xy):
+    x, y = xy
+    for left, right in ((x, y), (y, x), (x, x), (x, zero(x.graph)), (zero(x.graph), y)):
+        assert_product_matches_oracle(left, right)
+
+
+def test_product_matches_oracle_on_the_acceptance_corpus():
+    rng = random.Random(20260809)
+    checked = 0
+    for g in random_corpus(500):
+        pool = _monomial_pool(g, max_len=2)
+        x = _random_element(g, rng, pool)
+        y = _random_element(g, rng, pool)
+        for left, right in ((x, y), (x, _prefix_partners(g, x, rng)), (_prefix_partners(g, y, rng), y)):
+            assert_product_matches_oracle(left, right)
+            checked += not (left * right).is_zero()
+    assert checked > 500
+
+
+def test_product_term_shapes(unique_max):
+    """Vertex-only, ghost-only, equal-path and nested-prefix terms."""
+    g = unique_max
+    u, v, w = (vertex_element(g, x) for x in "uvw")
+    ghost = parse_element(g, "e1* e2*")  # (e1 e2)*, ending at w
+    real = parse_element(g, "e1 e2")
+    cases = [
+        (u, u),
+        (u, v),
+        (ghost, real),  # equal paths: (e1 e2)* (e1 e2) = w
+        (parse_element(g, "e1*"), real),  # e1 is a prefix of e1 e2
+        (ghost, parse_element(g, "e1")),  # and the other way round
+        (parse_element(g, "c*"), parse_element(g, "c c")),
+        (parse_element(g, "c c*"), parse_element(g, "c | c* c*")),
+        (parse_element(g, "u + f1 + 2 f1 g1 | f1* - e1*"), parse_element(g, "f1 g1 + u - 1/2 e1 e2")),
+        (zero(g), real),
+    ]
+    for x, y in cases:
+        assert_product_matches_oracle(x, y)
+    assert ghost * real == w
+    assert parse_element(g, "e1*") * real == edge_element(g, "e2")
+    assert ghost * parse_element(g, "e1") == ghost_element(g, "e2")
+
+
+def test_is_idempotent_on_sums_of_v_H():
+    """Sums of distinct v^H (H = {w}) are idempotent; adding one twice is not."""
+    g = breaking_emitters(3)
+    v_h = [v_H_element(g, {"w"}, b) for b in g.vertices if b != "w"]
+    for r in range(1, len(v_h) + 1):
+        for chosen in combinations(v_h, r):
+            total = sum(chosen[1:], chosen[0])
+            assert is_idempotent(g, total)
+            assert not is_idempotent(g, total + chosen[0])
+            assert mul_brute(total, total) == _terms_by_key(total)

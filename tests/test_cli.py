@@ -2,6 +2,8 @@ import gc
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import omega_graph, unique_maximal_graph, mixed_maximals_graph
 from lpaideals import parse_graph, serialize_graph
@@ -208,3 +210,74 @@ def test_collector_paused_during_a_command_and_restored(run, tmp_path, monkeypat
         (gc.enable if was else gc.disable)()
     assert code == 0
     assert seen == [False]
+
+
+JSON_SHAPES = [
+    {},
+    [],
+    {"sets": [], "maximal_proper": [[]], "empty": {}},
+    [{}, [], [[]], [{}]],
+    {"b": [{"z": None, "a": True}, {"y": False, "x": 0}], "a": {"n": [1, -2, 10**30]}},
+    ("tuple", ["of", ("nested", "tuples")]),
+    None,
+    True,
+    17,
+    "plain",
+    {"H": ["\u00e9", "\u65e5\u672c", 'q"t', "b\\s", "\n\t\x00\x7f", "\U0001F600"], '"k"': "\\"},
+]
+
+
+@pytest.mark.parametrize("doc", JSON_SHAPES)
+def test_json_writer_matches_json_dumps(doc, capsys):
+    cli._emit_json(doc)
+    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_json_writer_matches_json_dumps_on_random_documents(doc):
+    assert cli._json_text(doc, "\n") == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_json_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        cli._json_text({"x": {1, 2}}, "\n")
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """A usage error and then three commands in one process print what
+    each prints in a process of its own."""
+    path = write_graph(tmp_path, mixed_maximals_graph())
+    calls = [
+        ["analyze", path, "--nope"],
+        ["check", path, "--condition", "L"],
+        ["check", path, "--condition", "K", "--json"],
+        ["analyze", path],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(call(argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    together = [call(argv) for argv in calls]
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    assert built == [1]

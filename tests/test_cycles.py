@@ -17,6 +17,7 @@ from lpaideals import (
     make_cycle,
     simple_cycles,
 )
+from lpaideals.cycles import Cycle, _is_cycle_without_K
 
 
 def cycle_of(g, *edge_ids):
@@ -175,3 +176,43 @@ def test_maximal_tail_needs_mt2():
     # v regular with its only edge leaving the set
     g = graph(["u", "v"], [("a", "v", "u"), ("l", "u", "u")])
     assert not is_maximal_tail(g, {"v"})
+
+
+def _assert_without_K_test_agrees(g):
+    without_k = cycles_without_K(g)
+    for c in simple_cycles(g):
+        assert _is_cycle_without_K(g, c) == (c in without_k), c
+
+
+@given(graphs())
+def test_per_cycle_without_K_test_agrees_with_enumeration(g):
+    _assert_without_K_test_agrees(g)
+
+
+def test_per_cycle_without_K_test_agrees_on_the_acceptance_corpus():
+    for g in random_corpus(500):
+        _assert_without_K_test_agrees(g)
+
+
+def test_per_cycle_without_K_test_examples():
+    # a and b lie only on their own cycles; the two-cycle through the
+    # extra vertex x leaves {p, q} and comes back, so neither p nor q
+    # lies on one cycle only
+    g = graph(
+        ["p", "q", "r", "s", "t", "x"],
+        [("a", "r", "r"), ("b", "s", "t"), ("b2", "t", "s"),
+         ("pq", "p", "q"), ("qp", "q", "p"), ("qx", "q", "x"), ("xp", "x", "p"),
+         ("ts", "t", "r")],
+    )
+    assert _is_cycle_without_K(g, make_cycle(g, ["a"]))
+    assert _is_cycle_without_K(g, make_cycle(g, ["b", "b2"]))
+    assert not _is_cycle_without_K(g, make_cycle(g, ["pq", "qp"]))
+    # a chord inside the vertex set of a cycle makes a second cycle
+    chord = graph(["p", "q"], [("pq", "p", "q"), ("qp", "q", "p"), ("qp2", "q", "p")])
+    assert not _is_cycle_without_K(chord, make_cycle(chord, ["pq", "qp"]))
+    # a self bundle is infinitely many loops
+    bundled = graph(["v"], [("l", "v", "v")], [("v", "v")])
+    assert not _is_cycle_without_K(bundled, make_cycle(bundled, ["l"]))
+    # not a cycle of the graph, or not in canonical rotation
+    assert not _is_cycle_without_K(g, Cycle(("zz",), ("r",)))
+    assert not _is_cycle_without_K(g, Cycle(("b2", "b"), ("t", "s")))

@@ -3,6 +3,7 @@ from hypothesis import given
 
 from conftest import (
     chain_graph,
+    clique_with_loop,
     graph,
     graphs,
     omega_graph,
@@ -261,3 +262,29 @@ def test_primes_with_two_breaking_vertices():
         (["h"], ("lx", "ly"))
     ]
     assert not rep.every_maximal_graded and rep.unique_maximal is None
+
+
+def test_nongraded_family_enumerates_no_cycles(monkeypatch):
+    """The family checks its cycle by itself, so it neither ignores the
+    caller's cycle cap nor repeats the enumeration once per family."""
+    from lpaideals import cycles, ideals
+
+    calls = []
+    original = cycles.simple_cycles
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cycles, "simple_cycles", counted)
+    monkeypatch.setattr(ideals, "simple_cycles", counted)
+    g = clique_with_loop(5)
+    clique = frozenset(g.vertices) - {"z"}
+    family = NonGradedFamily(g, clique, make_cycle(g, ["c"]))
+    assert calls == []
+    with pytest.raises(GraphError):
+        NonGradedFamily(g, frozenset(), make_cycle(g, ["e12", "e21"]))
+    assert calls == []
+    primes = enumerate_primes(g, cycle_cap=100)
+    assert len(calls) == 1
+    assert family in primes
