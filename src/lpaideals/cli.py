@@ -14,8 +14,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import algebra
-from .cycles import DEFAULT_CYCLE_CAP, condition_K, condition_L
-from .graph import DirectedGraph, GraphError, ResourceCapError, parse_graph, serialize_graph
+from .cycles import condition_K, condition_L
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError, parse_graph, serialize_graph
 from .ideals import GradedIdeal, descriptor_sort_key, enumerate_primes, existence_report
 from .lattice import (
     MAX_EXACT_VERTICES,
@@ -42,39 +42,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def command(name, help, flags=("json", "cap", "max_vertices"), **kwargs):
+        """A subcommand with its graph argument and the flags it reads."""
+        p = sub.add_parser(name, help=help, **kwargs)
         p.add_argument("graph", help="path to a graph JSON file")
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_CYCLE_CAP,
-            help="resource cap for cycle and lattice enumeration (default %(default)s)",
-        )
-        p.add_argument(
-            "--max-vertices",
-            type=int,
-            default=MAX_EXACT_VERTICES,
-            help="refuse exact lattice enumeration above this many vertices (default %(default)s)",
-        )
+        if "json" in flags:
+            p.add_argument("--json", action="store_true", help="emit canonical JSON")
+        if "cap" in flags:
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=DEFAULT_CAP,
+                help="resource cap for cycle and lattice enumeration (default %(default)s)",
+            )
+        if "max_vertices" in flags:
+            p.add_argument(
+                "--max-vertices",
+                type=int,
+                default=MAX_EXACT_VERTICES,
+                help="refuse exact lattice enumeration above this many vertices (default %(default)s)",
+            )
+        return p
 
-    common(sub.add_parser("analyze", help="full report: conditions, lattice, primes, maximals"))
-    common(sub.add_parser("hsets", help="the lattice of hereditary saturated sets"))
-    common(sub.add_parser("primes", help="all prime-ideal descriptors"))
-    common(sub.add_parser("maximals", help="maximal ideals, graded and non-graded families"))
+    command("analyze", "full report: conditions, lattice, primes, maximals")
+    command("hsets", "the lattice of hereditary saturated sets")
+    command("primes", "all prime-ideal descriptors")
+    command("maximals", "maximal ideals, graded and non-graded families")
 
-    quot = sub.add_parser("quotient", help="quotient graph at an admissible pair (H, S)")
-    common(quot)
+    quot = command("quotient", "quotient graph at an admissible pair (H, S)", flags=())
     quot.add_argument("--H", default="", help="comma-separated vertices of H (empty for the zero ideal)")
     quot.add_argument("--S", default="", help="comma-separated breaking vertices kept in S")
 
-    check = sub.add_parser("check", help="check Condition (L) or (K)")
-    common(check)
+    check = command("check", "check Condition (L) or (K)", flags=("json", "cap"))
     check.add_argument("--condition", choices=("L", "K"), required=True)
 
-    mul = sub.add_parser(
+    mul = command(
         "mul",
-        help="multiply two algebra elements",
+        "multiply two algebra elements",
+        flags=("json",),
         epilog=(
             "Element grammar (whitespace-tokenised): a term is an optional rational "
             "coefficient, then a real path as edge ids (or one vertex id), then a ghost "
@@ -85,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
             "start of a term, are not addressable."
         ),
     )
-    common(mul)
     mul.add_argument("--lhs", required=True, help="left factor")
     mul.add_argument("--rhs", required=True, help="right factor")
     return parser
@@ -176,8 +180,8 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
     lat = enumerate_HE(g, args.cap, args.max_vertices)
     cond_l = condition_L(g, args.cap)
     cond_k = condition_K(g, args.cap)
-    report = existence_report(g, args.cap, args.max_vertices, args.cap)
-    primes = enumerate_primes(g, args.cap, args.max_vertices, args.cap)
+    report = existence_report(g, args.cap, args.max_vertices)
+    primes = enumerate_primes(g, args.cap, args.max_vertices)
     if args.json:
         _emit_json(
             {
@@ -243,7 +247,7 @@ def cmd_hsets(g: DirectedGraph, args) -> None:
 
 
 def cmd_primes(g: DirectedGraph, args) -> None:
-    primes = enumerate_primes(g, args.cap, args.max_vertices, args.cap)
+    primes = enumerate_primes(g, args.cap, args.max_vertices)
     if args.json:
         _emit_json([d.to_json_dict() for d in primes])
         return
@@ -253,7 +257,7 @@ def cmd_primes(g: DirectedGraph, args) -> None:
 
 
 def cmd_maximals(g: DirectedGraph, args) -> None:
-    report = existence_report(g, args.cap, args.max_vertices, args.cap)
+    report = existence_report(g, args.cap, args.max_vertices)
     if args.json:
         _emit_json(report.to_json_dict())
         return
@@ -338,7 +342,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run(argv) -> int:
     args = _parser().parse_args(argv)
-    if args.cap < 1 or args.max_vertices < 1:
+    if any(getattr(args, flag, 1) < 1 for flag in ("cap", "max_vertices")):
         print("error: --cap and --max-vertices must be positive", file=sys.stderr)
         return 2
     try:

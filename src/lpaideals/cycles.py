@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DirectedGraph, GraphError, ResourceCapError, VertexKind
-
-DEFAULT_CYCLE_CAP = 1_000_000
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError, VertexKind
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,7 @@ def make_cycle(g: DirectedGraph, edge_ids) -> Cycle:
     return Cycle(tuple(edge_ids[k:] + edge_ids[:k]), tuple(sources[k:] + sources[:k]))
 
 
-def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]:
+def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
     """All simple cycles over named edges, deduplicated up to rotation.
 
     Enumerates cycles rooted at their least vertex (larger vertices only
@@ -131,7 +129,7 @@ class ConditionReport:
         }
 
 
-def condition_L(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionReport:
+def condition_L(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
     """Every cycle has an exit; witness is the first exitless cycle otherwise."""
     for c in simple_cycles(g, cap):
         if not _has_exit_unchecked(g, c):
@@ -139,7 +137,7 @@ def condition_L(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionRepo
     return ConditionReport(True)
 
 
-def cycles_without_K(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Cycle]:
+def cycles_without_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
     """Cycles none of whose vertices lies on a second distinct cycle.
 
     A vertex carrying a self bundle lies on infinitely many anonymous
@@ -193,7 +191,7 @@ def _reach(start: str, step) -> set[str]:
     return seen
 
 
-def condition_K(g: DirectedGraph, cap: int = DEFAULT_CYCLE_CAP) -> ConditionReport:
+def condition_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
     """Holds iff the graph has no cycle without K."""
     bad = cycles_without_K(g, cap)
     if bad:

@@ -31,6 +31,10 @@ class ResourceCapError(RuntimeError):
     """An enumeration would exceed its configured cap."""
 
 
+# The default bound on simple cycles and on hereditary saturated sets alike.
+DEFAULT_CAP = 1_000_000
+
+
 class VertexKind(Enum):
     SINK = "sink"
     REGULAR = "regular"

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cycles import (
-    DEFAULT_CYCLE_CAP,
     Cycle,
     _has_exit_unchecked,
     _is_cycle_without_K,
@@ -23,9 +22,8 @@ from .cycles import (
     make_cycle,
     simple_cycles,
 )
-from .graph import DirectedGraph, GraphError
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError
 from .lattice import (
-    DEFAULT_LATTICE_CAP,
     MAX_EXACT_VERTICES,
     AdmissiblePair,
     _breaking_vertices,
@@ -126,27 +124,35 @@ def gr_of(d: IdealDescriptor) -> AdmissiblePair:
 
 def enumerate_primes(
     g: DirectedGraph,
-    cap: int = DEFAULT_LATTICE_CAP,
+    cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> list[IdealDescriptor]:
-    """All prime-ideal descriptors, one entry per non-graded family."""
+    """All prime-ideal descriptors, one entry per non-graded family.
+
+    A prime's H has a downward-directed complement C, and those C are
+    exactly the M(d): a finite downward-directed C has a common
+    descendant d in C, so C lies in M(d); H is hereditary, so M(d)
+    misses H; and M(d) is downward directed through d.  So each
+    distinct M(d) whose complement H is hereditary saturated gives
+    (H, B_H), (H, B_H - {u}) for each u in B_H with M(u) = M(d), and a
+    family per cycle without K whose base has M(base) = M(d).
+    """
     lat = enumerate_HE(g, cap, max_vertices)
-    without_k = cycles_without_K(g, cycle_cap)
+    without_k = cycles_without_K(g, cap)
     full = frozenset(g.vertices)
+    m_of = {v: g.m_of(v) for v in g.vertices}
     out: list[IdealDescriptor] = []
-    for hset in lat.sets:
-        if hset == full:
+    for tail in set(m_of.values()):
+        hset = full - tail
+        if hset not in lat:
             continue
-        complement = full - hset
         b_h = _breaking_vertices(g, hset)
-        if is_downward_directed(g, complement):
-            out.append(GradedIdeal(AdmissiblePair(g, hset, b_h)))
-        for u in sorted(b_h):
-            if complement == g.m_of(u):
+        out.append(GradedIdeal(AdmissiblePair(g, hset, b_h)))
+        for u in b_h:
+            if m_of[u] == tail:
                 out.append(GradedIdeal(AdmissiblePair(g, hset, b_h - {u})))
         for c in without_k:
-            if not (set(c.vertices) & hset) and complement == g.m_of(c.base):
+            if m_of[c.base] == tail:
                 out.append(NonGradedFamily(g, hset, c))
     out.sort(key=descriptor_sort_key)
     return out
@@ -154,16 +160,15 @@ def enumerate_primes(
 
 def maximal_graded_ideals(
     g: DirectedGraph,
-    cap: int = DEFAULT_LATTICE_CAP,
+    cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> list[AdmissiblePair]:
     """Pairs (H, B_H) with H maximal proper whose quotient satisfies (L)."""
     lat = enumerate_HE(g, cap, max_vertices)
     out = []
     for hset in maximal_proper_elements(lat):
         pair = AdmissiblePair(g, hset, breaking_vertices(g, hset))
-        if condition_L(quotient_graph(g, pair), cycle_cap).holds:
+        if condition_L(quotient_graph(g, pair), cap).holds:
             out.append(pair)
     out.sort(key=lambda p: (sorted(p.H), sorted(p.S)))
     return out
@@ -171,9 +176,8 @@ def maximal_graded_ideals(
 
 def maximal_nongraded_families(
     g: DirectedGraph,
-    cap: int = DEFAULT_LATTICE_CAP,
+    cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> list[NonGradedFamily]:
     """One family per maximal proper H and exitless cycle of its quotient.
 
@@ -186,10 +190,7 @@ def maximal_nongraded_families(
     for hset in maximal_proper_elements(lat):
         pair = AdmissiblePair(g, hset, breaking_vertices(g, hset))
         quotient = quotient_graph(g, pair)
-        report = condition_L(quotient, cycle_cap)
-        if report.holds:
-            continue
-        for c in simple_cycles(quotient, cycle_cap):
+        for c in simple_cycles(quotient, cap):
             if not _has_exit_unchecked(quotient, c):
                 out.append(NonGradedFamily(g, hset, make_cycle(g, c.edges)))
     out.sort(key=lambda f: (sorted(f.H), f.cycle.edges))
@@ -223,9 +224,8 @@ class MaximalityReport:
 
 def existence_report(
     g: DirectedGraph,
-    cap: int = DEFAULT_LATTICE_CAP,
+    cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
-    cycle_cap: int = DEFAULT_CYCLE_CAP,
 ) -> MaximalityReport:
     """Aggregate maximal-ideal structure of the graph's algebra.
 
@@ -236,8 +236,8 @@ def existence_report(
     lat = enumerate_HE(g, cap, max_vertices)
     maximal = maximal_proper_elements(lat)
     full = frozenset(g.vertices)
-    graded = tuple(maximal_graded_ideals(g, cap, max_vertices, cycle_cap))
-    families = tuple(maximal_nongraded_families(g, cap, max_vertices, cycle_cap))
+    graded = tuple(maximal_graded_ideals(g, cap, max_vertices))
+    families = tuple(maximal_nongraded_families(g, cap, max_vertices))
     every_below = all(
         any(x <= z for z in maximal) for x in lat.sets if x != full
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import (
+    DEFAULT_CAP,
     DirectedGraph,
     Edge,
     GraphError,
@@ -20,7 +21,6 @@ from .graph import (
     VertexKind,
 )
 
-DEFAULT_LATTICE_CAP = 1_000_000
 MAX_EXACT_VERTICES = 20
 
 PRIME_MARK = "'"
@@ -70,11 +70,8 @@ class _Masks:
             out |= 1 << self.index[v]
         return out
 
-    def bits(self, mask: int) -> list[int]:
-        return [i for i in range(len(self.vertices)) if mask >> i & 1]
-
     def to_set(self, mask: int) -> frozenset[str]:
-        return frozenset(self.vertices[i] for i in self.bits(mask))
+        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
     def sorted_sets(self, masks) -> tuple[frozenset[str], ...]:
         """The masks as vertex sets, ordered by size, then by sorted ids."""
@@ -147,7 +144,7 @@ class HSLattice:
 
 def enumerate_HE(
     g: DirectedGraph,
-    cap: int = DEFAULT_LATTICE_CAP,
+    cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> HSLattice:
     """Exactly all hereditary saturated sets, ordered by size and then by
@@ -196,15 +193,11 @@ def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
     """
     g = lat.graph
     masks = _Masks(g)
-    ancestors = [0] * len(g.vertices)
-    for j, reach in enumerate(masks.descendants):
-        for i in masks.bits(reach):
-            ancestors[i] |= 1 << j
-    candidates = {
-        ancestors[i]
-        for i in range(len(g.vertices))
-        if not masks.regular >> i & 1 or masks.targets[i] & ancestors[i]
-    }
+    candidates = set()
+    for w in g.vertices:
+        m_w = g.m_of(w)
+        if g.vertex_kind(w) is not VertexKind.REGULAR or g.successors(w) & m_w:
+            candidates.add(masks.of(m_w))
     minimal = [m for m in candidates if not any(o != m and not o & ~m for o in candidates)]
     return list(masks.sorted_sets(masks.full & ~m for m in minimal))
 

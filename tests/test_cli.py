@@ -196,6 +196,41 @@ def test_nonpositive_cap_is_a_usage_error(run, tmp_path):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["quotient", "--H", "v,w"], ["--json"]),
+        (["quotient", "--H", "v,w"], ["--cap", "5"]),
+        (["quotient", "--H", "v,w"], ["--max-vertices", "5"]),
+        (["mul", "--lhs", "u", "--rhs", "u"], ["--cap", "5"]),
+        (["mul", "--lhs", "u", "--rhs", "u"], ["--max-vertices", "5"]),
+        (["check", "--condition", "L"], ["--max-vertices", "5"]),
+    ],
+)
+def test_a_command_refuses_a_flag_it_does_not_read(run, tmp_path, command, flag):
+    path = write_graph(tmp_path, unique_maximal_graph())
+    name, *rest = command
+    assert run(name, path, *rest)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main([name, path, *rest, *flag])
+    assert exc.value.code == 2
+
+
+def test_a_command_keeps_the_flags_it_reads(run, tmp_path):
+    path = write_graph(tmp_path, unique_maximal_graph())
+    code, out, _ = run("check", path, "--condition", "L", "--cap", "5", "--json")
+    assert (code, json.loads(out)) == (0, {"holds": False, "witness": ["c"]})
+    code, _, err = run("check", path, "--condition", "K", "--cap", "0")
+    assert code == 2 and "positive" in err
+    code, out, _ = run("mul", path, "--lhs", "e1*", "--rhs", "e1", "--json")
+    assert (code, json.loads(out)["result"]) == (0, "v")
+    for command in ("analyze", "hsets", "primes", "maximals"):
+        code, out, _ = run(command, path, "--cap", "5", "--max-vertices", "3", "--json")
+        assert code == 0 and json.loads(out)
+        code, _, err = run(command, path, "--max-vertices", "0")
+        assert code == 2 and "positive" in err
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_collector_paused_during_a_command_and_restored(run, tmp_path, monkeypatch, enabled):
     seen = []

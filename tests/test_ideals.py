@@ -31,6 +31,7 @@ from lpaideals import (
     maximal_nongraded_families,
     maximal_proper_elements,
     quotient_graph,
+    ResourceCapError,
 )
 
 
@@ -189,9 +190,13 @@ def _check_theorem_invariants(g):
         assert isinstance(rep.unique_maximal, GradedIdeal)
         assert len(rep.graded_maximals) == 1 and not rep.nongraded_maximal_families
     assert rep.every_maximal_graded == (rep.nongraded_maximal_families == ())
-    assert rep.exists_maximal == bool(
-        maximal_proper_elements(enumerate_HE(g))
+    lat = enumerate_HE(g)
+    maximal = maximal_proper_elements(lat)
+    assert rep.exists_maximal == bool(maximal)
+    assert rep.every_ideal_below_maximal == all(
+        any(h <= m for m in maximal) for h in lat.sets if h != full
     )
+    assert rep.every_ideal_below_maximal
     assert rep.exists_maximal == bool(
         rep.graded_maximals or rep.nongraded_maximal_families
     )
@@ -240,6 +245,56 @@ def test_enumerate_primes_against_raw_definition_oracle():
         assert _descriptor_keys(g) == primes_brute(g)
 
 
+def test_enumerate_primes_against_the_oracle_on_the_acceptance_corpus():
+    from oracles import primes_brute
+
+    for g in random_corpus(500):
+        assert _descriptor_keys(g) == primes_brute(g)
+
+
+@given(graphs())
+def test_every_prime_complement_is_some_m_of(g):
+    full = frozenset(g.vertices)
+    tails = {g.m_of(d) for d in g.vertices}
+    for d in enumerate_primes(g):
+        assert full - gr_of(d).H in tails
+
+
+def test_one_cap_bounds_the_cycles_of_enumerate_primes():
+    # 85 simple cycles against a lattice of 4 sets
+    g = clique_with_loop(5)
+    with pytest.raises(ResourceCapError):
+        enumerate_primes(g, cap=50)
+    primes = [d.to_json_dict() for d in enumerate_primes(g, cap=100)]
+    clique = sorted(frozenset(g.vertices) - {"z"})
+    assert [(d["H"], d.get("cycle")) for d in primes] == [(clique, None), (clique, ["c"]), (["z"], None)]
+
+
+def test_maximal_nongraded_families_enumerate_each_quotient_once(monkeypatch):
+    """One cycle pass per coatom quotient, with no (L) pass before it."""
+    from lpaideals import cycles, ideals
+
+    calls = []
+    original = cycles.simple_cycles
+
+    def counted(quotient, cap):
+        calls.append(quotient)
+        return original(quotient, cap)
+
+    monkeypatch.setattr(cycles, "simple_cycles", counted)
+    monkeypatch.setattr(ideals, "simple_cycles", counted)
+    g = clique_with_loop(4)
+    families = maximal_nongraded_families(g)
+    assert [(sorted(f.H), f.cycle.edges) for f in families] == [
+        (sorted(frozenset(g.vertices) - {"z"}), ("c",))
+    ]
+    coatoms = maximal_proper_elements(enumerate_HE(g))
+    assert len(calls) == len(coatoms) == 2
+    assert sorted(frozenset(q.vertices) for q in calls) == sorted(
+        frozenset(g.vertices) - h for h in coatoms
+    )
+
+
 def test_primes_with_two_breaking_vertices():
     # x and y each bundle into h and escape through the 2-cycle lx, ly;
     # both break H = {h}, so the dropped-vertex clause fires twice and
@@ -285,6 +340,6 @@ def test_nongraded_family_enumerates_no_cycles(monkeypatch):
     with pytest.raises(GraphError):
         NonGradedFamily(g, frozenset(), make_cycle(g, ["e12", "e21"]))
     assert calls == []
-    primes = enumerate_primes(g, cycle_cap=100)
+    primes = enumerate_primes(g, cap=100)
     assert len(calls) == 1
     assert family in primes
