@@ -101,6 +101,11 @@ def _canonical_terms(terms) -> tuple[Monomial, ...]:
     )
 
 
+def _merged(monomials) -> tuple[Monomial, ...]:
+    """The canonical terms of a sum of monomials."""
+    return _canonical_terms((m.coeff.numerator, m.coeff.denominator, m.alpha, m.beta) for m in monomials)
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """Canonical finite sum of monomials: sorted, merged, no zero terms."""
@@ -111,13 +116,7 @@ class AlgebraElement:
     def __post_init__(self):
         for m in self.terms:
             _check_paths(self.graph, m)
-        object.__setattr__(
-            self,
-            "terms",
-            _canonical_terms(
-                (m.coeff.numerator, m.coeff.denominator, m.alpha, m.beta) for m in self.terms
-            ),
-        )
+        object.__setattr__(self, "terms", _merged(self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -130,7 +129,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return AlgebraElement(self.graph, self.terms + other.terms)
+        return _element(self.graph, _merged(self.terms + other.terms))
 
     def __neg__(self) -> "AlgebraElement":
         return self.scale(-1)
@@ -141,10 +140,9 @@ class AlgebraElement:
     def scale(self, k) -> "AlgebraElement":
         k = Fraction(k)
         if k == 0:
-            return AlgebraElement(self.graph, ())
-        return AlgebraElement(
-            self.graph, tuple(Monomial(k * m.coeff, m.alpha, m.beta) for m in self.terms)
-        )
+            return _element(self.graph, ())
+        # a non-zero multiple keeps the terms distinct, non-zero and sorted
+        return _element(self.graph, tuple(Monomial(k * m.coeff, m.alpha, m.beta) for m in self.terms))
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """The product by the prefix rule: (a b*)(c d*) is non-zero only when
@@ -154,33 +152,45 @@ class AlgebraElement:
         by every prefix of it, so each left term looks up the c that extend
         its b (c = b included) once, and the proper prefixes of b one by one.
         The product of two valid monomials is valid, so it is not checked
-        again.
+        again.  Each result path is built once, keyed by its source and
+        edges (which fix its target): equal paths in the product are one
+        object.
         """
         self._same_algebra(other)
-        exact: dict[tuple, list[Monomial]] = {}
-        extending: dict[tuple, list[Monomial]] = {}
+        paths: dict[tuple, PathWord] = {}
+
+        def shared(p: PathWord) -> PathWord:
+            return paths.setdefault((p.source, p.edges), p)
+
+        exact: dict[tuple, list[tuple]] = {}
+        extending: dict[tuple, list[tuple]] = {}
         for m in other.terms:
-            source, edges = m.alpha.source, m.alpha.edges
-            exact.setdefault((source, edges), []).append(m)
-            for k in range(len(edges) + 1):
-                extending.setdefault((source, edges[:k]), []).append(m)
+            gamma = m.alpha
+            entry = (m.coeff.numerator, m.coeff.denominator, gamma, shared(m.beta))
+            exact.setdefault((gamma.source, gamma.edges), []).append(entry)
+            for k in range(len(gamma.edges) + 1):
+                extending.setdefault((gamma.source, gamma.edges[:k]), []).append(entry)
 
         def products():
             for m1 in self.terms:
-                alpha, beta = m1.alpha, m1.beta
+                alpha, beta = shared(m1.alpha), m1.beta
                 num, den = m1.coeff.numerator, m1.coeff.denominator
                 cut = len(beta.edges)
                 # gamma = beta + rest: (alpha beta*)(gamma delta*) = (alpha rest) delta*
-                for m2 in extending.get((beta.source, beta.edges), ()):
-                    gamma = m2.alpha
-                    path = PathWord(alpha.source, alpha.edges + gamma.edges[cut:], gamma.target)
-                    yield num * m2.coeff.numerator, den * m2.coeff.denominator, path, m2.beta
+                for num2, den2, gamma, delta in extending.get((beta.source, beta.edges), ()):
+                    key = (alpha.source, alpha.edges + gamma.edges[cut:])
+                    path = paths.get(key)
+                    if path is None:
+                        path = paths[key] = PathWord(alpha.source, key[1], gamma.target)
+                    yield num * num2, den * den2, path, delta
                 # beta = gamma + rest, rest non-empty: alpha (delta rest)*
                 for k in range(cut):
-                    for m2 in exact.get((beta.source, beta.edges[:k]), ()):
-                        delta = m2.beta
-                        path = PathWord(delta.source, delta.edges + beta.edges[k:], beta.target)
-                        yield num * m2.coeff.numerator, den * m2.coeff.denominator, alpha, path
+                    for num2, den2, _, delta in exact.get((beta.source, beta.edges[:k]), ()):
+                        key = (delta.source, delta.edges + beta.edges[k:])
+                        path = paths.get(key)
+                        if path is None:
+                            path = paths[key] = PathWord(delta.source, key[1], beta.target)
+                        yield num * num2, den * den2, alpha, path
 
         return _element(self.graph, _canonical_terms(products()))
 
@@ -310,7 +320,7 @@ def parse_element(g: DirectedGraph, text: str) -> AlgebraElement:
         else:
             current.append(tok)
     flush(Fraction(1))
-    return AlgebraElement(g, tuple(terms))
+    return _element(g, _merged(terms))
 
 
 def _parse_term(g: DirectedGraph, tokens: list[str], sign: Fraction) -> Monomial:
@@ -380,10 +390,12 @@ def _paths_from_edges(g: DirectedGraph, edge_ids: list[str]) -> PathWord:
 
 
 def render_element(x: AlgebraElement) -> str:
-    """Canonical text form, re-parseable by parse_element."""
+    """Canonical text form, re-parseable by parse_element.  The ghost
+    tokens of each distinct ghost path are joined once."""
     if x.is_zero():
         return "0"
     parts: list[str] = []
+    ghosts: dict[tuple[str, ...], str] = {}
     for i, m in enumerate(x.terms):
         tokens: list[str] = []
         # the coefficient as Fraction prints it, from its integer parts
@@ -399,9 +411,13 @@ def render_element(x: AlgebraElement) -> str:
             tokens.extend(m.alpha.edges)
         elif not m.beta.edges:
             tokens.append(m.alpha.source)
-        if m.beta.edges:
+        edges = m.beta.edges
+        if edges:
             if m.alpha.edges:
                 tokens.append("|")
-            tokens.extend(eid + "*" for eid in m.beta.edges)
+            ghost = ghosts.get(edges)
+            if ghost is None:
+                ghost = ghosts[edges] = " ".join(eid + "*" for eid in edges)
+            tokens.append(ghost)
         parts.append(head + " ".join(tokens))
     return "".join(parts)

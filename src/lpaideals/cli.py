@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid graph input, 2 bad arguments,
-3 resource cap exceeded.  With --json, output is canonical JSON that is
-byte-identical across runs on identical input.
+3 resource cap exceeded, 141 standard output closed by its reader (as
+under ``| head``; the status a shell reports for SIGPIPE).  With --json,
+output is canonical JSON that is byte-identical across runs on
+identical input.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import algebra
 from .cycles import condition_K, condition_L
 from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError, parse_graph, serialize_graph
-from .ideals import GradedIdeal, descriptor_sort_key, enumerate_primes, existence_report
+from .ideals import GradedIdeal, enumerate_primes, existence_report
 from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
@@ -189,7 +192,7 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
                 "condition_K": cond_k.to_json_dict(),
                 "hereditary_saturated": lat.to_json_dict(),
                 "maximality": report.to_json_dict(),
-                "primes": [d.to_json_dict() for d in sorted(primes, key=descriptor_sort_key)],
+                "primes": [d.to_json_dict() for d in primes],
             }
         )
         return
@@ -290,21 +293,35 @@ def cmd_mul(g: DirectedGraph, args) -> None:
         raise UsageError(f"bad element expression: {exc}") from None
     product = lhs * rhs
     if args.json:
-        _emit_json(
-            {
-                "result": algebra.render_element(product),
-                "terms": [
-                    {
-                        "coeff": str(m.coeff),
-                        "alpha": {"source": m.alpha.source, "edges": list(m.alpha.edges)},
-                        "beta": {"source": m.beta.source, "edges": list(m.beta.edges)},
-                    }
-                    for m in product.terms
-                ],
-            }
-        )
+        print(_product_json(product))
         return
     print(algebra.render_element(product))
+
+
+# One entry of the "terms" list of ``mul --json``: alpha, beta, coeff.
+_TERM_JSON = '{\n      "alpha": %s,\n      "beta": %s,\n      "coeff": %s\n    }'
+
+
+class _PathBlocks(dict):
+    """Path -> its ``{"edges", "source"}`` block in ``mul --json``, written
+    on first lookup.  The blocks of alpha and beta sit at one indentation."""
+
+    def __missing__(self, p):
+        text = self[p] = _json_text({"edges": p.edges, "source": p.source}, "\n      ")
+        return text
+
+
+def _product_json(product) -> str:
+    """The ``mul --json`` text, byte for byte what ``_json_text`` gives for
+    ``{"result": <rendered product>, "terms": [{"coeff": str(coeff),
+    "alpha": <block>, "beta": <block>}, ...]}``: each term fills one
+    template, and each distinct path's block is written once."""
+    result = _encode_str(algebra.render_element(product))
+    if not product.terms:
+        return '{\n  "result": ' + result + ',\n  "terms": []\n}'
+    blocks = _PathBlocks()
+    terms = [_TERM_JSON % (blocks[m.alpha], blocks[m.beta], _encode_str(str(m.coeff))) for m in product.terms]
+    return '{\n  "result": ' + result + ',\n  "terms": [\n    ' + ",\n    ".join(terms) + "\n  ]\n}"
 
 
 _COMMANDS = {
@@ -327,7 +344,14 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull, so that the
+        # interpreter's final flush of what is left stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         if enabled:
             gc.enable()

@@ -325,3 +325,39 @@ def test_is_idempotent_on_sums_of_v_H():
             assert is_idempotent(g, total)
             assert not is_idempotent(g, total + chosen[0])
             assert mul_brute(total, total) == _terms_by_key(total)
+
+
+def test_parse_sum_and_scale_check_no_path_again(unique_max, monkeypatch):
+    """Parsing checks each path as it reads it, and sums and multiples of
+    valid elements are valid: none of them runs the constructor's check."""
+    from lpaideals import algebra
+
+    calls = []
+    check = algebra._check_paths
+    monkeypatch.setattr(algebra, "_check_paths", lambda g, m: calls.append(m) or check(g, m))
+    x = parse_element(unique_max, "2/3 e1 - u + f1 | g1*")
+    y = parse_element(unique_max, "u + c | c* - 3 e1")
+    results = [x + y, x - x, x.scale(Fraction(-5, 2)), x.scale(0), -y]
+    assert calls == []
+    for z in results:
+        assert AlgebraElement(unique_max, z.terms) == z
+    assert results[1].is_zero() and results[3].is_zero()
+    assert results[0] == parse_element(unique_max, "-7/3 e1 + f1 | g1* + c | c*")
+
+
+def test_equal_paths_of_a_product_are_one_object(unique_max):
+    """A product of two 300-term elements builds each distinct path once."""
+    rng = random.Random(5)
+    pool = _monomial_pool(unique_max, max_len=4)
+
+    def element():
+        pairs = rng.sample(pool, 300)
+        return AlgebraElement(
+            unique_max, tuple(Monomial(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)), a, b) for a, b in pairs)
+        )
+
+    x, y = element(), element()
+    product = x * y
+    paths = [p for m in product.terms for p in (m.alpha, m.beta)]
+    assert len(set(paths)) < len(paths) // 4
+    assert len({id(p) for p in paths}) == len(set(paths))

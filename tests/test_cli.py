@@ -1,13 +1,20 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import omega_graph, unique_maximal_graph, mixed_maximals_graph
-from lpaideals import parse_graph, serialize_graph
+from test_algebra import graph_and_two_elements
+from test_golden import escaped_ids, loop_antichain, mul_args
+from lpaideals import parse_element, parse_graph, render_element, serialize_graph
 from lpaideals import cli
+from lpaideals.algebra import zero
 from lpaideals.cli import main
 
 
@@ -316,3 +323,71 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     assert together == alone
     assert [code for code, _, _ in together] == [2, 0, 0, 0]
     assert built == [1]
+
+
+def mul_document(product):
+    """The ``mul --json`` document as a dict: the reference that
+    ``cli._product_json`` must print as ``json.dumps`` does."""
+    return {
+        "result": render_element(product),
+        "terms": [
+            {
+                "coeff": str(m.coeff),
+                "alpha": {"source": m.alpha.source, "edges": list(m.alpha.edges)},
+                "beta": {"source": m.beta.source, "edges": list(m.beta.edges)},
+            }
+            for m in product.terms
+        ],
+    }
+
+
+def assert_product_json(product):
+    assert cli._product_json(product) == json.dumps(mul_document(product), sort_keys=True, indent=2)
+
+
+@given(graph_and_two_elements())
+def test_product_json_matches_the_document(xy):
+    x, y = xy
+    for left, right in ((x, y), (y, x), (x, x), (x, zero(x.graph))):
+        assert_product_json(left * right)
+
+
+def test_product_json_on_fixed_shapes(unique_max):
+    g = unique_max
+    shapes = [
+        ("e1*", "f1"),  # zero
+        ("u", "u"),  # one vertex-only term
+        ("e1* e2*", "e1*"),  # ghost-only
+        ("u + 2 v - w", "1/2 u - v + w"),  # vertex-only terms with coefficients
+        ("f1 g1 | f1* - 3/4 c*", "f1 | g1* + c | c* c* + c"),
+    ]
+    for lhs, rhs in shapes:
+        assert_product_json(parse_element(g, lhs) * parse_element(g, rhs))
+    assert cli._product_json(zero(g)) == '{\n  "result": "0",\n  "terms": []\n}'
+
+
+def test_product_json_with_escaped_ids():
+    g = escaped_ids()
+    _, lhs, _, rhs = mul_args(g, 6)
+    product = parse_element(g, lhs) * parse_element(g, rhs)
+    assert not product.is_zero()
+    assert_product_json(product)
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    """A reader that stops early (``| head``) ends the command with the
+    status a shell reports for SIGPIPE, and with nothing on stderr."""
+    path = write_graph(tmp_path, loop_antichain(12))  # about 350 kB of --json
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lpaideals", "hsets", path, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")

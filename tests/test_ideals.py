@@ -33,6 +33,7 @@ from lpaideals import (
     quotient_graph,
     ResourceCapError,
 )
+from lpaideals.ideals import descriptor_sort_key
 
 
 def pair(g, h, s=()):
@@ -258,6 +259,12 @@ def test_every_prime_complement_is_some_m_of(g):
     tails = {g.m_of(d) for d in g.vertices}
     for d in enumerate_primes(g):
         assert full - gr_of(d).H in tails
+
+
+@given(graphs())
+def test_enumerate_primes_is_in_descriptor_order(g):
+    keys = [descriptor_sort_key(d) for d in enumerate_primes(g)]
+    assert keys == sorted(keys)
 
 
 def test_one_cap_bounds_the_cycles_of_enumerate_primes():
