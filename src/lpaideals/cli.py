@@ -274,7 +274,10 @@ def cmd_quotient(g: DirectedGraph, args) -> None:
         pair = AdmissiblePair(g, hset, sset)
     except GraphError as exc:
         raise UsageError(f"inadmissible pair: {exc}") from None
-    sys.stdout.write(serialize_graph(quotient_graph(g, pair)))
+    try:
+        sys.stdout.write(serialize_graph(quotient_graph(g, pair)))
+    except GraphError as exc:  # the quotient is empty, or a primed id collides
+        raise UsageError(str(exc)) from None
 
 
 def cmd_check(g: DirectedGraph, args) -> None:

@@ -104,11 +104,12 @@ def has_exit(g: DirectedGraph, c: Cycle) -> bool:
     return _has_exit_unchecked(g, c)
 
 
-def _has_exit_unchecked(g: DirectedGraph, c: Cycle) -> bool:
+def _has_exit_unchecked(g: DirectedGraph, c: Cycle, hset: frozenset[str] = frozenset()) -> bool:
+    """Some bundle or named edge not on c leaves c and lands outside ``hset``."""
     for eid, v in zip(c.edges, c.vertices):
-        if g.out_bundles(v):
+        if any(b.dst not in hset for b in g.out_bundles(v)):
             return True
-        if any(e.id != eid for e in g.out_edges(v)):
+        if any(e.id != eid and e.dst not in hset for e in g.out_edges(v)):
             return True
     return False
 

@@ -16,11 +16,8 @@ from .cycles import (
     Cycle,
     _has_exit_unchecked,
     _is_cycle_without_K,
-    condition_L,
     cycles_without_K,
     is_downward_directed,
-    make_cycle,
-    simple_cycles,
 )
 from .graph import DEFAULT_CAP, DirectedGraph, GraphError
 from .lattice import (
@@ -32,7 +29,6 @@ from .lattice import (
     is_hereditary,
     is_saturated,
     maximal_proper_elements,
-    quotient_graph,
 )
 
 POLY_TOKEN = "irreducible f in K[x,x^-1]"
@@ -158,20 +154,37 @@ def enumerate_primes(
     return out
 
 
+def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
+    """The primes (H, B_H) at the coatoms H of H_E, and the prime families
+    (H, c) at them whose exits all land in H, in ``enumerate_primes`` order.
+
+    A coatom's complement is a minimal M(w), so (H, B_H) is prime, and the
+    coatoms are the H maximal among the primes' H.  The quotient at
+    (H, B_H) adds no primed vertex, so its exitless cycles are the cycles
+    c avoiding H whose exits all land in the hereditary H; such a c is
+    without K, and M(c.base) is E^0 minus H, so (H, c) is a prime family.
+    """
+    primes = enumerate_primes(g, cap, max_vertices)
+    hsets = {d.pair.H if isinstance(d, GradedIdeal) else d.H for d in primes}
+    coatoms = {h for h in hsets if not any(h < o for o in hsets)}
+    graded, families = [], []
+    for d in primes:
+        if isinstance(d, GradedIdeal):
+            if d.pair.H in coatoms and d.pair.S == _breaking_vertices(g, d.pair.H):
+                graded.append(d.pair)
+        elif d.H in coatoms and not _has_exit_unchecked(g, d.cycle, d.H):
+            families.append(d)
+    return graded, families
+
+
 def maximal_graded_ideals(
     g: DirectedGraph,
     cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> list[AdmissiblePair]:
     """Pairs (H, B_H) with H maximal proper whose quotient satisfies (L)."""
-    lat = enumerate_HE(g, cap, max_vertices)
-    out = []
-    for hset in maximal_proper_elements(lat):
-        pair = AdmissiblePair(g, hset, breaking_vertices(g, hset))
-        if condition_L(quotient_graph(g, pair), cap).holds:
-            out.append(pair)
-    out.sort(key=lambda p: (sorted(p.H), sorted(p.S)))
-    return out
+    graded, families = _coatom_primes(g, cap, max_vertices)
+    return [p for p in graded if all(f.H != p.H for f in families)]
 
 
 def maximal_nongraded_families(
@@ -179,22 +192,8 @@ def maximal_nongraded_families(
     cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> list[NonGradedFamily]:
-    """One family per maximal proper H and exitless cycle of its quotient.
-
-    Exitless quotient cycles use only surviving named edges, so each
-    one is literally a cycle of the original graph as well, and it is
-    automatically a cycle without K there.
-    """
-    lat = enumerate_HE(g, cap, max_vertices)
-    out = []
-    for hset in maximal_proper_elements(lat):
-        pair = AdmissiblePair(g, hset, breaking_vertices(g, hset))
-        quotient = quotient_graph(g, pair)
-        for c in simple_cycles(quotient, cap):
-            if not _has_exit_unchecked(quotient, c):
-                out.append(NonGradedFamily(g, hset, make_cycle(g, c.edges)))
-    out.sort(key=lambda f: (sorted(f.H), f.cycle.edges))
-    return out
+    """One family per maximal proper H and exitless cycle of its quotient."""
+    return _coatom_primes(g, cap, max_vertices)[1]
 
 
 @dataclass(frozen=True)

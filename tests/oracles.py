@@ -261,6 +261,7 @@ def primes_brute(g):
             for v in subset
         )
 
+    without_k = cycles_without_K_brute(g)
     primes = set()
     for h in hereditary_saturated_sets_brute(g):
         if h == full:
@@ -272,7 +273,7 @@ def primes_brute(g):
         for u in b_h:
             if complement == m_of[u]:
                 primes.add(("graded", tuple(sorted(h)), tuple(sorted(b_h - {u}))))
-        for cyc, sources in cycles_without_K_brute(g):
+        for cyc, sources in without_k:
             base = min(sources)
             if not (set(sources) & h) and complement == m_of[base]:
                 primes.add(("family", tuple(sorted(h)), cyc))
@@ -288,6 +289,35 @@ def maximal_proper_brute(g):
         key=lambda s: (len(s), sorted(s)),
     )
     return [s for s in proper if not any(s < t for t in proper)]
+
+
+def maximals_by_coatoms_brute(g):
+    """The maximal-ideal report's coatom rule, from the raw definitions:
+    at each coatom H of the subset-filtered lattice, every cycle that
+    avoids H and whose other edges and bundles all land in H is a
+    non-graded family, and (H, B_H) is a graded maximal when H has none.
+
+    This is the rule the report follows, not the truth: a
+    breaking vertex can make (H, B_H) maximal when H is not a coatom
+    (open defect F1), and this oracle misses those exactly as the
+    library does.  Returns the graded (H, S) and the family (H, cycle)
+    keys, each sorted.
+    """
+    source = {e.id: e.src for e in g.edges}
+    cycles = sorted(cycles_brute(g))
+    graded, families = [], []
+    for h in maximal_proper_brute(g):
+        found = []
+        for cyc in cycles:
+            on_cycle = {source[eid] for eid in cyc}
+            exits = [e.dst for e in g.edges if e.src in on_cycle and e.id not in cyc]
+            exits += [b.dst for b in g.omega_bundles if b.src in on_cycle]
+            if not on_cycle & h and all(t in h for t in exits):
+                found.append((tuple(sorted(h)), cyc))
+        families += found
+        if not found:
+            graded.append((tuple(sorted(h)), tuple(sorted(breaking_vertices_brute(g, h)))))
+    return sorted(graded), sorted(families)
 
 
 def mul_brute(x, y):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import omega_graph, unique_maximal_graph, mixed_maximals_graph
+from conftest import clique_with_loop, omega_graph, unique_maximal_graph, mixed_maximals_graph
 from test_algebra import graph_and_two_elements
 from test_golden import escaped_ids, loop_antichain, mul_args
 from lpaideals import parse_element, parse_graph, render_element, serialize_graph
@@ -91,6 +91,8 @@ def test_bad_usage_exits_2(run, tmp_path):
     assert code == 2
     code, _, err = run("quotient", path, "--H", "v")  # {v} is not hereditary saturated
     assert code == 2
+    code, _, err = run("quotient", path, "--H", "u,v,w")  # the quotient would be empty
+    assert (code, err) == (2, "error: quotient at the full vertex set would be the empty graph\n")
     code, _, err = run("mul", path, "--lhs", "zzz", "--rhs", "u")
     assert code == 2
 
@@ -102,6 +104,16 @@ def test_resource_cap_exits_3(run, tmp_path):
     assert "cap" in err or "cycles" in err
     code, _, err = run("hsets", path, "--max-vertices", "2")
     assert code == 3
+
+
+def test_maximals_and_primes_share_one_cycle_cap(run, tmp_path):
+    # 85 simple cycles: 84 in the clique, and the loop at z
+    path = write_graph(tmp_path, clique_with_loop(5))
+    for command in ("primes", "maximals"):
+        code, _, err = run(command, path, "--cap", "84")
+        assert (code, err) == (3, "error: more than 84 simple cycles\n")
+        code, _, _ = run(command, path, "--cap", "85")
+        assert code == 0
 
 
 def test_hsets(run, tmp_path):

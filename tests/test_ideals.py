@@ -277,29 +277,51 @@ def test_one_cap_bounds_the_cycles_of_enumerate_primes():
     assert [(d["H"], d.get("cycle")) for d in primes] == [(clique, None), (clique, ["c"]), (["z"], None)]
 
 
-def test_maximal_nongraded_families_enumerate_each_quotient_once(monkeypatch):
-    """One cycle pass per coatom quotient, with no (L) pass before it."""
-    from lpaideals import cycles, ideals
+def test_maximal_nongraded_families_enumerate_the_graph_once(monkeypatch):
+    """The maximals are read off the primes: one cycle pass per filter,
+    over the graph itself, and no quotient graph."""
+    from lpaideals import cycles, ideals, lattice
 
+    assert not {"quotient_graph", "simple_cycles", "condition_L", "make_cycle"} & set(vars(ideals))
     calls = []
-    original = cycles.simple_cycles
 
-    def counted(quotient, cap):
-        calls.append(quotient)
-        return original(quotient, cap)
+    def counted(original):
+        def wrapper(g, *args):
+            calls.append((original.__name__, g))
+            return original(g, *args)
 
-    monkeypatch.setattr(cycles, "simple_cycles", counted)
-    monkeypatch.setattr(ideals, "simple_cycles", counted)
+        return wrapper
+
+    monkeypatch.setattr(cycles, "simple_cycles", counted(cycles.simple_cycles))
+    monkeypatch.setattr(lattice, "quotient_graph", counted(lattice.quotient_graph))
     g = clique_with_loop(4)
     families = maximal_nongraded_families(g)
     assert [(sorted(f.H), f.cycle.edges) for f in families] == [
         (sorted(frozenset(g.vertices) - {"z"}), ("c",))
     ]
-    coatoms = maximal_proper_elements(enumerate_HE(g))
-    assert len(calls) == len(coatoms) == 2
-    assert sorted(frozenset(q.vertices) for q in calls) == sorted(
-        frozenset(g.vertices) - h for h in coatoms
-    )
+    assert calls == [("simple_cycles", g)]
+    existence_report(g)
+    assert calls == [("simple_cycles", g)] * 3
+
+
+def _maximal_keys(g):
+    graded = [(tuple(sorted(p.H)), tuple(sorted(p.S))) for p in maximal_graded_ideals(g)]
+    families = [(tuple(sorted(f.H)), f.cycle.edges) for f in maximal_nongraded_families(g)]
+    return graded, families
+
+
+@given(graphs())
+def test_maximals_follow_the_coatom_rule(g):
+    from oracles import maximals_by_coatoms_brute
+
+    assert _maximal_keys(g) == maximals_by_coatoms_brute(g)
+
+
+def test_maximals_follow_the_coatom_rule_on_the_acceptance_corpus():
+    from oracles import maximals_by_coatoms_brute
+
+    for g in random_corpus(500):
+        assert _maximal_keys(g) == maximals_by_coatoms_brute(g)
 
 
 def test_primes_with_two_breaking_vertices():
@@ -329,7 +351,7 @@ def test_primes_with_two_breaking_vertices():
 def test_nongraded_family_enumerates_no_cycles(monkeypatch):
     """The family checks its cycle by itself, so it neither ignores the
     caller's cycle cap nor repeats the enumeration once per family."""
-    from lpaideals import cycles, ideals
+    from lpaideals import cycles
 
     calls = []
     original = cycles.simple_cycles
@@ -339,7 +361,6 @@ def test_nongraded_family_enumerates_no_cycles(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cycles, "simple_cycles", counted)
-    monkeypatch.setattr(ideals, "simple_cycles", counted)
     g = clique_with_loop(5)
     clique = frozenset(g.vertices) - {"z"}
     family = NonGradedFamily(g, clique, make_cycle(g, ["c"]))
