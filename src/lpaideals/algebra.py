@@ -76,10 +76,6 @@ class Monomial:
         return len(self.alpha) - len(self.beta)
 
 
-def degree(m: Monomial) -> int:
-    return m.degree
-
-
 def _canonical_terms(terms) -> tuple[Monomial, ...]:
     """The canonical terms of a sum of (numerator, denominator, alpha, beta)
     with positive denominators: terms with the same paths merged, zero

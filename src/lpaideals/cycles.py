@@ -1,15 +1,16 @@
 """Cycle-level structure: simple cycles, exits, Conditions (L) and (K).
 
-Cycles range over named edges only.  A self bundle (an omega bundle with
-src == dst) stands for infinitely many anonymous loops: it is never
-returned as a cycle, but it supplies exits and it prevents any named
-cycle through its vertex from being a "cycle without K".  Bundles
-between distinct vertices contribute exits and reachability but no
-cycles; this is a documented presentation restriction.
+Cycles range over named edges only: an omega bundle stands for
+infinitely many anonymous edges, so it is never returned as a cycle or
+a witness.  Bundles supply exits, and they count in the reachability
+that decides "without K": a bundle that closes a cycle through a vertex
+(a self bundle, or a bundle u -> w where w reaches u) puts that vertex
+on infinitely many cycles, so no cycle through it is without K.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError, VertexKind
@@ -139,57 +140,35 @@ def condition_L(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
 
 
 def cycles_without_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
-    """Cycles none of whose vertices lies on a second distinct cycle.
+    """The simple cycles none of whose vertices lies on a second cycle.
 
-    A vertex carrying a self bundle lies on infinitely many anonymous
-    loops, so no cycle through it qualifies.
+    Only a base that starts exactly one enumerated cycle can qualify (a
+    base of two cycles lies on two), and each such base is tested once
+    by ``_on_one_cycle``.
     """
     cycles = simple_cycles(g, cap)
-    count: dict[str, int] = {}
-    for c in cycles:
-        for v in c.vertices:
-            count[v] = count.get(v, 0) + 1
-    return [
-        c
-        for c in cycles
-        if all(count[v] == 1 and not g.has_self_bundle(v) for v in c.vertices)
-    ]
+    starts = Counter(c.base for c in cycles)
+    return [c for c in cycles if starts[c.base] == 1 and _on_one_cycle(g, c.base)]
 
 
 def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
-    """``c in cycles_without_K(g)``, decided without enumerating cycles.
+    """``c in cycles_without_K(g)``, decided without enumerating cycles."""
+    return _cycle_in_graph(g, c) and _on_one_cycle(g, c.base)
 
-    A vertex of c lies on a second cycle exactly when the named edges
-    among c's vertices are more than c's own, or when the strongly
-    connected component of c (over named edges) is larger than its
-    vertex set: a way out of c and back in closes a second cycle.  Both
-    are checked in O(V + E), from forward and backward reachability.
+
+def _on_one_cycle(g: DirectedGraph, v: str) -> bool:
+    """True iff v lies on exactly one cycle, bundle edges counted.
+
+    Every cycle through v stays in v's strongly connected component,
+    ``descendants(v) & m_of(v)``.  A bundle inside it is infinitely many
+    edges, so infinitely many cycles.  Otherwise a strongly connected
+    set is one cycle exactly when it has as many edges as vertices.
     """
-    if not _cycle_in_graph(g, c):
+    component = g.descendants(v) & g.m_of(v)
+    if any(b.dst in component for u in component for b in g.out_bundles(u)):
         return False
-    on_cycle = set(c.vertices)
-    if any(g.has_self_bundle(v) for v in on_cycle):
-        return False
-    if sum(e.dst in on_cycle for v in on_cycle for e in g.out_edges(v)) != len(c):
-        return False
-    incoming: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        incoming[e.dst].append(e.src)
-    forward = _reach(c.base, lambda v: [e.dst for e in g.out_edges(v)])
-    backward = _reach(c.base, incoming.__getitem__)
-    return forward & backward == on_cycle
-
-
-def _reach(start: str, step) -> set[str]:
-    """The vertices reachable from ``start`` along ``step`` (start included)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in step(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    inside = sum(e.dst in component for u in component for e in g.out_edges(u))
+    return inside == len(component)
 
 
 def condition_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
@@ -201,16 +180,15 @@ def condition_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
 
 
 def is_downward_directed(g: DirectedGraph, subset) -> bool:
-    """True iff any two vertices of the subset share a descendant inside it."""
+    """True iff any two vertices of the subset share a descendant inside it.
+
+    For a finite set this holds exactly when one member w is reached by
+    all the others, that is when the set lies in ``M(w)``.
+    """
     vs = g.require_vertices(subset)
     if not vs:
         raise GraphError("downward directedness is defined for non-empty sets")
-    for u in vs:
-        du = g.descendants(u)
-        for v in vs:
-            if not (du & g.descendants(v) & vs):
-                return False
-    return True
+    return any(vs <= g.m_of(w) for w in vs)
 
 
 def is_maximal_tail(g: DirectedGraph, subset) -> bool:

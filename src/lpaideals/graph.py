@@ -153,9 +153,6 @@ class DirectedGraph:
         self.require_vertex(v)
         return self._out_bundles[v]
 
-    def has_self_bundle(self, v: str) -> bool:
-        return any(b.dst == v for b in self.out_bundles(v))
-
     def vertex_kind(self, v: str) -> VertexKind:
         """Sink, regular vertex, or infinite emitter; exactly one applies."""
         self.require_vertex(v)

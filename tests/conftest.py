@@ -74,6 +74,16 @@ def breaking_emitters(k):
     return graph(bs + ["w"], edges, [(b, "w") for b in bs])
 
 
+def cross_bundle_cycle():
+    """The loop c at v, edges x: v -> w and y: w -> u, and a bundle u -> v.
+
+    The bundle closes v -> w -> u -> v infinitely often, so v lies on
+    infinitely many cycles besides c: (K) holds, the only hereditary
+    saturated sets are {} and E^0, and L_K(E) is simple.
+    """
+    return graph(["u", "v", "w"], [("c", "v", "v"), ("x", "v", "w"), ("y", "w", "u")], [("u", "v")])
+
+
 @pytest.fixture
 def unique_max():
     return unique_maximal_graph()

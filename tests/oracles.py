@@ -1,11 +1,11 @@
 """Brute-force oracles, independent of the library's algorithms.
 
-These read only the raw vertex/edge/bundle tuples of a graph.  Self
-bundles are expanded into two anonymous parallel loops (two is enough
-to stand in for "infinitely many" in every condition checked here);
-bundles between distinct vertices are walkable for reachability, count
-as exits, and never contribute to paths or cycles, matching the
-documented presentation restriction.
+These read only the raw vertex/edge/bundle tuples of a graph.  Every
+bundle, a self bundle or one between distinct vertices, is expanded
+into two anonymous parallel edges (two is enough to stand in for
+"infinitely many" in every condition checked here).  These edges are
+walkable, so the cycles they close put their vertices on more than one
+cycle; they are never reported as paths, witnesses or named cycles.
 """
 
 from itertools import combinations, permutations
@@ -72,17 +72,12 @@ def hereditary_saturated_sets_brute(g):
 
 
 def walkable_edges(g):
-    """Named edges plus two anonymous loops per self bundle: (id, src, dst)."""
+    """Named edges plus two anonymous parallel edges per bundle: (id, src, dst)."""
     edges = [(e.id, e.src, e.dst) for e in g.edges]
     for b in g.omega_bundles:
-        if b.src == b.dst:
-            edges.append((f"~0@{b.src}", b.src, b.src))
-            edges.append((f"~1@{b.src}", b.src, b.src))
+        edges.append((f"~0@{b.src}>{b.dst}", b.src, b.dst))
+        edges.append((f"~1@{b.src}>{b.dst}", b.src, b.dst))
     return edges
-
-
-def cross_bundle_sources(g):
-    return {b.src for b in g.omega_bundles if b.src != b.dst}
 
 
 def cycles_brute(g, include_pseudo=False):
@@ -118,10 +113,7 @@ def _cycle_has_exit(g, cycle_edges, cycle_sources):
     out = {}
     for eid, src, dst in walkable_edges(g):
         out.setdefault(src, []).append(eid)
-    extra = cross_bundle_sources(g)
     for eid, v in zip(cycle_edges, cycle_sources):
-        if v in extra:
-            return True
         if any(other != eid for other in out.get(v, [])):
             return True
     return False
@@ -230,19 +222,30 @@ def breaking_vertices_brute(g, subset):
 
 
 def cycles_without_K_brute(g):
-    cycles = sorted(cycles_brute(g, include_pseudo=False))
+    """The named cycles none of whose vertices lies on a second cycle,
+    counting the cycles through the anonymous bundle edges too."""
     lookup = {eid: (src, dst) for eid, src, dst in walkable_edges(g)}
+    cycles = sorted(cycles_brute(g, include_pseudo=True))
     counts = {}
     for cyc in cycles:
         for eid in cyc:
             counts[lookup[eid][0]] = counts.get(lookup[eid][0], 0) + 1
-    self_bundled = {b.src for b in g.omega_bundles if b.src == b.dst}
     out = []
     for cyc in cycles:
         sources = [lookup[eid][0] for eid in cyc]
-        if all(counts[v] == 1 and v not in self_bundled for v in sources):
+        if all(counts[v] == 1 for v in sources) and not any(eid.startswith("~") for eid in cyc):
             out.append((cyc, sources))
     return out
+
+
+def is_downward_directed_brute(reach, subset):
+    """Any two members of subset share a descendant in subset, by the
+    reachability map ``reach`` (v -> the vertices v reaches)."""
+    return all(
+        any(w in reach[u] and w in reach[v] for w in subset)
+        for u in subset
+        for v in subset
+    )
 
 
 def primes_brute(g):
@@ -253,14 +256,6 @@ def primes_brute(g):
     reach = reach_sets(g)
     full = frozenset(g.vertices)
     m_of = {v: frozenset(u for u in g.vertices if v in reach[u]) for v in g.vertices}
-
-    def downward(subset):
-        return all(
-            any(w in reach[u] and w in reach[v] for w in subset)
-            for u in subset
-            for v in subset
-        )
-
     without_k = cycles_without_K_brute(g)
     primes = set()
     for h in hereditary_saturated_sets_brute(g):
@@ -268,7 +263,7 @@ def primes_brute(g):
             continue
         complement = full - h
         b_h = breaking_vertices_brute(g, h)
-        if downward(complement):
+        if is_downward_directed_brute(reach, complement):
             primes.add(("graded", tuple(sorted(h)), tuple(sorted(b_h))))
         for u in b_h:
             if complement == m_of[u]:

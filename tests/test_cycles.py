@@ -1,10 +1,26 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given
 
-from conftest import chain_graph, graph, graphs, unique_maximal_graph, random_corpus
-from oracles import condition_K_brute, condition_L_brute, cycles_brute
+from conftest import (
+    chain_graph,
+    cross_bundle_cycle,
+    graph,
+    graph_and_subset,
+    graphs,
+    random_corpus,
+    unique_maximal_graph,
+)
+from oracles import (
+    condition_K_brute,
+    condition_L_brute,
+    cycles_brute,
+    cycles_without_K_brute,
+    is_downward_directed_brute,
+    reach_sets,
+)
 from lpaideals import (
     GraphError,
     ResourceCapError,
@@ -128,6 +144,49 @@ def test_self_bundle_supplies_condition_K():
     assert condition_L(g).holds
 
 
+def _assert_without_K_matches_the_oracle(g):
+    assert [c.edges for c in cycles_without_K(g)] == [cyc for cyc, _ in cycles_without_K_brute(g)]
+
+
+@given(graphs())
+def test_cycles_without_K_against_the_bundle_aware_oracle(g):
+    _assert_without_K_matches_the_oracle(g)
+
+
+def test_cycles_without_K_against_the_bundle_aware_oracle_on_the_acceptance_corpus():
+    for g in random_corpus(500):
+        _assert_without_K_matches_the_oracle(g)
+
+
+def test_cross_bundle_closing_a_cycle_gives_K():
+    # f2: the bundle u -> v closes v -> w -> u -> v, so the loop c is not
+    # the only cycle through v
+    g = cross_bundle_cycle()
+    c = make_cycle(g, ["c"])
+    assert cycles_without_K(g) == []
+    assert not _is_cycle_without_K(g, c)
+    assert condition_K(g).holds
+    assert condition_L(g).holds
+    assert cycles_without_K_brute(g) == []
+    assert condition_K_brute(g)
+
+
+def test_bundle_between_two_vertices_of_a_cycle_gives_K():
+    g = graph(["p", "q"], [("pq", "p", "q"), ("qp", "q", "p")], [("p", "q")])
+    assert cycles_without_K(g) == []
+    assert not _is_cycle_without_K(g, make_cycle(g, ["pq", "qp"]))
+    assert condition_K(g).holds
+    assert condition_K_brute(g)
+
+
+def test_bundle_from_a_cycle_into_a_sink_leaves_it_without_K():
+    g = graph(["s", "v"], [("l", "v", "v")], [("v", "s")])
+    assert [c.edges for c in cycles_without_K(g)] == [("l",)]
+    assert _is_cycle_without_K(g, make_cycle(g, ["l"]))
+    assert condition_K(g).witness.edges == ("l",)
+    assert not condition_K_brute(g)
+
+
 def test_conditions_against_closed_path_oracles():
     for g in random_corpus(120, seed=19):
         assert condition_K(g).holds == condition_K_brute(g), g
@@ -156,6 +215,22 @@ def test_is_downward_directed_examples(unique_max, mixed_max):
     assert is_downward_directed(mixed_max, {"v"})
     with pytest.raises(GraphError):
         is_downward_directed(unique_max, set())
+
+
+@given(graph_and_subset())
+def test_is_downward_directed_against_the_pairwise_oracle(case):
+    g, subset = case
+    if subset:
+        assert is_downward_directed(g, subset) == is_downward_directed_brute(reach_sets(g), subset)
+
+
+def test_is_downward_directed_against_the_pairwise_oracle_on_the_acceptance_corpus():
+    rng = random.Random(23)
+    for g in random_corpus(500):
+        reach = reach_sets(g)
+        for _ in range(4):
+            subset = frozenset(rng.sample(g.vertices, rng.randint(1, len(g.vertices))))
+            assert is_downward_directed(g, subset) == is_downward_directed_brute(reach, subset), (g, subset)
 
 
 @given(graphs())

@@ -4,6 +4,7 @@ from hypothesis import given
 from conftest import (
     chain_graph,
     clique_with_loop,
+    cross_bundle_cycle,
     graph,
     graphs,
     omega_graph,
@@ -100,6 +101,20 @@ def test_enumerate_primes_unique_maximal_fixture(unique_max):
         },
         {"kind": "graded", "H": ["v", "w"], "S": []},
     ]
+
+
+def test_cross_bundle_cycle_has_one_prime_and_one_maximal():
+    # f2 is strongly connected through its bundle and satisfies (K), so
+    # L_K(E) is simple: the zero ideal I({}, {}) is its only prime and
+    # its unique maximal ideal, and the loop c carries no family
+    g = cross_bundle_cycle()
+    assert enumerate_primes(g) == [graded(g, set())]
+    report = existence_report(g)
+    assert report.graded_maximals == (pair(g, set()),)
+    assert report.nongraded_maximal_families == ()
+    assert report.unique_maximal == graded(g, set())
+    with pytest.raises(GraphError):
+        NonGradedFamily(g, frozenset(), make_cycle(g, ["c"]))
 
 
 def test_enumerate_primes_trivial_and_chain():
