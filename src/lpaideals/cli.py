@@ -102,7 +102,7 @@ def _load_graph(path: str) -> DirectedGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read graph file: {exc}") from None
     return parse_graph(text)
 

@@ -203,6 +203,8 @@ def parse_graph(text: str) -> DirectedGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise GraphFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level value must be an object")
     allowed = {"vertices", "edges", "omega_bundles"}

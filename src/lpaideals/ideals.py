@@ -158,8 +158,8 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
     """The primes (H, B_H) at the coatoms H of H_E, and the prime families
     (H, c) at them whose exits all land in H, in ``enumerate_primes`` order.
 
-    A coatom's complement is a minimal M(w), so (H, B_H) is prime, and the
-    coatoms are the H maximal among the primes' H.  The quotient at
+    The coatoms are the H maximal among the primes' H, the complements of
+    the M(d) in H_E (``maximal_proper_elements``).  The quotient at
     (H, B_H) adds no primed vertex, so its exitless cycles are the cycles
     c avoiding H whose exits all land in the hereditary H; such a c is
     without K, and M(c.base) is E^0 minus H, so (H, c) is a prime family.
@@ -228,18 +228,13 @@ def existence_report(
 ) -> MaximalityReport:
     """Aggregate maximal-ideal structure of the graph's algebra.
 
-    On a finite graph a maximal ideal always exists and every proper
-    ideal sits below one; both facts are still computed from the
-    definitions so the predicates stay visible in the output.
+    Both existence predicates are read off the coatoms of H_E: it is a
+    finite lattice with the proper element {}, so it has a coatom, and
+    every proper element lies below one.
     """
-    lat = enumerate_HE(g, cap, max_vertices)
-    maximal = maximal_proper_elements(lat)
-    full = frozenset(g.vertices)
+    maximal = maximal_proper_elements(enumerate_HE(g, cap, max_vertices))
     graded = tuple(maximal_graded_ideals(g, cap, max_vertices))
     families = tuple(maximal_nongraded_families(g, cap, max_vertices))
-    every_below = all(
-        any(x <= z for z in maximal) for x in lat.sets if x != full
-    )
     unique = None
     if len(graded) == 1 and not families:
         unique = GradedIdeal(graded[0])
@@ -247,7 +242,7 @@ def existence_report(
         graded_maximals=graded,
         nongraded_maximal_families=families,
         exists_maximal=bool(maximal),
-        every_ideal_below_maximal=every_below,
+        every_ideal_below_maximal=bool(maximal),
         every_maximal_graded=not families,
         unique_maximal=unique,
     )

@@ -10,6 +10,7 @@ ordered by inclusion, index the graded ideals via admissible pairs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graph import (
     DEFAULT_CAP,
@@ -121,19 +122,27 @@ def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class HSLattice:
-    """All hereditary saturated sets of a graph, canonically ordered."""
+    """All hereditary saturated sets of a graph, as the closed masks that
+    ``enumerate_HE`` walked; ``sets`` lists them as vertex sets, in
+    canonical order, built on first use."""
 
     graph: DirectedGraph
-    sets: tuple[frozenset[str], ...]
+    _masks: _Masks = field(repr=False, compare=False)
+    _closed: frozenset[int] = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_members", frozenset(self.sets))
+    @cached_property
+    def sets(self) -> tuple[frozenset[str], ...]:
+        return self._masks.sorted_sets(self._closed)
 
     def __contains__(self, subset) -> bool:
-        return frozenset(subset) in self._members
+        try:
+            return self._masks.of(subset) in self._closed
+        except KeyError:  # a vertex of another graph
+            return False
 
     def join(self, a, b) -> frozenset[str]:
-        return hs_closure(self.graph, frozenset(a) | frozenset(b))
+        both = self.graph.require_vertices(a) | self.graph.require_vertices(b)
+        return self._masks.to_set(self._masks.close(self._masks.of(both)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,28 +187,24 @@ def enumerate_HE(
         closed.append(current)
         if len(closed) > cap:
             raise ResourceCapError(f"lattice exceeds cap {cap}")
-    return HSLattice(g, masks.sorted_sets(closed))
+    return HSLattice(g, masks, frozenset(closed))
 
 
 def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
     """All H with H != E^0 and nothing strictly between H and E^0.
 
-    These are the complements of the minimal sets among the M(w) (the
-    vertices reaching w), where w is a sink, an infinite emitter or a
-    vertex on a closed path: exactly the w for which E^0 minus M(w) is
-    hereditary saturated.  Every other proper hereditary saturated set
-    lies inside one of those, because walking forward from outside it
-    stays outside until a sink, an infinite emitter or a cycle.
+    These are the sets maximal among the complements E^0 minus M(d) (M(d)
+    the vertices reaching d) that lie in H_E, each proper as it misses d.
+    A proper H misses M(w) for any w outside it, as H is hereditary.  A
+    walk from outside H can stay outside, as H is saturated, until it
+    reaches a sink, an infinite emitter or a vertex w on a closed path;
+    each regular vertex of M(w) then has an edge into M(w), so
+    E^0 minus M(w) is saturated, lies in H_E and contains H.
     """
-    g = lat.graph
-    masks = _Masks(g)
-    candidates = set()
-    for w in g.vertices:
-        m_w = g.m_of(w)
-        if g.vertex_kind(w) is not VertexKind.REGULAR or g.successors(w) & m_w:
-            candidates.add(masks.of(m_w))
-    minimal = [m for m in candidates if not any(o != m and not o & ~m for o in candidates)]
-    return list(masks.sorted_sets(masks.full & ~m for m in minimal))
+    g, masks = lat.graph, lat._masks
+    candidates = {masks.full & ~masks.of(g.m_of(d)) for d in g.vertices} & lat._closed
+    maximal = [h for h in candidates if not any(h != o and not h & ~o for o in candidates)]
+    return list(masks.sorted_sets(maximal))
 
 
 def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:

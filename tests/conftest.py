@@ -84,6 +84,25 @@ def cross_bundle_cycle():
     return graph(["u", "v", "w"], [("c", "v", "v"), ("x", "v", "w"), ("y", "w", "u")], [("u", "v")])
 
 
+def breaker_below_coatom():
+    """Graph f1: the edge e: a -> c and a bundle a -> b.
+
+    a breaks H = {b}, so I({b}, {a}) is maximal (its quotient a -> c
+    gives M_2(K)) although {b} is not a coatom of H_E; the other maximal
+    ideal is I({b,c}, {}).
+    """
+    return graph(["a", "b", "c"], [("e", "a", "c")], [("a", "b")])
+
+
+def breaker_below_coatom_with_loop():
+    """Graph f3: f1 plus the loop d: c -> c, a cycle without K.
+
+    The maximal ideals are I({b,c}, {}) and the non-graded family
+    I({b}, B_H) + <f(d)>, which lies above I({b}, {a}).
+    """
+    return graph(["a", "b", "c"], [("d", "c", "c"), ("e", "a", "c")], [("a", "b")])
+
+
 @pytest.fixture
 def unique_max():
     return unique_maximal_graph()
@@ -118,8 +137,26 @@ def random_corpus(count, seed=20260809, **kwargs):
     return [random_graph(rng, **kwargs) for _ in range(count)]
 
 
+def graphs(max_vertices=5, max_edges=10, bundles=True):
+    """Random graphs, and the hand-made bundle graphs within the limits:
+    the cases that random draws of this size hardly ever reach."""
+    handmade = [
+        g
+        for g in (
+            cross_bundle_cycle(),
+            breaker_below_coatom(),
+            breaker_below_coatom_with_loop(),
+            breaking_emitters(2),
+            omega_graph(),
+        )
+        if bundles and len(g.vertices) <= max_vertices and len(g.edges) <= max_edges
+    ]
+    drawn = _random_graphs(max_vertices, max_edges, bundles)
+    return st.one_of(st.sampled_from(handmade), drawn) if handmade else drawn
+
+
 @st.composite
-def graphs(draw, max_vertices=5, max_edges=10, bundles=True):
+def _random_graphs(draw, max_vertices, max_edges, bundles):
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     vertices = [f"v{i}" for i in range(n)]
     vertex = st.sampled_from(vertices)

@@ -275,6 +275,30 @@ def primes_brute(g):
     return primes
 
 
+def maximals_brute(g):
+    """The keys of ``primes_brute`` that are maximal under inclusion: the
+    maximal ideals, as every maximal ideal is prime and every prime lies
+    below a maximal ideal.  A graded (H, S) lies in a graded (H2, S2) when
+    H is in H2 and S in H2 union S2, and in a family exactly when it lies
+    in the family's graded part (H2, B_H2).  A family lies in an ideal
+    when its graded part does and its cycle lies in that ideal's H2.
+    """
+    source = {e.id: e.src for e in g.edges}
+
+    def graded_part(key):
+        kind, h, rest = key
+        return set(h), set(rest) if kind == "graded" else set(breaking_vertices_brute(g, h))
+
+    def below(p, q):
+        (h1, s1), (h2, s2) = graded_part(p), graded_part(q)
+        if not (h1 <= h2 and s1 <= h2 | s2):
+            return False
+        return p[0] == "graded" or {source[eid] for eid in p[2]} <= h2
+
+    primes = primes_brute(g)
+    return {p for p in primes if not any(q != p and below(p, q) for q in primes)}
+
+
 def maximal_proper_brute(g):
     """The coatoms of the subset-filtered lattice, by comparing every
     proper set with every other, in (size, sorted ids) order."""

@@ -82,6 +82,19 @@ def test_analyze_invalid_graph_exits_1(run, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b'{"vertices": ["\xff"], "edges": []}', b"[" * 100_000],
+    ids=["not-utf8", "nested-past-the-recursion-limit"],
+)
+def test_bad_graph_bytes_exit_1_with_one_error_line(run, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run("analyze", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bad_usage_exits_2(run, tmp_path):
     path = write_graph(tmp_path, unique_maximal_graph())
     with pytest.raises(SystemExit) as exc:

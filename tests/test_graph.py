@@ -78,6 +78,11 @@ def test_parse_rejects_bad_documents(text):
         parse_graph(text)
 
 
+def test_parse_rejects_nesting_past_the_recursion_limit():
+    with pytest.raises(GraphFormatError, match="nested too deeply"):
+        parse_graph('{"vertices": ' + "[" * 100_000)
+
+
 def test_parallel_named_edges_are_allowed():
     g = graph(["u", "v"], [("a", "u", "v"), ("b", "u", "v")])
     assert len(g.edges) == 2

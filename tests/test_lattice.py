@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     random_corpus,
 )
 from oracles import hereditary_saturated_sets_brute, maximal_proper_brute
+from test_golden import loop_antichain
 from lpaideals import (
     AdmissiblePair,
     GraphError,
@@ -140,6 +142,62 @@ def test_enumerate_HE_refuses_within_bounded_work(monkeypatch):
     with pytest.raises(ResourceCapError, match=f"lattice exceeds cap {cap}"):
         enumerate_HE(antichain, cap=cap)
     assert 0 < calls <= (cap + 1) * n
+
+
+@pytest.fixture
+def lattice_work(monkeypatch):
+    """Counts of ``enumerate_HE`` calls, ``_Masks`` builds and masks
+    converted to vertex sets."""
+    from lpaideals import cli, ideals
+
+    counts = Counter()
+    build, to_set, walk = lattice._Masks.__init__, lattice._Masks.to_set, lattice.enumerate_HE
+
+    def counted_build(self, g):
+        counts["masks"] += 1
+        build(self, g)
+
+    def counted_to_set(self, mask):
+        counts["to_set"] += 1
+        return to_set(self, mask)
+
+    def counted_walk(*args):
+        counts["enumerate_HE"] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(lattice._Masks, "__init__", counted_build)
+    monkeypatch.setattr(lattice._Masks, "to_set", counted_to_set)
+    for module in (cli, ideals):
+        monkeypatch.setattr(module, "enumerate_HE", counted_walk)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        # 4,096 sets printed, and the 12 coatoms twice (lattice and report)
+        ("analyze", {"enumerate_HE": 5, "masks": 5, "to_set": 4096 + 2 * 12}),
+        ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 4096 + 12}),
+        ("maximals", {"enumerate_HE": 3, "masks": 3, "to_set": 12}),
+        ("primes", {"enumerate_HE": 1, "masks": 1}),
+    ],
+)
+def test_H_E_stays_in_masks_until_it_is_printed(lattice_work, tmp_path, capsys, command, expected):
+    from lpaideals.cli import main
+
+    path = tmp_path / "a12.json"
+    path.write_text(serialize_graph(loop_antichain(12)), encoding="utf-8")
+    assert main([command, str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert lattice_work == expected
+
+
+def test_join_closes_on_the_lattice_masks(lattice_work):
+    lat = lattice.enumerate_HE(loop_antichain(12))
+    lattice_work.clear()
+    assert lat.join({"a1"}, {"a2", "a3"}) == {"a1", "a2", "a3"}
+    assert {"a1", "a2"} in lat and {"a1", "x"} not in lat
+    assert lattice_work == {"to_set": 1}
 
 
 def test_maximal_proper_examples():
