@@ -343,9 +343,15 @@ def main(argv=None) -> int:
     # tens of thousands of acyclic containers (the frozensets of H_E,
     # cycles, admissible pairs), all freed by reference counting, so a
     # collection during the command frees next to nothing and only
-    # rescans the young ones.
+    # rescans the young ones.  The limit on int-str conversions (Python
+    # 3.10.7 on; 0 lifts it) is lifted too, so that a ``mul`` coefficient
+    # of any length is read and printed exactly.
     enabled = gc.isenabled()
     gc.disable()
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         code = _run(argv)
         sys.stdout.flush()
@@ -358,6 +364,8 @@ def main(argv=None) -> int:
     finally:
         if enabled:
             gc.enable()
+        if set_digits:
+            set_digits(digits)
 
 
 @functools.cache

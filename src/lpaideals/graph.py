@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -68,6 +69,17 @@ class DirectedGraph:
     omega_bundles: tuple[OmegaBundle, ...] = ()
 
     def __post_init__(self):
+        # Ids of mixed types cannot be sorted: reject non-strings first.
+        for v in self.vertices:
+            if not isinstance(v, str):
+                raise GraphError(f"vertex id must be a non-empty string, got {v!r}")
+        for e in self.edges:
+            if not isinstance(e.id, str):
+                raise GraphError(f"edge id must be a non-empty string, got {e.id!r}")
+        for b in self.omega_bundles:
+            for endpoint in (b.src, b.dst):
+                if not isinstance(endpoint, str):
+                    raise GraphError(f"omega bundle uses undeclared vertex {endpoint!r}")
         vertices = tuple(sorted(self.vertices))
         edges = tuple(sorted(self.edges, key=lambda e: e.id))
         bundles = tuple(sorted(self.omega_bundles, key=lambda b: (b.src, b.dst)))
@@ -84,27 +96,26 @@ class DirectedGraph:
         object.__setattr__(self, "_out_edges", {v: tuple(es) for v, es in out_edges.items()})
         object.__setattr__(self, "_out_bundles", {v: tuple(bs) for v, bs in out_bundles.items()})
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in edges})
-        object.__setattr__(self, "_descendants", {})
 
     def _validate(self):
         if not self.vertices:
             raise GraphError("graph must declare at least one vertex")
         seen_v: set[str] = set()
         for v in self.vertices:
-            if not isinstance(v, str) or not v:
+            if not v:
                 raise GraphError(f"vertex id must be a non-empty string, got {v!r}")
             if v in seen_v:
                 raise GraphError(f"duplicate vertex id {v!r}")
             seen_v.add(v)
         seen_e: set[str] = set()
         for e in self.edges:
-            if not isinstance(e.id, str) or not e.id:
+            if not e.id:
                 raise GraphError(f"edge id must be a non-empty string, got {e.id!r}")
             if e.id in seen_e:
                 raise GraphError(f"duplicate edge id {e.id!r}")
             seen_e.add(e.id)
             for endpoint in (e.src, e.dst):
-                if endpoint not in seen_v:
+                if not isinstance(endpoint, str) or endpoint not in seen_v:
                     raise GraphError(f"edge {e.id!r} uses undeclared vertex {endpoint!r}")
         seen_b: set[tuple[str, str]] = set()
         for b in self.omega_bundles:
@@ -169,22 +180,15 @@ class DirectedGraph:
             b.dst for b in self._out_bundles[v]
         )
 
+    @cached_property
+    def _masks(self) -> _Masks:
+        """The reachability index, built on first use."""
+        return _Masks(self)
+
     def descendants(self, v: str) -> frozenset[str]:
         """All vertices reachable from v, including v itself."""
         self.require_vertex(v)
-        cached = self._descendants.get(v)
-        if cached is not None:
-            return cached
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in self.successors(stack.pop()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        result = frozenset(seen)
-        self._descendants[v] = result
-        return result
+        return self._masks.to_set(self._masks.descendants[self._masks.index[v]])
 
     def reaches(self, u: str, v: str) -> bool:
         """True iff there is a directed path (length >= 0) from u to v."""
@@ -194,7 +198,82 @@ class DirectedGraph:
     def m_of(self, v: str) -> frozenset[str]:
         """All vertices that reach v (v itself included)."""
         self.require_vertex(v)
-        return frozenset(u for u in self.vertices if v in self.descendants(u))
+        return self._masks.to_set(self._masks.ancestors[self._masks.index[v]])
+
+
+class _Masks:
+    """A graph's reachability index, with vertex sets as int bitmasks.
+    Bit i stands for ``vertices[i]``, the ids in descending order, so that
+    of two sets of one size the larger mask has the smaller sorted ids.
+    Vertex i reaches ``descendants[i]`` and is reached from
+    ``ancestors[i]`` (its M(v)); both hold i."""
+
+    def __init__(self, g: DirectedGraph):
+        self.vertices = g.vertices[::-1]
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        self.full = (1 << len(self.vertices)) - 1
+        self.successors, self.predecessors = [0] * len(self.vertices), [0] * len(self.vertices)
+        for arrow in g.edges + g.omega_bundles:
+            self.successors[self.index[arrow.src]] |= 1 << self.index[arrow.dst]
+            self.predecessors[self.index[arrow.dst]] |= 1 << self.index[arrow.src]
+        self.descendants, self.ancestors = _reach(self.successors), _reach(self.predecessors)
+        self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
+
+    def of(self, subset) -> int:
+        out = 0
+        for v in subset:
+            out |= 1 << self.index[v]
+        return out
+
+    def to_set(self, mask: int) -> frozenset[str]:
+        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+
+    def sorted_sets(self, masks) -> tuple[frozenset[str], ...]:
+        """The masks as vertex sets, ordered by size, then by sorted ids."""
+        return tuple(self.to_set(m) for m in sorted(masks, key=lambda m: (m.bit_count(), -m)))
+
+    def hereditary(self, mask: int) -> int:
+        """The hereditary closure: the OR of the descendant masks."""
+        closed = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            closed |= self.descendants[low.bit_length() - 1]
+            rest &= ~closed
+        return closed
+
+    def close(self, mask: int) -> int:
+        """The hereditary saturated closure of a vertex mask.
+
+        A regular vertex joins the hereditary closure once all its
+        successors, the targets of its named edges, lie inside, and is
+        checked again only when one of them joins.  The set stays
+        hereditary, because all of them land inside.
+        """
+        closed = self.hereditary(mask)
+        pending = self.regular & ~closed
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            i = low.bit_length() - 1
+            if not self.successors[i] & ~closed:
+                closed |= low
+                pending |= self.predecessors[i] & self.regular & ~closed
+        return closed
+
+
+def _reach(steps: list[int]) -> list[int]:
+    """Entry i: each vertex that a walk along ``steps`` from vertex i meets."""
+    out = [0] * len(steps)
+    for i in range(len(steps)):
+        rest = 1 << i
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            if not out[j]:  # not done before: walk on from it
+                rest |= steps[j]
+            out[i] |= out[j] or 1 << j  # done before: its whole entry
+            rest &= ~out[i]
+    return out
 
 
 def parse_graph(text: str) -> DirectedGraph:

@@ -42,81 +42,15 @@ def is_saturated(g: DirectedGraph, subset) -> bool:
     return True
 
 
-class _Masks:
-    """A graph's vertex sets as int bitmasks.  Bit i stands for
-    ``vertices[i]``, the vertex ids in descending order, so that of two
-    sets of one size the larger mask has the smaller sorted id list.
-    """
-
-    def __init__(self, g: DirectedGraph):
-        self.vertices = g.vertices[::-1]
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.full = (1 << len(self.vertices)) - 1
-        self.descendants = [self.of(g.descendants(v)) for v in self.vertices]
-        self.regular = 0
-        self.targets = [0] * len(self.vertices)
-        # regular_preds[i]: the regular vertices with a named edge into vertex i
-        self.regular_preds = [0] * len(self.vertices)
-        for i, v in enumerate(self.vertices):
-            if g.vertex_kind(v) is not VertexKind.REGULAR:
-                continue
-            self.regular |= 1 << i
-            for e in g.out_edges(v):
-                self.targets[i] |= 1 << self.index[e.dst]
-                self.regular_preds[self.index[e.dst]] |= 1 << i
-
-    def of(self, subset) -> int:
-        out = 0
-        for v in subset:
-            out |= 1 << self.index[v]
-        return out
-
-    def to_set(self, mask: int) -> frozenset[str]:
-        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
-
-    def sorted_sets(self, masks) -> tuple[frozenset[str], ...]:
-        """The masks as vertex sets, ordered by size, then by sorted ids."""
-        return tuple(self.to_set(m) for m in sorted(masks, key=lambda m: (m.bit_count(), -m)))
-
-    def hereditary(self, mask: int) -> int:
-        """The hereditary closure: the OR of the descendant masks."""
-        closed = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            closed |= self.descendants[low.bit_length() - 1]
-            rest &= ~closed
-        return closed
-
-    def close(self, mask: int) -> int:
-        """The hereditary saturated closure of a vertex mask.
-
-        A regular vertex joins the hereditary closure once all its edge
-        targets lie inside, and is checked again only when one of its
-        targets joins.  The set stays hereditary, because a regular
-        vertex has only named edges and all of them land inside.
-        """
-        closed = self.hereditary(mask)
-        pending = self.regular & ~closed
-        while pending:
-            low = pending & -pending
-            pending ^= low
-            i = low.bit_length() - 1
-            if not self.targets[i] & ~closed:
-                closed |= low
-                pending |= self.regular_preds[i] & ~closed
-        return closed
-
-
 def hereditary_closure(g: DirectedGraph, subset) -> frozenset[str]:
     """Least hereditary superset: forward reachability closure."""
-    masks = _Masks(g)
+    masks = g._masks
     return masks.to_set(masks.hereditary(masks.of(g.require_vertices(subset))))
 
 
 def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
     """Least hereditary and saturated superset (a closure operator)."""
-    masks = _Masks(g)
+    masks = g._masks
     return masks.to_set(masks.close(masks.of(g.require_vertices(subset))))
 
 
@@ -127,22 +61,20 @@ class HSLattice:
     canonical order, built on first use."""
 
     graph: DirectedGraph
-    _masks: _Masks = field(repr=False, compare=False)
     _closed: frozenset[int] = field(repr=False)
 
     @cached_property
     def sets(self) -> tuple[frozenset[str], ...]:
-        return self._masks.sorted_sets(self._closed)
+        return self.graph._masks.sorted_sets(self._closed)
 
     def __contains__(self, subset) -> bool:
         try:
-            return self._masks.of(subset) in self._closed
+            return self.graph._masks.of(subset) in self._closed
         except KeyError:  # a vertex of another graph
             return False
 
     def join(self, a, b) -> frozenset[str]:
-        both = self.graph.require_vertices(a) | self.graph.require_vertices(b)
-        return self._masks.to_set(self._masks.close(self._masks.of(both)))
+        return hs_closure(self.graph, frozenset(a) | frozenset(b))
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,7 +101,7 @@ def enumerate_HE(
         raise ResourceCapError(
             f"exact enumeration limited to {max_vertices} vertices, graph has {len(g.vertices)}"
         )
-    masks = _Masks(g)
+    masks = g._masks
     current = masks.close(0)
     closed = [current]
     while current != masks.full:
@@ -187,7 +119,7 @@ def enumerate_HE(
         closed.append(current)
         if len(closed) > cap:
             raise ResourceCapError(f"lattice exceeds cap {cap}")
-    return HSLattice(g, masks, frozenset(closed))
+    return HSLattice(g, frozenset(closed))
 
 
 def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
@@ -201,8 +133,8 @@ def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
     each regular vertex of M(w) then has an edge into M(w), so
     E^0 minus M(w) is saturated, lies in H_E and contains H.
     """
-    g, masks = lat.graph, lat._masks
-    candidates = {masks.full & ~masks.of(g.m_of(d)) for d in g.vertices} & lat._closed
+    masks = lat.graph._masks
+    candidates = {masks.full & ~m for m in masks.ancestors} & lat._closed
     maximal = [h for h in candidates if not any(h != o and not h & ~o for o in candidates)]
     return list(masks.sorted_sets(maximal))
 

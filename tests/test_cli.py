@@ -212,6 +212,26 @@ def test_mul(run, tmp_path):
     ]
 
 
+def test_mul_coefficients_have_no_digit_limit(run, tmp_path):
+    """Python refuses int-str conversions above 4,300 digits by default;
+    ``mul`` prints a coefficient of any length exactly, and leaves the
+    interpreter's limit as it found it."""
+    path = write_graph(tmp_path, unique_maximal_graph())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    long = "9" * 5000
+    a, b = "1" + "0" * 2998 + "3", "2" + "0" * 2998 + "1"
+    a_times_b = "2" + "0" * 2998 + "7" + "0" * 2998 + "3"  # (10^2999 + 3)(2 * 10^2999 + 1)
+    for lhs, rhs, coeff, product_path in [(f"{long} u", "u", long, "u"), (f"{a} c", f"{b} c", a_times_b, "c c")]:
+        code, out, err = run("mul", path, "--lhs", lhs, "--rhs", rhs)
+        assert (code, out, err) == (0, f"{coeff} {product_path}\n", "")
+        code, out, err = run("mul", path, "--lhs", lhs, "--rhs", rhs, "--json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["result"] == f"{coeff} {product_path}"
+        assert [t["coeff"] for t in doc["terms"]] == [coeff]
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_check_condition_holds(run, tmp_path):
     from conftest import chain_graph
 

@@ -111,6 +111,21 @@ def test_kind_partition_is_exact():
                 assert kind is VertexKind.SINK
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((["a", 1],), "vertex id must be a non-empty string, got 1"),
+        ((["a"], [("e", "a", "a"), (None, "a", "a")]), "edge id must be a non-empty string, got None"),
+        ((["a"], [], [(1, "a"), ("a", "a")]), "omega bundle uses undeclared vertex 1"),
+        ((["a"], [("e", ["a"], "a")]), "edge 'e' uses undeclared vertex ['a']"),
+    ],
+)
+def test_ids_that_are_not_strings_raise_graph_error(parts, message):
+    with pytest.raises(GraphError) as exc:
+        DirectedGraph.from_parts(*parts)
+    assert str(exc.value) == message
+
+
 def test_reaches_examples():
     a = unique_maximal_graph()
     assert a.reaches("u", "w")

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -14,7 +15,13 @@ from conftest import (
     mixed_maximals_graph,
     random_corpus,
 )
-from oracles import hereditary_saturated_sets_brute, maximal_proper_brute
+from oracles import (
+    hereditary_saturated_sets_brute,
+    is_hereditary_brute,
+    is_saturated_brute,
+    maximal_proper_brute,
+    reach_sets,
+)
 from test_golden import loop_antichain
 from lpaideals import (
     AdmissiblePair,
@@ -33,6 +40,7 @@ from lpaideals import (
     parse_graph,
 )
 from lpaideals import lattice
+from lpaideals.graph import _Masks
 
 
 def sets_of(lat):
@@ -60,6 +68,36 @@ def test_hs_closure_is_a_closure_operator(pair):
     assert is_hereditary(g, closed) and is_saturated(g, closed)
     for v in g.vertices:
         assert closed <= hs_closure(g, x | {v})
+
+
+def _check_reachability_and_closures(g, subsets):
+    reach = reach_sets(g)
+    family = hereditary_saturated_sets_brute(g)
+    for u in g.vertices:
+        assert g.descendants(u) == reach[u]
+        assert g.m_of(u) == {w for w in g.vertices if u in reach[w]}
+        for v in g.vertices:
+            assert g.reaches(u, v) == (v in reach[u])
+    for x in subsets:
+        assert hereditary_closure(g, x) == frozenset().union(*(reach[v] for v in x))
+        uppers = [h for h in family if x <= h]
+        closed = hs_closure(g, x)
+        assert closed in uppers and all(closed <= h for h in uppers)
+        assert is_hereditary(g, x) == is_hereditary_brute(g, x)
+        assert is_saturated(g, x) == is_saturated_brute(g, x)
+
+
+@given(graph_and_subset())
+def test_reachability_and_closures_match_the_oracles(pair):
+    g, x = pair
+    _check_reachability_and_closures(g, [x])
+
+
+def test_reachability_and_closures_match_the_oracles_on_the_acceptance_corpus():
+    rng = random.Random(3)
+    for g in random_corpus(500):
+        subsets = [frozenset(v for v in g.vertices if rng.random() < 0.4) for _ in range(3)]
+        _check_reachability_and_closures(g, subsets)
 
 
 def test_enumerate_HE_examples():
@@ -131,14 +169,14 @@ def test_enumerate_HE_refuses_within_bounded_work(monkeypatch):
     loops = [(f"{x}{i:02d}", f"v{i:02d}", f"v{i:02d}") for i in range(n) for x in "fg"]
     antichain = graph([f"v{i:02d}" for i in range(n)], loops)
     calls = 0
-    close = lattice._Masks.close
+    close = _Masks.close
 
     def counting(self, mask):
         nonlocal calls
         calls += 1
         return close(self, mask)
 
-    monkeypatch.setattr(lattice._Masks, "close", counting)
+    monkeypatch.setattr(_Masks, "close", counting)
     with pytest.raises(ResourceCapError, match=f"lattice exceeds cap {cap}"):
         enumerate_HE(antichain, cap=cap)
     assert 0 < calls <= (cap + 1) * n
@@ -151,7 +189,7 @@ def lattice_work(monkeypatch):
     from lpaideals import cli, ideals
 
     counts = Counter()
-    build, to_set, walk = lattice._Masks.__init__, lattice._Masks.to_set, lattice.enumerate_HE
+    build, to_set, walk = _Masks.__init__, _Masks.to_set, lattice.enumerate_HE
 
     def counted_build(self, g):
         counts["masks"] += 1
@@ -165,8 +203,8 @@ def lattice_work(monkeypatch):
         counts["enumerate_HE"] += 1
         return walk(*args)
 
-    monkeypatch.setattr(lattice._Masks, "__init__", counted_build)
-    monkeypatch.setattr(lattice._Masks, "to_set", counted_to_set)
+    monkeypatch.setattr(_Masks, "__init__", counted_build)
+    monkeypatch.setattr(_Masks, "to_set", counted_to_set)
     for module in (cli, ideals):
         monkeypatch.setattr(module, "enumerate_HE", counted_walk)
     return counts
@@ -175,11 +213,12 @@ def lattice_work(monkeypatch):
 @pytest.mark.parametrize(
     "command, expected",
     [
-        # 4,096 sets printed, and the 12 coatoms twice (lattice and report)
-        ("analyze", {"enumerate_HE": 5, "masks": 5, "to_set": 4096 + 2 * 12}),
+        # 4,096 sets printed, the 12 coatoms twice (lattice and report),
+        # and the 12 M(d) that each prime enumeration reads
+        ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 4096 + 2 * 12 + 3 * 12}),
         ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 4096 + 12}),
-        ("maximals", {"enumerate_HE": 3, "masks": 3, "to_set": 12}),
-        ("primes", {"enumerate_HE": 1, "masks": 1}),
+        ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12 + 2 * 12}),
+        ("primes", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
     ],
 )
 def test_H_E_stays_in_masks_until_it_is_printed(lattice_work, tmp_path, capsys, command, expected):
@@ -193,11 +232,16 @@ def test_H_E_stays_in_masks_until_it_is_printed(lattice_work, tmp_path, capsys, 
 
 
 def test_join_closes_on_the_lattice_masks(lattice_work):
-    lat = lattice.enumerate_HE(loop_antichain(12))
+    """On a graph already indexed, nothing builds the index again."""
+    g = loop_antichain(12)
+    lat = lattice.enumerate_HE(g)
     lattice_work.clear()
     assert lat.join({"a1"}, {"a2", "a3"}) == {"a1", "a2", "a3"}
     assert {"a1", "a2"} in lat and {"a1", "x"} not in lat
     assert lattice_work == {"to_set": 1}
+    assert hs_closure(g, {"a1"}) == hereditary_closure(g, {"a1"}) == {"a1"}
+    assert g.descendants("a1") == g.m_of("a1") == {"a1"}
+    assert "masks" not in lattice_work
 
 
 def test_maximal_proper_examples():
