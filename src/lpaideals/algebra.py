@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .graph import DirectedGraph, GraphError
@@ -322,10 +323,12 @@ def parse_element(g: DirectedGraph, text: str) -> AlgebraElement:
 def _parse_term(g: DirectedGraph, tokens: list[str], sign: Fraction) -> Monomial:
     coeff = sign
     if _COEFF_RE.match(tokens[0]):
-        try:
-            coeff *= Fraction(tokens[0])
-        except ZeroDivisionError:
-            raise GraphError(f"zero denominator in coefficient {tokens[0]!r}") from None
+        # through decimal, which reads digits past int()'s limit (_coefficient_text)
+        num, _, den = tokens[0].partition("/")
+        den = int(Decimal(den or 1))
+        if not den:
+            raise GraphError(f"zero denominator in coefficient {tokens[0]!r}")
+        coeff *= Fraction(int(Decimal(num)), den)
         tokens = tokens[1:]
         if not tokens:
             raise GraphError("a term needs a path part after its coefficient")
@@ -394,7 +397,6 @@ def render_element(x: AlgebraElement) -> str:
     ghosts: dict[tuple[str, ...], str] = {}
     for i, m in enumerate(x.terms):
         tokens: list[str] = []
-        # the coefficient as Fraction prints it, from its integer parts
         num, den = m.coeff.numerator, m.coeff.denominator
         if i == 0:
             head = ""
@@ -402,7 +404,7 @@ def render_element(x: AlgebraElement) -> str:
             head = " - " if num < 0 else " + "
             num = abs(num)
         if num != 1 or den != 1:
-            tokens.append(str(num) if den == 1 else f"{num}/{den}")
+            tokens.append(_coefficient_text(num, den))
         if m.alpha.edges:
             tokens.extend(m.alpha.edges)
         elif not m.beta.edges:
@@ -417,3 +419,13 @@ def render_element(x: AlgebraElement) -> str:
             tokens.append(ghost)
         parts.append(head + " ".join(tokens))
     return "".join(parts)
+
+
+def _coefficient_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))``, for integers of any length: Python
+    (3.10.7 on) refuses int-str conversions above a digit limit, 4,300
+    by default, and ``decimal`` converts without one."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # over the limit
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"

@@ -316,14 +316,18 @@ class _PathBlocks(dict):
 
 def _product_json(product) -> str:
     """The ``mul --json`` text, byte for byte what ``_json_text`` gives for
-    ``{"result": <rendered product>, "terms": [{"coeff": str(coeff),
+    ``{"result": <rendered product>, "terms": [{"coeff": <coeff text>,
     "alpha": <block>, "beta": <block>}, ...]}``: each term fills one
     template, and each distinct path's block is written once."""
     result = _encode_str(algebra.render_element(product))
     if not product.terms:
         return '{\n  "result": ' + result + ',\n  "terms": []\n}'
     blocks = _PathBlocks()
-    terms = [_TERM_JSON % (blocks[m.alpha], blocks[m.beta], _encode_str(str(m.coeff))) for m in product.terms]
+    coeff = algebra._coefficient_text
+    terms = [
+        _TERM_JSON % (blocks[m.alpha], blocks[m.beta], _encode_str(coeff(m.coeff.numerator, m.coeff.denominator)))
+        for m in product.terms
+    ]
     return '{\n  "result": ' + result + ',\n  "terms": [\n    ' + ",\n    ".join(terms) + "\n  ]\n}"
 
 
@@ -343,15 +347,9 @@ def main(argv=None) -> int:
     # tens of thousands of acyclic containers (the frozensets of H_E,
     # cycles, admissible pairs), all freed by reference counting, so a
     # collection during the command frees next to nothing and only
-    # rescans the young ones.  The limit on int-str conversions (Python
-    # 3.10.7 on; 0 lifts it) is lifted too, so that a ``mul`` coefficient
-    # of any length is read and printed exactly.
+    # rescans the young ones.
     enabled = gc.isenabled()
     gc.disable()
-    set_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_digits:
-        digits = sys.get_int_max_str_digits()
-        set_digits(0)
     try:
         code = _run(argv)
         sys.stdout.flush()
@@ -364,8 +362,6 @@ def main(argv=None) -> int:
     finally:
         if enabled:
             gc.enable()
-        if set_digits:
-            set_digits(digits)
 
 
 @functools.cache

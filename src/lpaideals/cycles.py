@@ -13,7 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError, VertexKind
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError
+from .lattice import _is_hereditary_saturated
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,10 @@ def has_exit(g: DirectedGraph, c: Cycle) -> bool:
     return _has_exit_unchecked(g, c)
 
 
-def _has_exit_unchecked(g: DirectedGraph, c: Cycle, hset: frozenset[str] = frozenset()) -> bool:
-    """Some bundle or named edge not on c leaves c and lands outside ``hset``."""
+def _has_exit_unchecked(g: DirectedGraph, c: Cycle) -> bool:
+    """Some vertex of c emits a bundle or a second named edge."""
     for eid, v in zip(c.edges, c.vertices):
-        if any(b.dst not in hset for b in g.out_bundles(v)):
-            return True
-        if any(e.id != eid and e.dst not in hset for e in g.out_edges(v)):
+        if g.out_bundles(v) or any(e.id != eid for e in g.out_edges(v)):
             return True
     return False
 
@@ -195,16 +194,11 @@ def is_maximal_tail(g: DirectedGraph, subset) -> bool:
     """Checks the three maximal-tail conditions for a non-empty vertex set.
 
     MT-1: ancestors of members are members.  MT-2: every regular member
-    keeps an edge inside the set (bundle targets counted).  MT-3: the
-    set is downward directed.
+    keeps an edge inside the set.  MT-3: the set is downward directed.
+    MT-1 says that the complement is hereditary, and MT-2 that it is
+    saturated.
     """
     vs = g.require_vertices(subset)
     if not vs:
         raise GraphError("maximal tails are non-empty")
-    for v in vs:
-        if not g.m_of(v) <= vs:
-            return False
-    for v in vs:
-        if g.vertex_kind(v) is VertexKind.REGULAR and not (g.successors(v) & vs):
-            return False
-    return is_downward_directed(g, vs)
+    return _is_hereditary_saturated(g, frozenset(g.vertices) - vs) and is_downward_directed(g, vs)

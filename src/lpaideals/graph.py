@@ -243,14 +243,19 @@ class _Masks:
         return closed
 
     def close(self, mask: int) -> int:
-        """The hereditary saturated closure of a vertex mask.
+        """The hereditary saturated closure of a vertex mask.  A mask is
+        hereditary, saturated or both exactly when the matching closure
+        returns it unchanged."""
+        return self.saturate(self.hereditary(mask))
 
-        A regular vertex joins the hereditary closure once all its
-        successors, the targets of its named edges, lie inside, and is
-        checked again only when one of them joins.  The set stays
-        hereditary, because all of them land inside.
+    def saturate(self, closed: int) -> int:
+        """The saturation of a vertex mask, hereditary if the mask is.
+
+        A regular vertex joins once all its successors, the targets of
+        its named edges, lie inside, and is checked again only when one
+        of them joins.  A hereditary set stays hereditary, because all
+        of them land inside.
         """
-        closed = self.hereditary(mask)
         pending = self.regular & ~closed
         while pending:
             low = pending & -pending

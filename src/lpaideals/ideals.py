@@ -12,22 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cycles import (
-    Cycle,
-    _has_exit_unchecked,
-    _is_cycle_without_K,
-    cycles_without_K,
-    is_downward_directed,
-)
+from .cycles import Cycle, _is_cycle_without_K, cycles_without_K, is_downward_directed
 from .graph import DEFAULT_CAP, DirectedGraph, GraphError
 from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
-    _breaking_vertices,
+    _is_hereditary_saturated,
     breaking_vertices,
     enumerate_HE,
-    is_hereditary,
-    is_saturated,
     maximal_proper_elements,
 )
 
@@ -54,7 +46,7 @@ class NonGradedFamily:
     def __post_init__(self):
         object.__setattr__(self, "H", frozenset(self.H))
         g = self.graph
-        if not (is_hereditary(g, self.H) and is_saturated(g, self.H)):
+        if not _is_hereditary_saturated(g, self.H):
             raise GraphError("H is not hereditary saturated")
         if not _is_cycle_without_K(g, self.cycle):
             raise GraphError("cycle is not a cycle without K of this graph")
@@ -142,7 +134,7 @@ def enumerate_primes(
         hset = full - tail
         if hset not in lat:
             continue
-        b_h = _breaking_vertices(g, hset)
+        b_h = breaking_vertices(g, hset)
         out.append(GradedIdeal(AdmissiblePair(g, hset, b_h)))
         for u in b_h:
             if m_of[u] == tail:
@@ -156,13 +148,18 @@ def enumerate_primes(
 
 def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
     """The primes (H, B_H) at the coatoms H of H_E, and the prime families
-    (H, c) at them whose exits all land in H, in ``enumerate_primes`` order.
+    (H, c) at them, in ``enumerate_primes`` order.
 
     The coatoms are the H maximal among the primes' H, the complements of
     the M(d) in H_E (``maximal_proper_elements``).  The quotient at
     (H, B_H) adds no primed vertex, so its exitless cycles are the cycles
     c avoiding H whose exits all land in the hereditary H; such a c is
     without K, and M(c.base) is E^0 minus H, so (H, c) is a prime family.
+    Conversely every exit of a prime family's cycle c lands in its
+    H = E^0 minus M(c.base): an exit to a w outside H leaves c and w
+    reaches c.base, so the exit lies inside c's strongly connected
+    component, and for c without K that component holds no bundle and
+    no named edge but c's own (``_on_one_cycle``).  So no exit is checked.
     """
     primes = enumerate_primes(g, cap, max_vertices)
     hsets = {d.pair.H if isinstance(d, GradedIdeal) else d.H for d in primes}
@@ -170,9 +167,9 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
     graded, families = [], []
     for d in primes:
         if isinstance(d, GradedIdeal):
-            if d.pair.H in coatoms and d.pair.S == _breaking_vertices(g, d.pair.H):
+            if d.pair.H in coatoms and d.pair.S == breaking_vertices(g, d.pair.H):
                 graded.append(d.pair)
-        elif d.H in coatoms and not _has_exit_unchecked(g, d.cycle, d.H):
+        elif d.H in coatoms:
             families.append(d)
     return graded, families
 

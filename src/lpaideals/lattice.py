@@ -19,7 +19,6 @@ from .graph import (
     GraphError,
     OmegaBundle,
     ResourceCapError,
-    VertexKind,
 )
 
 MAX_EXACT_VERTICES = 20
@@ -27,31 +26,34 @@ MAX_EXACT_VERTICES = 20
 PRIME_MARK = "'"
 
 
+def _mask(g: DirectedGraph, subset) -> int:
+    """The index mask of a vertex set; UnknownVertexError for a vertex the graph lacks."""
+    return g._masks.of(g.require_vertices(subset))
+
+
 def is_hereditary(g: DirectedGraph, subset) -> bool:
-    vs = g.require_vertices(subset)
-    return all(g.successors(v) <= vs for v in vs)
+    mask = _mask(g, subset)
+    return g._masks.hereditary(mask) == mask
 
 
 def is_saturated(g: DirectedGraph, subset) -> bool:
-    vs = g.require_vertices(subset)
-    for v in g.vertices:
-        if v in vs or g.vertex_kind(v) is not VertexKind.REGULAR:
-            continue
-        if all(e.dst in vs for e in g.out_edges(v)):
-            return False
-    return True
+    mask = _mask(g, subset)
+    return g._masks.saturate(mask) == mask
+
+
+def _is_hereditary_saturated(g: DirectedGraph, subset) -> bool:
+    mask = _mask(g, subset)
+    return g._masks.close(mask) == mask
 
 
 def hereditary_closure(g: DirectedGraph, subset) -> frozenset[str]:
     """Least hereditary superset: forward reachability closure."""
-    masks = g._masks
-    return masks.to_set(masks.hereditary(masks.of(g.require_vertices(subset))))
+    return g._masks.to_set(g._masks.hereditary(_mask(g, subset)))
 
 
 def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
     """Least hereditary and saturated superset (a closure operator)."""
-    masks = g._masks
-    return masks.to_set(masks.close(masks.of(g.require_vertices(subset))))
+    return g._masks.to_set(g._masks.close(_mask(g, subset)))
 
 
 @dataclass(frozen=True)
@@ -145,23 +147,14 @@ def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:
     and finitely many (so every bundle must land in H).
     """
     hset = g.require_vertices(subset)
-    if not (is_hereditary(g, hset) and is_saturated(g, hset)):
+    if not _is_hereditary_saturated(g, hset):
         raise GraphError("set is not hereditary saturated")
-    return _breaking_vertices(g, hset)
-
-
-def _breaking_vertices(g: DirectedGraph, hset: frozenset[str]) -> frozenset[str]:
-    """``breaking_vertices`` for a set already known to be hereditary
-    saturated, such as a member of ``H_E``."""
-    out = set()
-    for w in g.vertices:
-        if w in hset or g.vertex_kind(w) is not VertexKind.INFINITE_EMITTER:
-            continue
-        if any(b.dst not in hset for b in g.out_bundles(w)):
-            continue
-        if any(e.dst not in hset for e in g.out_edges(w)):
-            out.add(w)
-    return frozenset(out)
+    return frozenset(
+        w
+        for w in g.vertices
+        if w not in hset and g.out_bundles(w) and all(b.dst in hset for b in g.out_bundles(w))
+        and any(e.dst not in hset for e in g.out_edges(w))
+    )
 
 
 @dataclass(frozen=True)

@@ -248,6 +248,22 @@ def is_downward_directed_brute(reach, subset):
     )
 
 
+def is_maximal_tail_brute(g, reach, subset):
+    """The maximal-tail conditions for a non-empty subset, by the
+    reachability map ``reach`` (v -> the vertices v reaches).  MT-1: each
+    vertex that reaches a member is a member.  MT-2: each regular member
+    (named edges and no bundle) has an edge target among the members.
+    MT-3: the subset is downward directed."""
+    subset = set(subset)
+    named_out = {v: set() for v in g.vertices}
+    for e in g.edges:
+        named_out[e.src].add(e.dst)
+    has_bundle = {b.src for b in g.omega_bundles}
+    mt1 = all(u in subset for u in g.vertices for v in subset if v in reach[u])
+    mt2 = all(named_out[v] & subset for v in subset if named_out[v] and v not in has_bundle)
+    return mt1 and mt2 and is_downward_directed_brute(reach, subset)
+
+
 def primes_brute(g):
     """Canonical keys of every prime descriptor, re-derived from the raw
     definitions: subset-filtered lattice, Floyd-Warshall reachability,

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,7 +29,7 @@ from lpaideals import (
     v_H_element,
     vertex_element,
 )
-from lpaideals.algebra import Monomial, monomial_element, zero
+from lpaideals.algebra import Monomial, _coefficient_text, monomial_element, zero
 
 
 def test_path_validation(unique_max):
@@ -361,3 +362,30 @@ def test_equal_paths_of_a_product_are_one_object(unique_max):
     paths = [p for m in product.terms for p in (m.alpha, m.beta)]
     assert len(set(paths)) < len(paths) // 4
     assert len({id(p) for p in paths}) == len(set(paths))
+
+
+def test_long_coefficients_under_the_default_digit_limit(unique_max):
+    """Python refuses int-str conversions above 4,300 digits by default
+    (3.10.7 on); the library reads and prints coefficient text of any
+    length exactly, without lifting that limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    long = "9" * 5000
+    x = parse_element(unique_max, f"{long} u")
+    assert x.terms[0].coeff == 10**5000 - 1
+    assert render_element(x) == f"{long} u"
+    sparse = "1" + "0" * 6000 + "7"  # a low half that is mostly leading zeros
+    y = parse_element(unique_max, f"- {sparse}/{long} u + 1/{sparse} c")
+    assert [m.coeff for m in y.terms] == [Fraction(-(10**6001 + 7), 10**5000 - 1), Fraction(1, 10**6001 + 7)]
+    assert render_element(y) == f"-{sparse}/{long} u + 1/{sparse} c"
+    a, b = "1" + "0" * 2998 + "3", "2" + "0" * 2998 + "1"
+    product = parse_element(unique_max, f"{a} c") * parse_element(unique_max, f"{b} c")
+    assert render_element(product) == "2" + "0" * 2998 + "7" + "0" * 2998 + "3 c c"
+    with pytest.raises(GraphError):
+        parse_element(unique_max, f"{long}/{'0' * 5000} u")
+    rng = random.Random(5)
+    for digits in (1, 19, 20, 4300, 4301, 9001):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        text = _coefficient_text(n, 1)
+        assert len(text) == digits and parse_element(unique_max, f"{text} u").terms[0].coeff == n
+        assert _coefficient_text(-n, 7) == f"-{text}/7"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

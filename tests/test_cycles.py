@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from oracles import (
     cycles_brute,
     cycles_without_K_brute,
     is_downward_directed_brute,
+    is_maximal_tail_brute,
     reach_sets,
 )
 from lpaideals import (
@@ -251,6 +253,23 @@ def test_maximal_tail_needs_mt2():
     # v regular with its only edge leaving the set
     g = graph(["u", "v"], [("a", "v", "u"), ("l", "u", "u")])
     assert not is_maximal_tail(g, {"v"})
+
+
+def _assert_maximal_tails_agree(g):
+    reach = reach_sets(g)
+    for r in range(1, len(g.vertices) + 1):
+        for subset in combinations(g.vertices, r):
+            assert is_maximal_tail(g, subset) == is_maximal_tail_brute(g, reach, subset), subset
+
+
+@given(graphs())
+def test_is_maximal_tail_against_the_mt_oracle(g):
+    _assert_maximal_tails_agree(g)
+
+
+def test_is_maximal_tail_against_the_mt_oracle_on_the_acceptance_corpus():
+    for g in random_corpus(500):
+        _assert_maximal_tails_agree(g)
 
 
 def _assert_without_K_test_agrees(g):

@@ -22,6 +22,7 @@ from lpaideals import (
     GradedIdeal,
     GraphError,
     NonGradedFamily,
+    UnknownVertexError,
     breaking_vertices,
     classify_prime,
     condition_L,
@@ -29,7 +30,12 @@ from lpaideals import (
     enumerate_primes,
     existence_report,
     gr_of,
+    hereditary_closure,
+    hs_closure,
     is_downward_directed,
+    is_hereditary,
+    is_maximal_tail,
+    is_saturated,
     leq_prime,
     make_cycle,
     maximal_graded_ideals,
@@ -462,3 +468,45 @@ def test_nongraded_family_enumerates_no_cycles(monkeypatch):
     primes = enumerate_primes(g, cap=100)
     assert len(calls) == 1
     assert family in primes
+
+
+VERTEX_SET_ENTRY_POINTS = {
+    "is_hereditary": is_hereditary,
+    "is_saturated": is_saturated,
+    "hereditary_closure": hereditary_closure,
+    "hs_closure": hs_closure,
+    "breaking_vertices": breaking_vertices,
+    "is_downward_directed": is_downward_directed,
+    "is_maximal_tail": is_maximal_tail,
+    "AdmissiblePair": lambda g, h: AdmissiblePair(g, h),
+    "NonGradedFamily": lambda g, h: NonGradedFamily(g, h, make_cycle(g, ["c"])),
+}
+
+
+@pytest.mark.parametrize("name", VERTEX_SET_ENTRY_POINTS)
+def test_vertex_sets_with_an_undeclared_vertex_are_refused(name):
+    g = unique_maximal_graph()
+    for subset in ({"x"}, {"u", "v", "w", "x"}, {"w", "x"}):
+        with pytest.raises(UnknownVertexError, match="'x'"):
+            VERTEX_SET_ENTRY_POINTS[name](g, frozenset(subset))
+
+
+def _assert_prime_families_exit_into_H(g) -> int:
+    """Every exit of a prime family's cycle lands in the family's H, as
+    ``_coatom_primes`` assumes without checking; returns the families."""
+    families = [d for d in enumerate_primes(g) if isinstance(d, NonGradedFamily)]
+    for f in families:
+        on_cycle = set(f.cycle.vertices)
+        exits = [e.dst for e in g.edges if e.src in on_cycle and e.id not in f.cycle.edges]
+        exits += [b.dst for b in g.omega_bundles if b.src in on_cycle]
+        assert set(exits) <= f.H, (f.H, f.cycle)
+    return len(families)
+
+
+@given(graphs())
+def test_prime_families_exit_into_their_H(g):
+    _assert_prime_families_exit_into_H(g)
+
+
+def test_prime_families_exit_into_their_H_on_the_acceptance_corpus():
+    assert sum(_assert_prime_families_exit_into_H(g) for g in random_corpus(500)) > 0

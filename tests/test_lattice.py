@@ -16,6 +16,7 @@ from conftest import (
     random_corpus,
 )
 from oracles import (
+    breaking_vertices_brute,
     hereditary_saturated_sets_brute,
     is_hereditary_brute,
     is_saturated_brute,
@@ -261,6 +262,30 @@ def test_breaking_vertices_examples(omega):
     assert breaking_vertices(omega, set()) == set()
     with pytest.raises(GraphError):
         breaking_vertices(omega, {"v"})  # not hereditary
+
+
+def _assert_breaking_vertices_agree(g):
+    """B_H as the raw scan gives it on each H in H_E, and GraphError on
+    every other subset."""
+    family = hereditary_saturated_sets_brute(g)
+    assert set(enumerate_HE(g).sets) == family
+    for r in range(len(g.vertices) + 1):
+        for subset in map(frozenset, combinations(g.vertices, r)):
+            if subset in family:
+                assert breaking_vertices(g, subset) == breaking_vertices_brute(g, subset)
+            else:
+                with pytest.raises(GraphError, match="not hereditary saturated"):
+                    breaking_vertices(g, subset)
+
+
+@given(graphs())
+def test_breaking_vertices_against_the_oracle(g):
+    _assert_breaking_vertices_agree(g)
+
+
+def test_breaking_vertices_against_the_oracle_on_the_acceptance_corpus():
+    for g in random_corpus(500):
+        _assert_breaking_vertices_agree(g)
 
 
 def test_breaking_needs_a_named_escape():
