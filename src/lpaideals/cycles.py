@@ -59,37 +59,46 @@ def make_cycle(g: DirectedGraph, edge_ids) -> Cycle:
 def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
     """All simple cycles over named edges, deduplicated up to rotation.
 
-    Enumerates cycles rooted at their least vertex (larger vertices only
-    on the way), so each cycle is produced exactly once and already in
-    canonical rotation.  Raises ResourceCapError when more than ``cap``
-    cycles exist.
+    Enumerates cycles rooted at their least vertex, so each cycle is
+    produced exactly once and already in canonical rotation.  A cycle
+    rooted at ``base`` stays in base's strongly connected component among
+    the vertices from ``base`` up (the restriction of Johnson's
+    algorithm, without its blocked sets).  The paths from ``base`` only
+    meet vertices that base reaches, so they grow only among those that
+    reach base back, and not at all from a base with no edge up.
+    Raises ResourceCapError when more than ``cap`` cycles exist.
     """
     found: list[Cycle] = []
+    stepping_up = {e.src for e in g.edges if e.dst > e.src}
     for base in g.vertices:
-        _grow_cycles(g, cap, found, base, base, [], [base], {base})
+        inside = set()
+        if base in stepping_up:
+            masks = g._masks
+            inside = set(masks.members(masks.reaching_above(masks.index[base])))
+        _grow_cycles(g, cap, found, base, base, [], [base], inside)
     found.sort(key=lambda c: c.edges)
     return found
 
 
-def _grow_cycles(g, cap, found, base, v, edge_acc, vert_acc, visited) -> None:
+def _grow_cycles(g, cap, found, base, v, edge_acc, vert_acc, inside) -> None:
     """Extend the path ending at ``v`` by each out-edge: an edge back to
-    ``base`` closes a cycle, one to an unvisited vertex above ``base``
-    recurses.  Module-level rather than a closure that refers to itself,
-    so the cycles found are freed by reference counting, not left to the
-    cyclic garbage collector."""
-    for e in g.out_edges(v):
+    ``base`` closes a cycle, one to a vertex of ``inside`` (those above
+    ``base`` that reach it, less the path) recurses.  Module-level rather
+    than a closure that refers to itself, so the cycles found are freed
+    by reference counting, not left to the cyclic garbage collector."""
+    for e in g._out_edges[v]:
         if e.dst == base:
             if len(found) >= cap:
                 raise ResourceCapError(f"more than {cap} simple cycles")
             found.append(Cycle(tuple(edge_acc + [e.id]), tuple(vert_acc)))
-        elif e.dst > base and e.dst not in visited:
-            visited.add(e.dst)
+        elif e.dst in inside:
+            inside.remove(e.dst)
             edge_acc.append(e.id)
             vert_acc.append(e.dst)
-            _grow_cycles(g, cap, found, base, e.dst, edge_acc, vert_acc, visited)
+            _grow_cycles(g, cap, found, base, e.dst, edge_acc, vert_acc, inside)
             vert_acc.pop()
             edge_acc.pop()
-            visited.remove(e.dst)
+            inside.add(e.dst)
 
 
 def _cycle_in_graph(g: DirectedGraph, c: Cycle) -> bool:
@@ -156,18 +165,18 @@ def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
 
 
 def _on_one_cycle(g: DirectedGraph, v: str) -> bool:
-    """True iff v lies on exactly one cycle, bundle edges counted.
+    """True iff v, a vertex on a named cycle, lies on no other cycle.
 
-    Every cycle through v stays in v's strongly connected component,
-    ``descendants(v) & m_of(v)``.  A bundle inside it is infinitely many
-    edges, so infinitely many cycles.  Otherwise a strongly connected
-    set is one cycle exactly when it has as many edges as vertices.
+    Every cycle through v stays in v's strongly connected component, its
+    descendants that are also its ancestors.  That is one cycle exactly
+    when it holds as many arrows (edges and bundles) as vertices, and the
+    cycle is then v's named one: a bundle inside always makes too many.
     """
-    component = g.descendants(v) & g.m_of(v)
-    if any(b.dst in component for u in component for b in g.out_bundles(u)):
-        return False
-    inside = sum(e.dst in component for u in component for e in g.out_edges(u))
-    return inside == len(component)
+    masks = g._masks
+    i = masks.index[v]
+    component = masks.descendants[i] & masks.ancestors[i]
+    arrows = [a for u in masks.members(component) for a in g.out_edges(u) + g.out_bundles(u)]
+    return sum(component >> masks.index[a.dst] & 1 for a in arrows) == component.bit_count()
 
 
 def condition_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
@@ -187,7 +196,8 @@ def is_downward_directed(g: DirectedGraph, subset) -> bool:
     vs = g.require_vertices(subset)
     if not vs:
         raise GraphError("downward directedness is defined for non-empty sets")
-    return any(vs <= g.m_of(w) for w in vs)
+    mask = g._masks.of(vs)
+    return any(not mask & ~g._masks.ancestors[g._masks.index[w]] for w in vs)
 
 
 def is_maximal_tail(g: DirectedGraph, subset) -> bool:
@@ -195,10 +205,11 @@ def is_maximal_tail(g: DirectedGraph, subset) -> bool:
 
     MT-1: ancestors of members are members.  MT-2: every regular member
     keeps an edge inside the set.  MT-3: the set is downward directed.
-    MT-1 says that the complement is hereditary, and MT-2 that it is
-    saturated.
+    MT-1 and MT-2 say that the complement is hereditary saturated, and
+    then MT-3 that the set is an M(w), w a common descendant in it.
     """
     vs = g.require_vertices(subset)
     if not vs:
         raise GraphError("maximal tails are non-empty")
-    return _is_hereditary_saturated(g, frozenset(g.vertices) - vs) and is_downward_directed(g, vs)
+    complement_closed = _is_hereditary_saturated(g, frozenset(g.vertices) - vs)
+    return complement_closed and g._masks.of(vs) in g._masks.ancestors

@@ -173,13 +173,6 @@ class DirectedGraph:
             return VertexKind.REGULAR
         return VertexKind.SINK
 
-    def successors(self, v: str) -> frozenset[str]:
-        """Targets of all named edges and bundles leaving v."""
-        self.require_vertex(v)
-        return frozenset(e.dst for e in self._out_edges[v]) | frozenset(
-            b.dst for b in self._out_bundles[v]
-        )
-
     @cached_property
     def _masks(self) -> _Masks:
         """The reachability index, built on first use."""
@@ -193,7 +186,8 @@ class DirectedGraph:
     def reaches(self, u: str, v: str) -> bool:
         """True iff there is a directed path (length >= 0) from u to v."""
         self.require_vertex(v)
-        return v in self.descendants(u)
+        self.require_vertex(u)
+        return bool(self._masks.descendants[self._masks.index[u]] >> self._masks.index[v] & 1)
 
     def m_of(self, v: str) -> frozenset[str]:
         """All vertices that reach v (v itself included)."""
@@ -224,6 +218,13 @@ class _Masks:
         for v in subset:
             out |= 1 << self.index[v]
         return out
+
+    def members(self, mask: int):
+        """The vertex ids of a mask, one per set bit, lowest bit first."""
+        while mask:
+            low = mask & -mask
+            yield self.vertices[low.bit_length() - 1]
+            mask ^= low
 
     def to_set(self, mask: int) -> frozenset[str]:
         return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
@@ -266,6 +267,11 @@ class _Masks:
                 pending |= self.predecessors[i] & self.regular & ~closed
         return closed
 
+    def reaching_above(self, i: int) -> int:
+        """The vertices with ids above vertex i's, bits 0..i-1, that reach
+        it through such vertices."""
+        return _walk(self.predecessors, i, (2 << i) - 1) & ~(1 << i)
+
 
 def _reach(steps: list[int]) -> list[int]:
     """Entry i: each vertex that a walk along ``steps`` from vertex i meets."""
@@ -279,6 +285,19 @@ def _reach(steps: list[int]) -> list[int]:
             out[i] |= out[j] or 1 << j  # done before: its whole entry
             rest &= ~out[i]
     return out
+
+
+def _walk(steps: list[int], i: int, within: int) -> int:
+    """Each vertex that a walk along ``steps`` from vertex i meets without
+    leaving ``within``, which holds i."""
+    seen = rest = 1 << i
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        new = steps[low.bit_length() - 1] & within & ~seen
+        seen |= new
+        rest |= new
+    return seen
 
 
 def parse_graph(text: str) -> DirectedGraph:

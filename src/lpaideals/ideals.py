@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cycles import Cycle, _is_cycle_without_K, cycles_without_K, is_downward_directed
+from .cycles import Cycle, _is_cycle_without_K, cycles_without_K
 from .graph import DEFAULT_CAP, DirectedGraph, GraphError
 from .lattice import (
     MAX_EXACT_VERTICES,
@@ -78,26 +78,27 @@ def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
     vertex; anything else is rejected as malformed.  The improper pair
     (E^0, empty) is not a prime ideal.
     """
-    full = frozenset(g.vertices)
+    masks = g._masks
     if isinstance(d, GradedIdeal):
         pair = d.pair
         if pair.graph != g:
             raise GraphError("descriptor was built for a different graph")
-        if pair.H == full:
+        tail = masks.full & ~masks.of(pair.H)
+        if not tail:
             return False
-        complement = full - pair.H
         b_h = breaking_vertices(g, pair.H)
         if pair.S == b_h:
-            return is_downward_directed(g, complement)
+            # H is hereditary, so a downward-directed complement is an M(d)
+            return tail in masks.ancestors
         missing = b_h - pair.S
         if len(missing) != 1:
             raise GraphError("graded descriptor needs S = B_H or S = B_H minus one vertex")
         (u,) = missing
-        return complement == g.m_of(u)
+        return tail == masks.ancestors[masks.index[u]]
     if isinstance(d, NonGradedFamily):
         if d.graph != g:
             raise GraphError("descriptor was built for a different graph")
-        return full - d.H == g.m_of(d.cycle.base)
+        return masks.full & ~masks.of(d.H) == masks.ancestors[masks.index[d.cycle.base]]
     raise GraphError(f"not an ideal descriptor: {d!r}")
 
 
@@ -127,20 +128,19 @@ def enumerate_primes(
     """
     lat = enumerate_HE(g, cap, max_vertices)
     without_k = cycles_without_K(g, cap)
-    full = frozenset(g.vertices)
-    m_of = {v: g.m_of(v) for v in g.vertices}
+    masks = g._masks
     out: list[IdealDescriptor] = []
-    for tail in set(m_of.values()):
-        hset = full - tail
-        if hset not in lat:
+    for tail in set(masks.ancestors):
+        if masks.full & ~tail not in lat._closed:
             continue
+        hset = masks.to_set(masks.full & ~tail)
         b_h = breaking_vertices(g, hset)
         out.append(GradedIdeal(AdmissiblePair(g, hset, b_h)))
         for u in b_h:
-            if m_of[u] == tail:
+            if masks.ancestors[masks.index[u]] == tail:
                 out.append(GradedIdeal(AdmissiblePair(g, hset, b_h - {u})))
         for c in without_k:
-            if m_of[c.base] == tail:
+            if masks.ancestors[masks.index[c.base]] == tail:
                 out.append(NonGradedFamily(g, hset, c))
     out.sort(key=descriptor_sort_key)
     return out

@@ -59,9 +59,16 @@ def chain_graph(n, reverse=False):
 
 def clique_with_loop(n):
     """The complete graph on k1..kn plus a separate vertex z with one
-    loop c, which is a cycle without K."""
+    loop c, which is a cycle without K.  The edge k_i -> k_j is e<i><j>,
+    each index padded to the width of n, so that no two ids collide."""
     ks = [f"k{i}" for i in range(1, n + 1)]
-    edges = [(f"e{i}{j}", u, w) for i, u in enumerate(ks, 1) for j, w in enumerate(ks, 1) if i != j]
+    w = len(str(n))
+    edges = [
+        (f"e{i:0{w}}{j:0{w}}", u, v)
+        for i, u in enumerate(ks, 1)
+        for j, v in enumerate(ks, 1)
+        if i != j
+    ]
     return graph(ks + ["z"], edges + [("c", "z", "z")])
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from conftest import (
     chain_graph,
+    clique_with_loop,
     cross_bundle_cycle,
     graph,
     graph_and_subset,
@@ -33,8 +34,11 @@ from lpaideals import (
     is_downward_directed,
     is_maximal_tail,
     make_cycle,
+    serialize_graph,
     simple_cycles,
 )
+from lpaideals import cycles
+from lpaideals.cli import main
 from lpaideals.cycles import Cycle, _is_cycle_without_K
 
 
@@ -310,3 +314,86 @@ def test_per_cycle_without_K_test_examples():
     # not a cycle of the graph, or not in canonical rotation
     assert not _is_cycle_without_K(g, Cycle(("zz",), ("r",)))
     assert not _is_cycle_without_K(g, Cycle(("b2", "b"), ("t", "s")))
+
+
+def test_clique_edge_ids_stay_distinct_past_nine_vertices():
+    # unpadded, e111 would be both k1 -> k11 and k11 -> k1
+    g = clique_with_loop(12)
+    assert len(g.edges) == 12 * 11 + 1
+    assert [e.id for e in clique_with_loop(5).edges][:3] == ["c", "e12", "e13"]
+
+
+def _count_grow_calls(monkeypatch, limit):
+    """The calls of the cycle search's path step, which fails the test
+    as soon as there are more than ``limit`` of them."""
+    calls = []
+    grow = cycles._grow_cycles
+
+    def counted(*args):
+        calls.append(args[4])
+        assert len(calls) <= limit, f"more than {limit} path steps"
+        return grow(*args)
+
+    monkeypatch.setattr(cycles, "_grow_cycles", counted)
+    return calls
+
+
+def diamond_chain(k):
+    """The base a, then k diamonds in a row: each join vertex, a first,
+    feeds two middle vertices that both feed the next join, and the last
+    join carries the only cycle, a loop.  a has 2^k paths to it."""
+    vertices, edges, join = ["a"], [], "a"
+    for j in range(1, k + 1):
+        x, y, z = f"v{j:02}x", f"v{j:02}y", f"v{j:02}z"
+        vertices += [x, y, z]
+        edges += [(f"p{j}", join, x), (f"q{j}", join, y), (f"r{j}", x, z), (f"s{j}", y, z)]
+        join = z
+    return graph(vertices, edges + [("c", join, join)])
+
+
+def test_cycle_search_stays_in_each_base_component(monkeypatch):
+    # every base but the last join has a component of itself alone, so
+    # it grows no path; searching all paths above each base took
+    # 4,194,163 steps to find the one loop
+    calls = _count_grow_calls(monkeypatch, 100)
+    g = diamond_chain(18)
+    assert [c.edges for c in simple_cycles(g)] == [("c",)]
+    assert len(calls) == len(g.vertices)
+
+
+def sparse_graph(n):
+    """n vertices, 3n random named edges and n // 50 random bundles,
+    drawn from random.Random(n)."""
+    rng = random.Random(n)
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{j}", rng.choice(vertices), rng.choice(vertices)) for j in range(3 * n)]
+    bundles = sorted({(rng.choice(vertices), rng.choice(vertices)) for _ in range(n // 50)})
+    return graph(vertices, edges, bundles)
+
+
+def test_cycle_cap_refuses_a_sparse_graph_within_bounded_work(monkeypatch, tmp_path, capsys):
+    # bases off the large component used to grow paths without end
+    g = sparse_graph(200)
+    path = tmp_path / "sparse.json"
+    path.write_text(serialize_graph(g))
+    calls = _count_grow_calls(monkeypatch, 50_000)
+    for condition in "LK":
+        assert main(["check", str(path), "--condition", condition, "--cap", "100"]) == 3
+        assert capsys.readouterr().err == "error: more than 100 simple cycles\n"
+    assert calls
+
+
+def test_cycles_without_K_tests_each_base_at_most_once(monkeypatch):
+    tested = []
+    on_one_cycle = cycles._on_one_cycle
+
+    def counted(g, v):
+        tested.append(v)
+        return on_one_cycle(g, v)
+
+    monkeypatch.setattr(cycles, "_on_one_cycle", counted)
+    g = clique_with_loop(5)
+    assert [c.edges for c in cycles_without_K(g)] == [("c",)]
+    assert len(tested) == len(set(tested))
+    assert set(tested) <= {c.base for c in simple_cycles(g)}
+

@@ -510,3 +510,42 @@ def test_prime_families_exit_into_their_H(g):
 
 def test_prime_families_exit_into_their_H_on_the_acceptance_corpus():
     assert sum(_assert_prime_families_exit_into_H(g) for g in random_corpus(500)) > 0
+
+
+def test_ideals_and_cycles_read_the_index_not_the_set_views(monkeypatch, tmp_path, capsys):
+    """The commands, ``classify_prime`` and ``is_maximal_tail`` answer
+    from the index's masks: none of them reads ``m_of``, ``descendants``
+    or ``is_downward_directed``."""
+    from lpaideals import cycles, serialize_graph
+    from lpaideals.cli import main
+    from lpaideals.graph import DirectedGraph
+
+    fixtures = [
+        unique_maximal_graph(),
+        mixed_maximals_graph(),
+        omega_graph(),
+        chain_graph(3),
+        clique_with_loop(4),
+        breaking_emitters(3),
+        cross_bundle_cycle(),
+        breaker_below_coatom(),
+        breaker_below_coatom_with_loop(),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a set view was read")
+
+    for name in ("m_of", "descendants"):
+        monkeypatch.setattr(DirectedGraph, name, refuse)
+    monkeypatch.setattr(cycles, "is_downward_directed", refuse)
+    path = tmp_path / "graph.json"
+    commands = [["analyze"], ["primes"], ["maximals"], ["check", "--condition", "L"], ["check", "--condition", "K"]]
+    for g in fixtures + random_corpus(50):
+        path.write_text(serialize_graph(g))
+        for command, *flags in commands:
+            assert main([command, str(path), *flags]) == 0
+        capsys.readouterr()
+        for d in enumerate_primes(g):
+            assert classify_prime(g, d)
+            h = d.pair.H if isinstance(d, GradedIdeal) else d.H
+            assert is_maximal_tail(g, frozenset(g.vertices) - h)
