@@ -66,8 +66,14 @@ def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
     algorithm, without its blocked sets).  The paths from ``base`` only
     meet vertices that base reaches, so they grow only among those that
     reach base back, and not at all from a base with no edge up.
-    Raises ResourceCapError when more than ``cap`` cycles exist.
+    Raises ResourceCapError when more than ``cap`` cycles exist.  The
+    first complete search is kept on the graph and answers every later
+    call on it, checked against its cap.
     """
+    if g._simple_cycles is not None:
+        if len(g._simple_cycles) > cap:
+            raise ResourceCapError(f"more than {cap} simple cycles")
+        return list(g._simple_cycles)
     found: list[Cycle] = []
     stepping_up = {e.src for e in g.edges if e.dst > e.src}
     for base in g.vertices:
@@ -77,6 +83,7 @@ def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
             inside = set(masks.members(masks.reaching_above(masks.index[base])))
         _grow_cycles(g, cap, found, base, base, [], [base], inside)
     found.sort(key=lambda c: c.edges)
+    object.__setattr__(g, "_simple_cycles", tuple(found))
     return found
 
 

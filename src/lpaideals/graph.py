@@ -61,7 +61,9 @@ class DirectedGraph:
 
     Vertices, edges and bundles are kept in a canonical order (sorted by
     id, respectively by (src, dst)), so equality is independent of the
-    order in which the parts were supplied.
+    order in which the parts were supplied.  What is derived from them
+    (the reachability index, H_E, the simple cycles) is kept on the
+    graph once complete, out of equality and hashing.
     """
 
     vertices: tuple[str, ...]
@@ -96,6 +98,8 @@ class DirectedGraph:
         object.__setattr__(self, "_out_edges", {v: tuple(es) for v, es in out_edges.items()})
         object.__setattr__(self, "_out_bundles", {v: tuple(bs) for v, bs in out_bundles.items()})
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in edges})
+        # The sorted simple cycles, once a search has found them all.
+        object.__setattr__(self, "_simple_cycles", None)
 
     def _validate(self):
         if not self.vertices:
@@ -200,7 +204,8 @@ class _Masks:
     Bit i stands for ``vertices[i]``, the ids in descending order, so that
     of two sets of one size the larger mask has the smaller sorted ids.
     Vertex i reaches ``descendants[i]`` and is reached from
-    ``ancestors[i]`` (its M(v)); both hold i."""
+    ``ancestors[i]`` (its M(v)); both hold i.  ``closed_sets`` holds the
+    masks of H_E once ``enumerate_HE`` has walked them all."""
 
     def __init__(self, g: DirectedGraph):
         self.vertices = g.vertices[::-1]
@@ -212,6 +217,7 @@ class _Masks:
             self.predecessors[self.index[arrow.dst]] |= 1 << self.index[arrow.src]
         self.descendants, self.ancestors = _reach(self.successors), _reach(self.predecessors)
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
+        self.closed_sets: frozenset[int] | None = None
 
     def of(self, subset) -> int:
         out = 0

@@ -95,7 +95,8 @@ def enumerate_HE(
     found by Ganter's NextClosure in lectic order, each exactly once and
     with at most one closure per vertex between two of them.  Refuses
     graphs above ``max_vertices`` and lattices above ``cap`` rather than
-    approximating.
+    approximating.  The first complete walk is kept in the graph's index
+    and answers every later call on the graph, checked against its caps.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -104,6 +105,10 @@ def enumerate_HE(
             f"exact enumeration limited to {max_vertices} vertices, graph has {len(g.vertices)}"
         )
     masks = g._masks
+    if masks.closed_sets is not None:
+        if len(masks.closed_sets) > cap:
+            raise ResourceCapError(f"lattice exceeds cap {cap}")
+        return HSLattice(g, masks.closed_sets)
     current = masks.close(0)
     closed = [current]
     while current != masks.full:
@@ -121,7 +126,8 @@ def enumerate_HE(
         closed.append(current)
         if len(closed) > cap:
             raise ResourceCapError(f"lattice exceeds cap {cap}")
-    return HSLattice(g, frozenset(closed))
+    masks.closed_sets = frozenset(closed)
+    return HSLattice(g, masks.closed_sets)
 
 
 def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:

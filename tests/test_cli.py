@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import clique_with_loop, omega_graph, unique_maximal_graph, mixed_maximals_graph
+from conftest import clique_with_loop, omega_graph, unique_maximal_graph, mixed_maximals_graph, random_corpus
 from test_algebra import graph_and_two_elements
 from test_golden import escaped_ids, loop_antichain, mul_args
-from lpaideals import parse_element, parse_graph, render_element, serialize_graph
+from lpaideals import ResourceCapError, parse_element, parse_graph, render_element, serialize_graph
 from lpaideals import cli
 from lpaideals.algebra import zero
 from lpaideals.cli import main
@@ -335,6 +335,42 @@ def test_json_writer_matches_json_dumps_on_random_documents(doc):
 def test_json_writer_refuses_what_json_refuses():
     with pytest.raises(TypeError):
         cli._json_text({"x": {1, 2}}, "\n")
+
+
+GRAPH_COMMANDS = [
+    ["analyze"],
+    ["hsets"],
+    ["primes"],
+    ["maximals"],
+    ["check", "--condition", "L"],
+    ["check", "--condition", "K"],
+]
+
+
+def _answer(g, argv, capsys):
+    """What ``argv``'s command prints for the parsed graph ``g``, or the
+    refusal it raises."""
+    args = cli._parser().parse_args(argv)
+    try:
+        cli._COMMANDS[args.command](g, args)
+    except ResourceCapError as exc:
+        return "refused: " + str(exc)
+    return capsys.readouterr().out
+
+
+def test_every_command_answers_alike_on_a_graph_it_enumerated_before(capsys):
+    """The lattice and the cycles that one command keeps on its graph
+    change no later answer on it: every command, at the default cap and
+    then at cap 3, runs twice on one parsed graph and prints what it
+    prints on a graph of its own."""
+    for g in random_corpus(500):
+        text = serialize_graph(g)
+        kept = parse_graph(text)
+        for cap in ([], ["--cap", "3"]):
+            for command in GRAPH_COMMANDS:
+                argv = [command[0], "graph.json", *command[1:], "--json", *cap]
+                alone = _answer(parse_graph(text), argv, capsys)
+                assert _answer(kept, argv, capsys) == _answer(kept, argv, capsys) == alone
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):

@@ -24,12 +24,14 @@ from oracles import (
     is_maximal_tail_brute,
     reach_sets,
 )
+from test_lattice import _refusal
 from lpaideals import (
     GraphError,
     ResourceCapError,
     condition_K,
     condition_L,
     cycles_without_K,
+    enumerate_HE,
     has_exit,
     is_downward_directed,
     is_maximal_tail,
@@ -397,3 +399,56 @@ def test_cycles_without_K_tests_each_base_at_most_once(monkeypatch):
     assert len(tested) == len(set(tested))
     assert set(tested) <= {c.base for c in simple_cycles(g)}
 
+
+def test_analyze_searches_the_cycles_once(monkeypatch, tmp_path, capsys):
+    """``analyze`` asks for the simple cycles five times and grows each
+    path once, as ``check --condition L`` does."""
+    path = tmp_path / "k5.json"
+    path.write_text(serialize_graph(clique_with_loop(5)))
+    calls = _count_grow_calls(monkeypatch, 1_000)
+    steps = {}
+    for command in (["check", "--condition", "L"], ["analyze"]):
+        calls.clear()
+        assert main([command[0], str(path), *command[1:], "--json"]) == 0
+        steps[command[0]] = len(calls)
+    capsys.readouterr()
+    assert steps["analyze"] == steps["check"] >= 85
+
+
+def test_a_refused_search_keeps_nothing(monkeypatch):
+    g = clique_with_loop(5)  # 85 simple cycles
+    assert _refusal(lambda: simple_cycles(g, cap=50)) == "more than 50 simple cycles"
+    calls = _count_grow_calls(monkeypatch, 1_000)
+    assert len(simple_cycles(g, cap=85)) == 85
+    assert calls
+
+
+def test_a_kept_search_answers_each_cap_as_a_fresh_search(monkeypatch):
+    fresh = [_refusal(lambda: simple_cycles(clique_with_loop(5), cap=cap)) for cap in (84, 0)]
+    fresh_l = condition_L(clique_with_loop(5))
+    g = clique_with_loop(5)
+    found = simple_cycles(g)
+    _count_grow_calls(monkeypatch, 0)  # a path step fails the test
+    assert [_refusal(lambda: simple_cycles(g, cap=cap)) for cap in (84, 0)] == fresh
+    assert simple_cycles(g, cap=85) == found
+    assert condition_L(g, cap=85) == fresh_l
+
+
+def test_the_kept_cycles_are_not_the_returned_list():
+    g = clique_with_loop(4)
+    found = simple_cycles(g)
+    expected = list(found)
+    found.clear()
+    again = simple_cycles(g)
+    assert again == expected and again is not found
+    again.append(again[0])
+    assert simple_cycles(g) == expected
+
+
+def test_equal_graphs_keep_their_enumerations_apart(monkeypatch):
+    first, second = clique_with_loop(5), clique_with_loop(5)
+    assert first == second and first is not second
+    answers = (simple_cycles(first), enumerate_HE(first).sets)
+    calls = _count_grow_calls(monkeypatch, 1_000)
+    assert (simple_cycles(second), enumerate_HE(second).sets) == answers
+    assert calls.count(second.vertices[0]) == 1  # the second graph is searched afresh

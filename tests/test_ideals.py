@@ -16,6 +16,7 @@ from conftest import (
     random_corpus,
 )
 from oracles import breaking_vertices_brute, hereditary_saturated_sets_brute, maximals_brute
+from test_cycles import _count_grow_calls
 from test_lattice import all_admissible_pairs
 from lpaideals import (
     AdmissiblePair,
@@ -304,10 +305,12 @@ def test_one_cap_bounds_the_cycles_of_enumerate_primes():
 
 def test_maximal_nongraded_families_enumerate_the_graph_once(monkeypatch):
     """The maximals are read off the primes: one cycle pass per filter,
-    over the graph itself, and no quotient graph."""
+    over the graph itself, and no quotient graph.  Only the first pass
+    searches; the later ones read the cycles that search kept."""
     from lpaideals import cycles, ideals, lattice
 
     assert not {"quotient_graph", "simple_cycles", "condition_L", "make_cycle"} & set(vars(ideals))
+    steps = _count_grow_calls(monkeypatch, 1_000)
     calls = []
 
     def counted(original):
@@ -325,8 +328,10 @@ def test_maximal_nongraded_families_enumerate_the_graph_once(monkeypatch):
         (sorted(frozenset(g.vertices) - {"z"}), ("c",))
     ]
     assert calls == [("simple_cycles", g)]
+    assert steps.count(g.vertices[0]) == 1  # a search starts once at the least vertex
     existence_report(g)
     assert calls == [("simple_cycles", g)] * 3
+    assert steps.count(g.vertices[0]) == 1
 
 
 def _maximal_keys(g):

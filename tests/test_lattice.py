@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -243,6 +244,73 @@ def test_join_closes_on_the_lattice_masks(lattice_work):
     assert hs_closure(g, {"a1"}) == hereditary_closure(g, {"a1"}) == {"a1"}
     assert g.descendants("a1") == g.m_of("a1") == {"a1"}
     assert "masks" not in lattice_work
+
+
+@pytest.fixture
+def walk_closures(monkeypatch):
+    """The closures that the lattice walk itself takes: ``_Masks.close``
+    calls made from ``enumerate_HE`` (the breaking-vertex checks of the
+    primes close their H too, outside the walk)."""
+    calls = []
+    close, walk = _Masks.close, lattice.enumerate_HE.__code__
+
+    def counted(self, mask):
+        if sys._getframe(1).f_code is walk:
+            calls.append(mask)
+        return close(self, mask)
+
+    monkeypatch.setattr(_Masks, "close", counted)
+    return calls
+
+
+def test_analyze_walks_H_E_once(walk_closures, tmp_path, capsys):
+    """``analyze`` asks for H_E five times and walks it once, as ``hsets`` does."""
+    from lpaideals.cli import main
+
+    path = tmp_path / "a12.json"
+    path.write_text(serialize_graph(loop_antichain(12)), encoding="utf-8")
+    work = {}
+    for command in ("hsets", "analyze"):
+        walk_closures.clear()
+        assert main([command, str(path), "--json"]) == 0
+        work[command] = len(walk_closures)
+    capsys.readouterr()
+    assert work["analyze"] == work["hsets"] >= 4096
+
+
+def _refusal(call):
+    """The message of the ResourceCapError that ``call()`` raises."""
+    with pytest.raises(ResourceCapError) as exc:
+        call()
+    return str(exc.value)
+
+
+def test_a_refused_walk_keeps_nothing(walk_closures):
+    g = loop_antichain(4)
+    assert _refusal(lambda: enumerate_HE(g, cap=10)) == "lattice exceeds cap 10"
+    walk_closures.clear()
+    assert len(enumerate_HE(g).sets) == 16
+    assert walk_closures
+
+
+def test_a_kept_walk_answers_each_cap_as_a_fresh_walk(walk_closures):
+    fresh = [
+        _refusal(lambda: enumerate_HE(loop_antichain(4), cap=15)),
+        _refusal(lambda: enumerate_HE(loop_antichain(4), cap=1)),
+        _refusal(lambda: enumerate_HE(loop_antichain(4), max_vertices=3)),
+    ]
+    g = loop_antichain(4)
+    lat = enumerate_HE(g)
+    walk_closures.clear()
+    assert [
+        _refusal(lambda: enumerate_HE(g, cap=15)),
+        _refusal(lambda: enumerate_HE(g, cap=1)),
+        _refusal(lambda: enumerate_HE(g, max_vertices=3)),
+    ] == fresh
+    again = enumerate_HE(g, cap=16)
+    assert again is not lat and again.sets == lat.sets
+    assert walk_closures == []
+    assert lat.to_json_dict() == enumerate_HE(loop_antichain(4)).to_json_dict()
 
 
 def test_maximal_proper_examples():
