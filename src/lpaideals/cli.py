@@ -56,7 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "--cap",
                 type=int,
                 default=DEFAULT_CAP,
-                help="resource cap for cycle and lattice enumeration (default %(default)s)",
+                help=(
+                    "refuse when the hereditary saturated sets exceed this many "
+                    "(default %(default)s); check enumerates none"
+                ),
             )
         if "max_vertices" in flags:
             p.add_argument(
@@ -181,8 +184,8 @@ def _split_vertices(g: DirectedGraph, raw: str, flag: str) -> frozenset[str]:
 
 def cmd_analyze(g: DirectedGraph, args) -> None:
     lat = enumerate_HE(g, args.cap, args.max_vertices)
-    cond_l = condition_L(g, args.cap)
-    cond_k = condition_K(g, args.cap)
+    cond_l = condition_L(g)
+    cond_k = condition_K(g)
     report = existence_report(g, args.cap, args.max_vertices)
     primes = enumerate_primes(g, args.cap, args.max_vertices)
     if args.json:
@@ -281,7 +284,7 @@ def cmd_quotient(g: DirectedGraph, args) -> None:
 
 
 def cmd_check(g: DirectedGraph, args) -> None:
-    report = (condition_L if args.condition == "L" else condition_K)(g, args.cap)
+    report = (condition_L if args.condition == "L" else condition_K)(g)
     if args.json:
         _emit_json(report.to_json_dict())
         return

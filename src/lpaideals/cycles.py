@@ -10,7 +10,6 @@ on infinitely many cycles, so no cycle through it is without K.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError
@@ -52,6 +51,12 @@ def make_cycle(g: DirectedGraph, edge_ids) -> Cycle:
     sources = [e.src for e in edges]
     if len(set(sources)) != len(sources):
         raise GraphError("cycle passes through a vertex twice")
+    return _rotated(edge_ids, sources)
+
+
+def _rotated(edge_ids, sources) -> Cycle:
+    """The cycle of these edges, ``sources[i]`` the source of
+    ``edge_ids[i]``, rotated to start at its least vertex."""
     k = sources.index(min(sources))
     return Cycle(tuple(edge_ids[k:] + edge_ids[:k]), tuple(sources[k:] + sources[:k]))
 
@@ -66,14 +71,10 @@ def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
     algorithm, without its blocked sets).  The paths from ``base`` only
     meet vertices that base reaches, so they grow only among those that
     reach base back, and not at all from a base with no edge up.
-    Raises ResourceCapError when more than ``cap`` cycles exist.  The
-    first complete search is kept on the graph and answers every later
-    call on it, checked against its cap.
+    Raises ResourceCapError when more than ``cap`` cycles exist.  No
+    command calls it: the conditions and the primes read their cycles
+    off the graph's components.
     """
-    if g._simple_cycles is not None:
-        if len(g._simple_cycles) > cap:
-            raise ResourceCapError(f"more than {cap} simple cycles")
-        return list(g._simple_cycles)
     found: list[Cycle] = []
     stepping_up = {e.src for e in g.edges if e.dst > e.src}
     for base in g.vertices:
@@ -81,31 +82,38 @@ def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
         if base in stepping_up:
             masks = g._masks
             inside = set(masks.members(masks.reaching_above(masks.index[base])))
-        _grow_cycles(g, cap, found, base, base, [], [base], inside)
+        _grow_cycles(g, cap, found, base, inside)
     found.sort(key=lambda c: c.edges)
-    object.__setattr__(g, "_simple_cycles", tuple(found))
     return found
 
 
-def _grow_cycles(g, cap, found, base, v, edge_acc, vert_acc, inside) -> None:
-    """Extend the path ending at ``v`` by each out-edge: an edge back to
-    ``base`` closes a cycle, one to a vertex of ``inside`` (those above
-    ``base`` that reach it, less the path) recurses.  Module-level rather
-    than a closure that refers to itself, so the cycles found are freed
-    by reference counting, not left to the cyclic garbage collector."""
-    for e in g._out_edges[v]:
-        if e.dst == base:
-            if len(found) >= cap:
-                raise ResourceCapError(f"more than {cap} simple cycles")
-            found.append(Cycle(tuple(edge_acc + [e.id]), tuple(vert_acc)))
-        elif e.dst in inside:
-            inside.remove(e.dst)
-            edge_acc.append(e.id)
-            vert_acc.append(e.dst)
-            _grow_cycles(g, cap, found, base, e.dst, edge_acc, vert_acc, inside)
-            vert_acc.pop()
-            edge_acc.pop()
-            inside.add(e.dst)
+def _grow_cycles(g, cap, found, base, inside) -> None:
+    """Grow every simple path from ``base`` by each out-edge of its last
+    vertex: an edge back to ``base`` closes a cycle, one to a vertex of
+    ``inside`` (those above ``base`` that reach it, less the path)
+    extends the path.  The path and the out-edges left at each of its
+    vertices are kept on explicit stacks, so a path may be longer than
+    the interpreter's recursion limit."""
+    edge_acc: list[str] = []
+    vert_acc = [base]
+    pending = [iter(g._out_edges[base])]
+    while pending:
+        for e in pending[-1]:
+            if e.dst == base:
+                if len(found) >= cap:
+                    raise ResourceCapError(f"more than {cap} simple cycles")
+                found.append(Cycle(tuple(edge_acc + [e.id]), tuple(vert_acc)))
+            elif e.dst in inside:
+                inside.remove(e.dst)
+                edge_acc.append(e.id)
+                vert_acc.append(e.dst)
+                pending.append(iter(g._out_edges[e.dst]))
+                break
+        else:
+            pending.pop()
+            if edge_acc:
+                edge_acc.pop()
+                inside.add(vert_acc.pop())
 
 
 def _cycle_in_graph(g: DirectedGraph, c: Cycle) -> bool:
@@ -119,11 +127,6 @@ def has_exit(g: DirectedGraph, c: Cycle) -> bool:
     """True iff some vertex of c emits a named edge not on c, or any bundle."""
     if not _cycle_in_graph(g, c):
         raise GraphError("cycle does not belong to this graph")
-    return _has_exit_unchecked(g, c)
-
-
-def _has_exit_unchecked(g: DirectedGraph, c: Cycle) -> bool:
-    """Some vertex of c emits a bundle or a second named edge."""
     for eid, v in zip(c.edges, c.vertices):
         if g.out_bundles(v) or any(e.id != eid for e in g.out_edges(v)):
             return True
@@ -146,49 +149,102 @@ class ConditionReport:
         }
 
 
-def condition_L(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
+def condition_L(g: DirectedGraph) -> ConditionReport:
     """Every cycle has an exit; witness is the first exitless cycle otherwise."""
-    for c in simple_cycles(g, cap):
-        if not _has_exit_unchecked(g, c):
-            return ConditionReport(False, c)
+    exitless = _exitless_cycles(g)
+    if exitless:
+        return ConditionReport(False, exitless[0])
     return ConditionReport(True)
 
 
-def cycles_without_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
-    """The simple cycles none of whose vertices lies on a second cycle.
+def _exitless_cycles(g: DirectedGraph) -> list[Cycle]:
+    """The cycles without an exit, sorted by edge tuple.
 
-    Only a base that starts exactly one enumerated cycle can qualify (a
-    base of two cycles lies on two), and each such base is tested once
-    by ``_on_one_cycle``.
+    Each vertex of an exitless cycle emits one named edge and no bundle,
+    and the cycles of the map that sends each such vertex along its one
+    edge are exactly the exitless cycles.  A walk along that map from
+    each vertex, stopped at the first vertex walked before, closes each
+    of them once.
     """
-    cycles = simple_cycles(g, cap)
-    starts = Counter(c.base for c in cycles)
-    return [c for c in cycles if starts[c.base] == 1 and _on_one_cycle(g, c.base)]
+    step = {v: es[0] for v, es in g._out_edges.items() if len(es) == 1 and not g._out_bundles[v]}
+    walked: dict[str, str] = {}
+    found = []
+    for start in step:
+        v = start
+        while v in step and v not in walked:
+            walked[v] = start
+            v = step[v].dst
+        if walked.get(v) == start:  # this walk closed on itself
+            found.append(_cycle_along(step, v))
+    found.sort(key=lambda c: c.edges)
+    return found
+
+
+def cycles_without_K(g: DirectedGraph) -> list[Cycle]:
+    """The simple cycles none of whose vertices lies on a second cycle,
+    sorted by edge tuple: one for each strongly connected component that
+    is a cycle of named edges (``_component_cycle``).  The component of
+    vertex i is read off the index, ``descendants[i] & ancestors[i]``."""
+    masks = g._masks
+    found = []
+    seen = 0
+    for i in range(len(masks.vertices)):
+        if not seen >> i & 1:
+            component = masks.descendants[i] & masks.ancestors[i]
+            seen |= component
+            c = _component_cycle(g, set(masks.members(component)))
+            if c is not None:
+                found.append(c)
+    found.sort(key=lambda c: c.edges)
+    return found
 
 
 def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
-    """``c in cycles_without_K(g)``, decided without enumerating cycles."""
-    return _cycle_in_graph(g, c) and _on_one_cycle(g, c.base)
-
-
-def _on_one_cycle(g: DirectedGraph, v: str) -> bool:
-    """True iff v, a vertex on a named cycle, lies on no other cycle.
-
-    Every cycle through v stays in v's strongly connected component, its
-    descendants that are also its ancestors.  That is one cycle exactly
-    when it holds as many arrows (edges and bundles) as vertices, and the
-    cycle is then v's named one: a bundle inside always makes too many.
-    """
+    """``c in cycles_without_K(g)``, decided on the component of c alone."""
+    if not _cycle_in_graph(g, c):
+        return False
     masks = g._masks
-    i = masks.index[v]
-    component = masks.descendants[i] & masks.ancestors[i]
-    arrows = [a for u in masks.members(component) for a in g.out_edges(u) + g.out_bundles(u)]
-    return sum(component >> masks.index[a.dst] & 1 for a in arrows) == component.bit_count()
+    i = masks.index[c.base]
+    return _component_cycle(g, set(masks.members(masks.descendants[i] & masks.ancestors[i]))) == c
 
 
-def condition_K(g: DirectedGraph, cap: int = DEFAULT_CAP) -> ConditionReport:
+def _component_cycle(g: DirectedGraph, component: set[str]) -> Cycle | None:
+    """The one cycle of a strongly connected component, or None when the
+    component is not a single cycle of named edges.
+
+    Every cycle through a vertex stays in its component, so a cycle
+    whose vertices lie on no other cycle is a whole component.  A
+    component is one cycle exactly when each vertex sends one arrow
+    (edge or bundle) into it, and the cycle has a name only when those
+    arrows are all edges: a bundle inside always makes infinitely many
+    cycles.
+    """
+    step = {}
+    for u in component:
+        if any(b.dst in component for b in g._out_bundles[u]):
+            return None
+        inside = [e for e in g._out_edges[u] if e.dst in component]
+        if len(inside) != 1:
+            return None
+        step[u] = inside[0]
+    return _cycle_along(step, u)
+
+
+def _cycle_along(step: dict, v: str) -> Cycle:
+    """The cycle that following ``step`` (a vertex's one edge) from v
+    closes, in canonical rotation."""
+    edge_ids, sources = [step[v].id], [v]
+    u = step[v].dst
+    while u != v:
+        edge_ids.append(step[u].id)
+        sources.append(u)
+        u = step[u].dst
+    return _rotated(edge_ids, sources)
+
+
+def condition_K(g: DirectedGraph) -> ConditionReport:
     """Holds iff the graph has no cycle without K."""
-    bad = cycles_without_K(g, cap)
+    bad = cycles_without_K(g)
     if bad:
         return ConditionReport(False, bad[0])
     return ConditionReport(True)

@@ -11,9 +11,11 @@ a cycle, or an algebra monomial.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 
 class GraphError(ValueError):
@@ -62,8 +64,8 @@ class DirectedGraph:
     Vertices, edges and bundles are kept in a canonical order (sorted by
     id, respectively by (src, dst)), so equality is independent of the
     order in which the parts were supplied.  What is derived from them
-    (the reachability index, H_E, the simple cycles) is kept on the
-    graph once complete, out of equality and hashing.
+    (the reachability index, H_E) is kept on the graph once complete,
+    out of equality and hashing.
     """
 
     vertices: tuple[str, ...]
@@ -98,8 +100,6 @@ class DirectedGraph:
         object.__setattr__(self, "_out_edges", {v: tuple(es) for v, es in out_edges.items()})
         object.__setattr__(self, "_out_bundles", {v: tuple(bs) for v, bs in out_bundles.items()})
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in edges})
-        # The sorted simple cycles, once a search has found them all.
-        object.__setattr__(self, "_simple_cycles", None)
 
     def _validate(self):
         if not self.vertices:
@@ -331,16 +331,12 @@ def parse_graph(text: str) -> DirectedGraph:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list')
-    edges = []
-    for item in raw_edges:
-        edges.append(Edge(**_strict_object(item, ("id", "src", "dst"), "edge")))
+    edges = [Edge(*row) for row in _strict_objects(raw_edges, ("id", "src", "dst"), "edge")]
 
     raw_bundles = doc.get("omega_bundles", [])
     if not isinstance(raw_bundles, list):
         raise GraphFormatError('"omega_bundles" must be a list')
-    bundles = []
-    for item in raw_bundles:
-        bundles.append(OmegaBundle(**_strict_object(item, ("src", "dst"), "omega bundle")))
+    bundles = [OmegaBundle(*row) for row in _strict_objects(raw_bundles, ("src", "dst"), "omega bundle")]
 
     try:
         return DirectedGraph(tuple(vertices), tuple(edges), tuple(bundles))
@@ -348,31 +344,58 @@ def parse_graph(text: str) -> DirectedGraph:
         raise GraphFormatError(str(exc)) from None
 
 
-def _strict_object(item, keys, what) -> dict:
+def _strict_objects(items: list, keys: tuple[str, ...], what: str) -> list[tuple[str, ...]]:
+    """The values of ``keys`` in each item, every item a JSON object with
+    exactly those keys, each a string.  A document of such items, nearly
+    every document, is checked in bulk: each item has the keys (a JSON
+    value other than an object has none) and no more, and each value is a
+    string.  Otherwise each item is checked in turn, in the order that
+    picks the error message."""
+    try:
+        rows = list(map(operator.itemgetter(*keys), items))
+    except (KeyError, TypeError):
+        rows = None
+    if rows is not None and {len(item) for item in items} <= {len(keys)}:
+        if {type(value) for row in rows for value in row} <= {str}:
+            return rows
+    return [_strict_object(item, keys, what) for item in items]
+
+
+def _strict_object(item, keys, what) -> tuple[str, ...]:
     if not isinstance(item, dict):
         raise GraphFormatError(f"each {what} must be an object")
     unknown = set(item) - set(keys)
     if unknown:
         raise GraphFormatError(f"{what} has unknown keys {sorted(unknown)!r}")
-    out = {}
     for key in keys:
         if key not in item:
             raise GraphFormatError(f"{what} is missing key {key!r}")
-        value = item[key]
-        if not isinstance(value, str):
+        if not isinstance(item[key], str):
             raise GraphFormatError(f"{what} key {key!r} must be a string")
-        out[key] = value
-    return out
+    return tuple(item[key] for key in keys)
 
 
-def graph_to_json_dict(g: DirectedGraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
-        "omega_bundles": [{"src": b.src, "dst": b.dst} for b in g.omega_bundles],
-    }
+_EDGE_JSON = '{\n      "id": %s,\n      "src": %s,\n      "dst": %s\n    }'
+_BUNDLE_JSON = '{\n      "src": %s,\n      "dst": %s\n    }'
 
 
 def serialize_graph(g: DirectedGraph) -> str:
-    """Canonical JSON for g; parse_graph(serialize_graph(g)) == g."""
-    return json.dumps(graph_to_json_dict(g), indent=2) + "\n"
+    """Canonical JSON for g; parse_graph(serialize_graph(g)) == g.
+
+    The text is what ``json.dumps`` with an indent of 2 gives for
+    ``{"vertices": [...], "edges": [{"id", "src", "dst"}...],
+    "omega_bundles": [{"src", "dst"}...]}``, byte for byte, with each
+    string written by the stdlib's C encoder: its indenting encoder is
+    pure Python.
+    """
+    s = encode_basestring_ascii
+    return '{\n  "vertices": %s,\n  "edges": %s,\n  "omega_bundles": %s\n}\n' % (
+        _json_list([s(v) for v in g.vertices]),
+        _json_list([_EDGE_JSON % (s(e.id), s(e.src), s(e.dst)) for e in g.edges]),
+        _json_list([_BUNDLE_JSON % (s(b.src), s(b.dst)) for b in g.omega_bundles]),
+    )
+
+
+def _json_list(items: list[str]) -> str:
+    """A JSON list of written items, as the value of a top-level key."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"

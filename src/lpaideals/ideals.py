@@ -127,7 +127,7 @@ def enumerate_primes(
     family per cycle without K whose base has M(base) = M(d).
     """
     lat = enumerate_HE(g, cap, max_vertices)
-    without_k = cycles_without_K(g, cap)
+    without_k = cycles_without_K(g)
     masks = g._masks
     out: list[IdealDescriptor] = []
     for tail in set(masks.ancestors):
@@ -159,19 +159,22 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
     H = E^0 minus M(c.base): an exit to a w outside H leaves c and w
     reaches c.base, so the exit lies inside c's strongly connected
     component, and for c without K that component holds no bundle and
-    no named edge but c's own (``_on_one_cycle``).  So no exit is checked.
+    no named edge but c's own (``_component_cycle``).  So no exit is
+    checked.  The graded prime with the largest S at H is (H, B_H).
     """
     primes = enumerate_primes(g, cap, max_vertices)
     hsets = {d.pair.H if isinstance(d, GradedIdeal) else d.H for d in primes}
     coatoms = {h for h in hsets if not any(h < o for o in hsets)}
-    graded, families = [], []
+    graded: dict[frozenset[str], AdmissiblePair] = {}
+    families = []
     for d in primes:
         if isinstance(d, GradedIdeal):
-            if d.pair.H in coatoms and d.pair.S == breaking_vertices(g, d.pair.H):
-                graded.append(d.pair)
+            best = graded.get(d.pair.H)
+            if d.pair.H in coatoms and (best is None or len(d.pair.S) > len(best.S)):
+                graded[d.pair.H] = d.pair
         elif d.H in coatoms:
             families.append(d)
-    return graded, families
+    return list(graded.values()), families
 
 
 def maximal_graded_ideals(

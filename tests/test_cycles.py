@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 from itertools import combinations
 
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    breaker_below_coatom,
+    breaker_below_coatom_with_loop,
+    breaking_emitters,
     chain_graph,
     clique_with_loop,
     cross_bundle_cycle,
@@ -24,7 +28,6 @@ from oracles import (
     is_maximal_tail_brute,
     reach_sets,
 )
-from test_lattice import _refusal
 from lpaideals import (
     GraphError,
     ResourceCapError,
@@ -326,18 +329,32 @@ def test_clique_edge_ids_stay_distinct_past_nine_vertices():
 
 
 def _count_grow_calls(monkeypatch, limit):
-    """The calls of the cycle search's path step, which fails the test
-    as soon as there are more than ``limit`` of them."""
+    """The bases from which the cycle search grows paths, one per
+    ``_grow_cycles`` call; fails the test as soon as there are more than
+    ``limit`` of them."""
     calls = []
     grow = cycles._grow_cycles
 
     def counted(*args):
-        calls.append(args[4])
-        assert len(calls) <= limit, f"more than {limit} path steps"
+        calls.append(args[3])
+        assert len(calls) <= limit, f"more than {limit} cycle searches"
         return grow(*args)
 
     monkeypatch.setattr(cycles, "_grow_cycles", counted)
     return calls
+
+
+class _CountedLookups(dict):
+    """A graph's out-edge table that records each vertex looked up: the
+    cycle search looks up each base once and each vertex a path steps to."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.seen = []
+
+    def __getitem__(self, v):
+        self.seen.append(v)
+        return super().__getitem__(v)
 
 
 def diamond_chain(k):
@@ -353,14 +370,28 @@ def diamond_chain(k):
     return graph(vertices, edges + [("c", join, join)])
 
 
-def test_cycle_search_stays_in_each_base_component(monkeypatch):
+def test_cycle_search_stays_in_each_base_component():
     # every base but the last join has a component of itself alone, so
     # it grows no path; searching all paths above each base took
     # 4,194,163 steps to find the one loop
-    calls = _count_grow_calls(monkeypatch, 100)
     g = diamond_chain(18)
+    g._masks  # the index is built before the lookups are counted
+    steps = _CountedLookups(g._out_edges)
+    object.__setattr__(g, "_out_edges", steps)
     assert [c.edges for c in simple_cycles(g)] == [("c",)]
-    assert len(calls) == len(g.vertices)
+    assert steps.seen == list(g.vertices)  # each base once, and no path step
+
+
+def ring(n):
+    """One cycle through n vertices, r0000 -> r0001 -> ... -> r0000."""
+    vertices = [f"r{i:04}" for i in range(n)]
+    return graph(vertices, [(f"e{i:04}", v, vertices[(i + 1) % n]) for i, v in enumerate(vertices)])
+
+
+def test_simple_cycles_follow_a_path_past_the_recursion_limit():
+    g = ring(1200)
+    assert [c.edges for c in simple_cycles(g)] == [tuple(e.id for e in g.edges)]
+    assert [c.edges for c in simple_cycles(g, cap=1)] == [tuple(e.id for e in g.edges)]
 
 
 def sparse_graph(n):
@@ -374,81 +405,170 @@ def sparse_graph(n):
 
 
 def test_cycle_cap_refuses_a_sparse_graph_within_bounded_work(monkeypatch, tmp_path, capsys):
-    # bases off the large component used to grow paths without end
-    g = sparse_graph(200)
-    path = tmp_path / "sparse.json"
-    path.write_text(serialize_graph(g))
-    calls = _count_grow_calls(monkeypatch, 50_000)
-    for condition in "LK":
-        assert main(["check", str(path), "--condition", condition, "--cap", "100"]) == 3
-        assert capsys.readouterr().err == "error: more than 100 simple cycles\n"
-    assert calls
+    """``check`` answers at any ``--cap`` and searches no cycle: it used
+    to refuse at ``--cap 100`` on the 200-vertex graph, and to run past
+    20 s on the 1,000-vertex one, growing paths inside its large
+    component."""
+    _count_grow_calls(monkeypatch, 0)  # a cycle search fails the test
+    for n in (200, 1000):
+        g = sparse_graph(n)
+        path = tmp_path / f"sparse{n}.json"
+        path.write_text(serialize_graph(g))
+        for condition in "LK":
+            assert main(["check", str(path), "--condition", condition, "--cap", "100", "--json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            if not report["holds"]:
+                witness = make_cycle(g, report["witness"])
+                assert not has_exit(g, witness) if condition == "L" else _is_cycle_without_K(g, witness)
 
 
 def test_cycles_without_K_tests_each_base_at_most_once(monkeypatch):
+    """Each vertex is tested once, in the one component that holds it."""
     tested = []
-    on_one_cycle = cycles._on_one_cycle
+    component_cycle = cycles._component_cycle
 
-    def counted(g, v):
-        tested.append(v)
-        return on_one_cycle(g, v)
+    def counted(g, component):
+        tested.append(frozenset(component))
+        return component_cycle(g, component)
 
-    monkeypatch.setattr(cycles, "_on_one_cycle", counted)
+    monkeypatch.setattr(cycles, "_component_cycle", counted)
     g = clique_with_loop(5)
     assert [c.edges for c in cycles_without_K(g)] == [("c",)]
-    assert len(tested) == len(set(tested))
-    assert set(tested) <= {c.base for c in simple_cycles(g)}
+    assert sorted(tested, key=len) == [{"z"}, set(g.vertices) - {"z"}]
+
+
+REPORT_COMMANDS = [
+    ["check", "--condition", "L"],
+    ["check", "--condition", "K"],
+    ["primes"],
+    ["maximals"],
+    ["analyze"],
+]
 
 
 def test_analyze_searches_the_cycles_once(monkeypatch, tmp_path, capsys):
-    """``analyze`` asks for the simple cycles five times and grows each
-    path once, as ``check --condition L`` does."""
+    """At most once, and in fact never: ``analyze``, like every other
+    command, reads the conditions and the prime families off the
+    components without calling ``simple_cycles``."""
     path = tmp_path / "k5.json"
     path.write_text(serialize_graph(clique_with_loop(5)))
-    calls = _count_grow_calls(monkeypatch, 1_000)
-    steps = {}
-    for command in (["check", "--condition", "L"], ["analyze"]):
-        calls.clear()
+    _count_grow_calls(monkeypatch, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command called simple_cycles")
+
+    monkeypatch.setattr(cycles, "simple_cycles", refuse)
+    for command in REPORT_COMMANDS:
         assert main([command[0], str(path), *command[1:], "--json"]) == 0
-        steps[command[0]] = len(calls)
     capsys.readouterr()
-    assert steps["analyze"] == steps["check"] >= 85
 
 
-def test_a_refused_search_keeps_nothing(monkeypatch):
-    g = clique_with_loop(5)  # 85 simple cycles
-    assert _refusal(lambda: simple_cycles(g, cap=50)) == "more than 50 simple cycles"
-    calls = _count_grow_calls(monkeypatch, 1_000)
-    assert len(simple_cycles(g, cap=85)) == 85
-    assert calls
-
-
-def test_a_kept_search_answers_each_cap_as_a_fresh_search(monkeypatch):
-    fresh = [_refusal(lambda: simple_cycles(clique_with_loop(5), cap=cap)) for cap in (84, 0)]
-    fresh_l = condition_L(clique_with_loop(5))
-    g = clique_with_loop(5)
-    found = simple_cycles(g)
-    _count_grow_calls(monkeypatch, 0)  # a path step fails the test
-    assert [_refusal(lambda: simple_cycles(g, cap=cap)) for cap in (84, 0)] == fresh
-    assert simple_cycles(g, cap=85) == found
-    assert condition_L(g, cap=85) == fresh_l
-
-
-def test_the_kept_cycles_are_not_the_returned_list():
-    g = clique_with_loop(4)
-    found = simple_cycles(g)
-    expected = list(found)
-    found.clear()
-    again = simple_cycles(g)
-    assert again == expected and again is not found
-    again.append(again[0])
-    assert simple_cycles(g) == expected
-
-
-def test_equal_graphs_keep_their_enumerations_apart(monkeypatch):
+def test_equal_graphs_keep_their_enumerations_apart():
     first, second = clique_with_loop(5), clique_with_loop(5)
     assert first == second and first is not second
-    answers = (simple_cycles(first), enumerate_HE(first).sets)
-    calls = _count_grow_calls(monkeypatch, 1_000)
-    assert (simple_cycles(second), enumerate_HE(second).sets) == answers
-    assert calls.count(second.vertices[0]) == 1  # the second graph is searched afresh
+    answer = enumerate_HE(first).sets
+    assert second._masks is not first._masks
+    assert second._masks.closed_sets is None  # the second graph walks afresh
+    assert enumerate_HE(second).sets == answer
+
+
+def clique_report(n):
+    """The JSON answers for ``clique_with_loop(n)``, derived by hand:
+    H_E is {}, {z}, the clique K and everything; the primes are I({z}),
+    I(K) and the family (K, [c]); the only graded maximal ideal is I({z});
+    (L) and (K) fail, and the loop c is the only witness."""
+    ks = sorted(clique_with_loop(n).vertices)[:-1]
+    fails = {"holds": False, "witness": ["c"]}
+    maximality = {
+        "every_ideal_below_maximal": True,
+        "every_maximal_graded": False,
+        "exists_maximal": True,
+        "graded_maximals": [{"H": ["z"], "S": []}],
+        "nongraded_maximal_families": [{"H": ks, "cycle": ["c"]}],
+        "unique_maximal": None,
+    }
+    primes = [
+        {"kind": "graded", "H": ks, "S": []},
+        {"kind": "nongraded_family", "H": ks, "cycle": ["c"], "poly": "irreducible f in K[x,x^-1]"},
+        {"kind": "graded", "H": ["z"], "S": []},
+    ]
+    return {
+        "check L": fails,
+        "check K": fails,
+        "primes": primes,
+        "maximals": maximality,
+        "analyze": {
+            "condition_L": fails,
+            "condition_K": fails,
+            "hereditary_saturated": {"sets": [[], ["z"], ks, ks + ["z"]], "maximal_proper": [["z"], ks]},
+            "maximality": maximality,
+            "primes": primes,
+        },
+    }
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_large_cliques_answer_without_a_cycle_search(monkeypatch, tmp_path, capsys, n):
+    """K10 plus a loop used to refuse at ``--cap 200000`` after seconds of
+    enumeration; K12 has about 10^9 simple cycles."""
+    path = tmp_path / "clique.json"
+    path.write_text(serialize_graph(clique_with_loop(n)))
+    _count_grow_calls(monkeypatch, 0)
+    expected = clique_report(n)
+    for command in REPORT_COMMANDS:
+        assert main([command[0], str(path), *command[1:], "--json", "--cap", "200000"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected[" ".join(command[:1] + command[2:])]
+
+
+def _on_one_cycle(g, v):
+    """True iff v, a vertex on a named cycle, lies on no other cycle: its
+    strongly connected component holds as many arrows (edges and
+    bundles) as vertices."""
+    component = g.descendants(v) & g.m_of(v)
+    arrows = [a for u in component for a in g.out_edges(u) + g.out_bundles(u)]
+    return sum(a.dst in component for a in arrows) == len(component)
+
+
+def exitless_by_enumeration(g):
+    """The exitless cycles, filtered from every simple cycle."""
+    return [c for c in simple_cycles(g) if not has_exit(g, c)]
+
+
+def without_K_by_enumeration(g):
+    """The cycles without K, filtered from every simple cycle."""
+    return [c for c in simple_cycles(g) if _on_one_cycle(g, c.base)]
+
+
+def _assert_component_cycles_match_the_enumeration(g):
+    assert cycles._exitless_cycles(g) == exitless_by_enumeration(g)
+    assert cycles_without_K(g) == without_K_by_enumeration(g)
+
+
+@given(graphs())
+def test_component_cycles_match_the_enumeration(g):
+    _assert_component_cycles_match_the_enumeration(g)
+
+
+def test_component_cycles_match_the_enumeration_on_the_acceptance_corpus():
+    for g in random_corpus(500):
+        _assert_component_cycles_match_the_enumeration(g)
+
+
+def test_component_cycles_match_the_enumeration_on_the_fixtures():
+    fixtures = [
+        unique_maximal_graph(),
+        cross_bundle_cycle(),
+        breaker_below_coatom(),
+        breaker_below_coatom_with_loop(),
+        breaking_emitters(3),
+        clique_with_loop(5),
+        chain_graph(3),
+        diamond_chain(3),
+        ring(7),
+    ]
+    for g in fixtures:
+        _assert_component_cycles_match_the_enumeration(g)
+    assert [c.edges for c in cycles._exitless_cycles(breaker_below_coatom_with_loop())] == [("d",)]
+    assert cycles._exitless_cycles(cross_bundle_cycle()) == cycles_without_K(cross_bundle_cycle()) == []

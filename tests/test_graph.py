@@ -78,6 +78,31 @@ def test_parse_rejects_bad_documents(text):
         parse_graph(text)
 
 
+V_EDGE = {"id": "e", "src": "v", "dst": "v"}
+
+
+@pytest.mark.parametrize(
+    "key, items, message",
+    [
+        ("edges", [V_EDGE, 5], "each edge must be an object"),
+        ("edges", [V_EDGE, ["id", "src", "dst"]], "each edge must be an object"),
+        ("edges", [{**V_EDGE, "weight": 2}], "edge has unknown keys ['weight']"),
+        ("edges", [{"id": "e", "x": 1}], "edge has unknown keys ['x']"),
+        ("edges", [{"src": 1}], "edge is missing key 'id'"),
+        ("edges", [V_EDGE, {"id": "e2", "src": "v"}], "edge is missing key 'dst'"),
+        ("edges", [{"id": 1, "src": "v", "dst": True}], "edge key 'id' must be a string"),
+        ("edges", [{"id": "e", "src": "v", "dst": None}], "edge key 'dst' must be a string"),
+        ("omega_bundles", [{"src": "v", "dst": 2}], "omega bundle key 'dst' must be a string"),
+        ("omega_bundles", ["v"], "each omega bundle must be an object"),
+    ],
+)
+def test_a_malformed_item_names_its_first_fault(key, items, message):
+    doc = {"vertices": ["v"], "edges": [], key: items}
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_nesting_past_the_recursion_limit():
     with pytest.raises(GraphFormatError, match="nested too deeply"):
         parse_graph('{"vertices": ' + "[" * 100_000)
@@ -164,6 +189,26 @@ def test_reaches_is_reflexive_and_transitive(g):
 @given(graphs())
 def test_serialize_round_trip(g):
     assert parse_graph(serialize_graph(g)) == g
+
+
+def _json_dumps_reference(g):
+    """The text of ``serialize_graph`` by the stdlib's indenting encoder."""
+    doc = {
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "src": e.src, "dst": e.dst} for e in g.edges],
+        "omega_bundles": [{"src": b.src, "dst": b.dst} for b in g.omega_bundles],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_serialize_writes_what_json_dumps_writes():
+    odd = DirectedGraph.from_parts(
+        ["\u00e9", "\u2603", 'q"\\', "x y"],
+        [("\n", "\u00e9", "\u2603"), ("\u2028", "x y", "\u00e9")],
+        [('q"\\', "\u00e9")],
+    )
+    for g in random_corpus(500) + [odd, graph(["v"])]:
+        assert serialize_graph(g) == _json_dumps_reference(g)
 
 
 def test_canonical_ordering_is_input_order_independent():

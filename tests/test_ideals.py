@@ -294,23 +294,24 @@ def test_enumerate_primes_is_in_descriptor_order(g):
 
 
 def test_one_cap_bounds_the_cycles_of_enumerate_primes():
-    # 85 simple cycles against a lattice of 4 sets
+    """The cap bounds H_E alone: the 85 simple cycles against a lattice of
+    4 sets are never enumerated, so a cap of 4 answers and 3 refuses."""
     g = clique_with_loop(5)
-    with pytest.raises(ResourceCapError):
-        enumerate_primes(g, cap=50)
-    primes = [d.to_json_dict() for d in enumerate_primes(g, cap=100)]
+    with pytest.raises(ResourceCapError, match="lattice exceeds cap 3"):
+        enumerate_primes(g, cap=3)
+    primes = [d.to_json_dict() for d in enumerate_primes(g, cap=4)]
     clique = sorted(frozenset(g.vertices) - {"z"})
     assert [(d["H"], d.get("cycle")) for d in primes] == [(clique, None), (clique, ["c"]), (["z"], None)]
 
 
 def test_maximal_nongraded_families_enumerate_the_graph_once(monkeypatch):
-    """The maximals are read off the primes: one cycle pass per filter,
-    over the graph itself, and no quotient graph.  Only the first pass
-    searches; the later ones read the cycles that search kept."""
+    """The maximals are read off the primes, over the graph itself: no
+    quotient graph, and no cycle enumeration at all, as the cycles
+    without K are read off the strongly connected components."""
     from lpaideals import cycles, ideals, lattice
 
     assert not {"quotient_graph", "simple_cycles", "condition_L", "make_cycle"} & set(vars(ideals))
-    steps = _count_grow_calls(monkeypatch, 1_000)
+    _count_grow_calls(monkeypatch, 0)  # a cycle search fails the test
     calls = []
 
     def counted(original):
@@ -327,11 +328,8 @@ def test_maximal_nongraded_families_enumerate_the_graph_once(monkeypatch):
     assert [(sorted(f.H), f.cycle.edges) for f in families] == [
         (sorted(frozenset(g.vertices) - {"z"}), ("c",))
     ]
-    assert calls == [("simple_cycles", g)]
-    assert steps.count(g.vertices[0]) == 1  # a search starts once at the least vertex
     existence_report(g)
-    assert calls == [("simple_cycles", g)] * 3
-    assert steps.count(g.vertices[0]) == 1
+    assert calls == []
 
 
 def _maximal_keys(g):
@@ -451,8 +449,8 @@ def test_primes_with_two_breaking_vertices():
 
 
 def test_nongraded_family_enumerates_no_cycles(monkeypatch):
-    """The family checks its cycle by itself, so it neither ignores the
-    caller's cycle cap nor repeats the enumeration once per family."""
+    """The family checks its cycle on its component alone, and the primes
+    read their cycles off the components: neither enumerates cycles."""
     from lpaideals import cycles
 
     calls = []
@@ -471,8 +469,33 @@ def test_nongraded_family_enumerates_no_cycles(monkeypatch):
         NonGradedFamily(g, frozenset(), make_cycle(g, ["e12", "e21"]))
     assert calls == []
     primes = enumerate_primes(g, cap=100)
-    assert len(calls) == 1
+    assert calls == []
     assert family in primes
+
+
+def test_analyze_computes_B_H_once_less_per_coatom(monkeypatch, tmp_path, capsys):
+    """On A_12 each of the three prime enumerations of ``analyze`` computes
+    B_H twice for each of the 12 H (once itself, once in
+    ``AdmissiblePair``), and the two coatom filters take (H, B_H) from
+    the primes rather than computing B_H again: 72 calls, not 96."""
+    from lpaideals import ideals, lattice, serialize_graph
+    from lpaideals.cli import main
+    from test_golden import loop_antichain
+
+    calls = []
+    original = lattice.breaking_vertices
+
+    def counted(g, subset):
+        calls.append(subset)
+        return original(g, subset)
+
+    for module in (lattice, ideals):
+        monkeypatch.setattr(module, "breaking_vertices", counted)
+    path = tmp_path / "a12.json"
+    path.write_text(serialize_graph(loop_antichain(12)))
+    assert main(["analyze", str(path), "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 72
 
 
 VERTEX_SET_ENTRY_POINTS = {
