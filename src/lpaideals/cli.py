@@ -376,9 +376,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run(argv) -> int:
     args = _parser().parse_args(argv)
-    if any(getattr(args, flag, 1) < 1 for flag in ("cap", "max_vertices")):
-        print("error: --cap and --max-vertices must be positive", file=sys.stderr)
-        return 2
+    for attr, flag in (("cap", "--cap"), ("max_vertices", "--max-vertices")):
+        if getattr(args, attr, 1) < 1:
+            print(f"error: {flag} must be positive", file=sys.stderr)
+            return 2
     try:
         g = _load_graph(args.graph)
     except GraphError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError
+from .graph import DEFAULT_CAP, DirectedGraph, Edge, GraphError, ResourceCapError
 from .lattice import _is_hereditary_saturated
 
 
@@ -158,15 +158,59 @@ def condition_L(g: DirectedGraph) -> ConditionReport:
 
 
 def _exitless_cycles(g: DirectedGraph) -> list[Cycle]:
-    """The cycles without an exit, sorted by edge tuple.
+    """The cycles without an exit, sorted by edge tuple: each vertex of
+    such a cycle emits one named edge and no bundle, so they are the
+    cycles of the map that sends each such vertex along its one edge.
+    It reads no index, so ``condition_L`` builds none."""
+    return _cycles_of({v: es[0] for v, es in g._out_edges.items() if len(es) == 1 and not g._out_bundles[v]})
 
-    Each vertex of an exitless cycle emits one named edge and no bundle,
-    and the cycles of the map that sends each such vertex along its one
-    edge are exactly the exitless cycles.  A walk along that map from
-    each vertex, stopped at the first vertex walked before, closes each
-    of them once.
+
+def cycles_without_K(g: DirectedGraph) -> list[Cycle]:
+    """The simple cycles none of whose vertices lies on a second cycle,
+    sorted by edge tuple: the cycles of the map that sends each vertex
+    along its inner edge (``_inner_edge``).
+
+    A cycle of that map lies in one strongly connected component C, and
+    each of its vertices sends one arrow into C, its edge on the cycle.
+    A path inside C from the cycle to any vertex of C would leave the
+    cycle by a second such arrow, so C is the cycle, and no other cycle
+    meets it, because a cycle through a vertex stays in its component.
+    Conversely a cycle without K is a whole component holding no bundle
+    and no named edge but its own, so each of its edges is an inner
+    edge.  A vertex whose one edge lies on a cycle has that edge as its
+    inner edge, so every exitless cycle is without K: (K) implies (L).
     """
-    step = {v: es[0] for v, es in g._out_edges.items() if len(es) == 1 and not g._out_bundles[v]}
+    return _cycles_of({v: e for v in g.vertices if (e := _inner_edge(g, v)) is not None})
+
+
+def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
+    """``c in cycles_without_K(g)``, decided on the vertices of c alone:
+    a cycle of g whose vertices all have an inner edge is a cycle of the
+    inner-edge map, since each of its edges is one."""
+    return _cycle_in_graph(g, c) and all(_inner_edge(g, v) is not None for v in c.vertices)
+
+
+def _inner_edge(g: DirectedGraph, v: str) -> Edge | None:
+    """v's one arrow into its own strongly connected component, read off
+    the index as ``descendants & ancestors``, when that arrow is a named
+    edge; None when v sends no arrow, two arrows or a bundle into it."""
+    masks = g._masks
+    i = masks.index[v]
+    component = masks.descendants[i] & masks.ancestors[i]
+    inner = None
+    for arrow in g._out_edges[v] + g._out_bundles[v]:
+        if component >> masks.index[arrow.dst] & 1:
+            if inner is not None:
+                return None
+            inner = arrow
+    return inner if isinstance(inner, Edge) else None
+
+
+def _cycles_of(step: dict) -> list[Cycle]:
+    """The cycles of ``step``, a map from a vertex to one of its edges,
+    in canonical rotation and sorted by edge tuple.  A walk along the
+    map from each vertex, stopped at the first vertex walked before,
+    closes each cycle once: the walk that first reaches it."""
     walked: dict[str, str] = {}
     found = []
     for start in step:
@@ -174,72 +218,13 @@ def _exitless_cycles(g: DirectedGraph) -> list[Cycle]:
         while v in step and v not in walked:
             walked[v] = start
             v = step[v].dst
-        if walked.get(v) == start:  # this walk closed on itself
-            found.append(_cycle_along(step, v))
+        if walked.get(v) == start:  # this walk closed on itself, at v
+            cycle = [step[v]]
+            while cycle[-1].dst != v:
+                cycle.append(step[cycle[-1].dst])
+            found.append(_rotated([e.id for e in cycle], [e.src for e in cycle]))
     found.sort(key=lambda c: c.edges)
     return found
-
-
-def cycles_without_K(g: DirectedGraph) -> list[Cycle]:
-    """The simple cycles none of whose vertices lies on a second cycle,
-    sorted by edge tuple: one for each strongly connected component that
-    is a cycle of named edges (``_component_cycle``).  The component of
-    vertex i is read off the index, ``descendants[i] & ancestors[i]``."""
-    masks = g._masks
-    found = []
-    seen = 0
-    for i in range(len(masks.vertices)):
-        if not seen >> i & 1:
-            component = masks.descendants[i] & masks.ancestors[i]
-            seen |= component
-            c = _component_cycle(g, set(masks.members(component)))
-            if c is not None:
-                found.append(c)
-    found.sort(key=lambda c: c.edges)
-    return found
-
-
-def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
-    """``c in cycles_without_K(g)``, decided on the component of c alone."""
-    if not _cycle_in_graph(g, c):
-        return False
-    masks = g._masks
-    i = masks.index[c.base]
-    return _component_cycle(g, set(masks.members(masks.descendants[i] & masks.ancestors[i]))) == c
-
-
-def _component_cycle(g: DirectedGraph, component: set[str]) -> Cycle | None:
-    """The one cycle of a strongly connected component, or None when the
-    component is not a single cycle of named edges.
-
-    Every cycle through a vertex stays in its component, so a cycle
-    whose vertices lie on no other cycle is a whole component.  A
-    component is one cycle exactly when each vertex sends one arrow
-    (edge or bundle) into it, and the cycle has a name only when those
-    arrows are all edges: a bundle inside always makes infinitely many
-    cycles.
-    """
-    step = {}
-    for u in component:
-        if any(b.dst in component for b in g._out_bundles[u]):
-            return None
-        inside = [e for e in g._out_edges[u] if e.dst in component]
-        if len(inside) != 1:
-            return None
-        step[u] = inside[0]
-    return _cycle_along(step, u)
-
-
-def _cycle_along(step: dict, v: str) -> Cycle:
-    """The cycle that following ``step`` (a vertex's one edge) from v
-    closes, in canonical rotation."""
-    edge_ids, sources = [step[v].id], [v]
-    u = step[v].dst
-    while u != v:
-        edge_ids.append(step[u].id)
-        sources.append(u)
-        u = step[u].dst
-    return _rotated(edge_ids, sources)
 
 
 def condition_K(g: DirectedGraph) -> ConditionReport:

@@ -233,7 +233,7 @@ class _Masks:
             mask ^= low
 
     def to_set(self, mask: int) -> frozenset[str]:
-        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
+        return frozenset(self.members(mask))
 
     def sorted_sets(self, masks) -> tuple[frozenset[str], ...]:
         """The masks as vertex sets, ordered by size, then by sorted ids."""

@@ -159,7 +159,7 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
     H = E^0 minus M(c.base): an exit to a w outside H leaves c and w
     reaches c.base, so the exit lies inside c's strongly connected
     component, and for c without K that component holds no bundle and
-    no named edge but c's own (``_component_cycle``).  So no exit is
+    no named edge but c's own (``cycles_without_K``).  So no exit is
     checked.  The graded prime with the largest S at H is (H, B_H).
     """
     primes = enumerate_primes(g, cap, max_vertices)

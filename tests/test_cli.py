@@ -248,6 +248,25 @@ def test_nonpositive_cap_is_a_usage_error(run, tmp_path):
     assert "positive" in err
 
 
+def test_a_nonpositive_flag_is_named(run, tmp_path):
+    path = write_graph(tmp_path, unique_maximal_graph())
+    assert run("check", path, "--condition", "K", "--cap", "0") == (2, "", "error: --cap must be positive\n")
+    assert run("hsets", path, "--max-vertices", "0") == (2, "", "error: --max-vertices must be positive\n")
+
+
+def test_the_readme_example_prints_what_the_readme_shows(run, tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    graph_json = readme.split("## Graph files\n\n```json\n", 1)[1].split("```", 1)[0]
+    example = readme.split("```sh\n$ lpaideals analyze graph.json\n", 1)[1].split("```", 1)[0]
+    shown = [line for line in example.splitlines() if line != "..."]
+    path = tmp_path / "graph.json"
+    path.write_text(graph_json, encoding="utf-8")
+    code, out, err = run("analyze", str(path))
+    assert (code, err) == (0, "")
+    printed = iter(out.splitlines())
+    assert shown and all(line in printed for line in shown)
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [

@@ -425,18 +425,41 @@ def test_cycle_cap_refuses_a_sparse_graph_within_bounded_work(monkeypatch, tmp_p
 
 
 def test_cycles_without_K_tests_each_base_at_most_once(monkeypatch):
-    """Each vertex is tested once, in the one component that holds it."""
+    """Each vertex's inner edge is asked for once."""
     tested = []
-    component_cycle = cycles._component_cycle
+    inner_edge = cycles._inner_edge
 
-    def counted(g, component):
-        tested.append(frozenset(component))
-        return component_cycle(g, component)
+    def counted(g, v):
+        tested.append(v)
+        return inner_edge(g, v)
 
-    monkeypatch.setattr(cycles, "_component_cycle", counted)
+    monkeypatch.setattr(cycles, "_inner_edge", counted)
     g = clique_with_loop(5)
     assert [c.edges for c in cycles_without_K(g)] == [("c",)]
-    assert sorted(tested, key=len) == [{"z"}, set(g.vertices) - {"z"}]
+    assert sorted(tested) == sorted(g.vertices)
+
+
+def test_condition_L_builds_no_index():
+    for g in (unique_maximal_graph(), clique_with_loop(5), cross_bundle_cycle(), ring(7)):
+        condition_L(g)
+        assert "_masks" not in vars(g)
+
+
+def _assert_exitless_cycles_are_without_K(g):
+    """(K) implies (L): the exitless cycles are a sublist of the cycles
+    without K, both in edge-tuple order."""
+    without_k = iter(cycles_without_K(g))
+    assert all(c in without_k for c in cycles._exitless_cycles(g))
+
+
+@given(graphs())
+def test_exitless_cycles_are_without_K(g):
+    _assert_exitless_cycles_are_without_K(g)
+
+
+def test_exitless_cycles_are_without_K_on_the_acceptance_corpus():
+    for g in random_corpus(500):
+        _assert_exitless_cycles_are_without_K(g)
 
 
 REPORT_COMMANDS = [
