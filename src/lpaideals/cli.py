@@ -140,7 +140,7 @@ def _json_text(doc, newline: str) -> str:
         items = [_encode_str(v) if type(v) is str else _json_text(v, inner) for v in doc]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(doc, str):
-        return _encode_str(doc)
+        return doc if type(doc) is _Written else _encode_str(doc)
     if doc is None:
         return "null"
     if doc is True:
@@ -152,8 +152,36 @@ def _json_text(doc, newline: str) -> str:
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
+class _Written(str):
+    """JSON text already written at the indentation of the place it
+    fills, which ``_json_text`` copies as it stands."""
+
+
+def _lattice_json(lat, newline: str) -> str:
+    """The JSON of ``lat.to_json_dict()`` on a line that starts at
+    ``newline``, byte for byte what ``_json_text`` gives: each vertex id
+    is encoded once, and each set's text is one join of those."""
+    encoded = {v: _encode_str(v) for v in lat.graph.vertices}.__getitem__
+    item, member = newline + "    ", newline + "      "
+    opened, between, closed = "[" + member, "," + member, item + "]"
+
+    def listed(sets) -> str:
+        texts = [opened + between.join(map(encoded, ids)) + closed if ids else "[]" for ids in sets]
+        return "[" + item + ("," + item).join(texts) + newline + "  ]" if texts else "[]"
+
+    doc = lat.to_json_dict()
+    return (
+        "{" + newline + '  "maximal_proper": ' + listed(doc["maximal_proper"])
+        + "," + newline + '  "sets": ' + listed(doc["sets"]) + newline + "}"
+    )
+
+
+def _fmt_ids(ids) -> str:
+    return "{" + ",".join(ids) + "}"
+
+
 def _fmt_set(vs) -> str:
-    return "{" + ",".join(sorted(vs)) + "}"
+    return _fmt_ids(sorted(vs))
 
 
 def _fmt_pair(pair: AdmissiblePair) -> str:
@@ -193,7 +221,7 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
             {
                 "condition_L": cond_l.to_json_dict(),
                 "condition_K": cond_k.to_json_dict(),
-                "hereditary_saturated": lat.to_json_dict(),
+                "hereditary_saturated": _Written(_lattice_json(lat, "\n  ")),
                 "maximality": report.to_json_dict(),
                 "primes": [d.to_json_dict() for d in primes],
             }
@@ -205,8 +233,8 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
     )
     print(_fmt_condition("L", cond_l))
     print(_fmt_condition("K", cond_k))
-    sets = ", ".join(_fmt_set(s) for s in lat.sets)
-    print(f"hereditary saturated sets ({len(lat.sets)}): {sets}")
+    sets = lat.sorted_ids()
+    print(f"hereditary saturated sets ({len(sets)}): {', '.join(map(_fmt_ids, sets))}")
     print(
         "maximal proper: "
         + (", ".join(_fmt_set(s) for s in maximal_proper_elements(lat)) or "none")
@@ -241,11 +269,12 @@ def _yn(flag: bool) -> str:
 def cmd_hsets(g: DirectedGraph, args) -> None:
     lat = enumerate_HE(g, args.cap, args.max_vertices)
     if args.json:
-        _emit_json(lat.to_json_dict())
+        print(_lattice_json(lat, "\n"))
         return
-    print(f"hereditary saturated sets ({len(lat.sets)}):")
-    for s in lat.sets:
-        print(f"  {_fmt_set(s)}")
+    sets = lat.sorted_ids()
+    print(f"hereditary saturated sets ({len(sets)}):")
+    for ids in sets:
+        print(f"  {_fmt_ids(ids)}")
     print(
         "maximal proper: "
         + (", ".join(_fmt_set(s) for s in maximal_proper_elements(lat)) or "none")
@@ -347,8 +376,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     # The cyclic garbage collector stays off for the command: it builds
-    # tens of thousands of acyclic containers (the frozensets of H_E,
-    # cycles, admissible pairs), all freed by reference counting, so a
+    # thousands of acyclic containers (an id list per set of H_E, the
+    # admissible pairs), all freed by reference counting, so a
     # collection during the command frees next to nothing and only
     # rescans the young ones.
     enabled = gc.isenabled()

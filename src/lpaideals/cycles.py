@@ -81,7 +81,7 @@ def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
         inside = set()
         if base in stepping_up:
             masks = g._masks
-            inside = set(masks.members(masks.reaching_above(masks.index[base])))
+            inside = set(masks.ids(masks.reaching_above(masks.index[base])))
         _grow_cycles(g, cap, found, base, inside)
     found.sort(key=lambda c: c.edges)
     return found

@@ -225,19 +225,28 @@ class _Masks:
             out |= 1 << self.index[v]
         return out
 
-    def members(self, mask: int):
-        """The vertex ids of a mask, one per set bit, lowest bit first."""
+    def ids(self, mask: int) -> list[str]:
+        """The vertex ids of a mask in ascending order: read from the
+        highest bit down, as the ids are stored in descending order."""
+        out = []
         while mask:
-            low = mask & -mask
-            yield self.vertices[low.bit_length() - 1]
-            mask ^= low
+            i = mask.bit_length() - 1
+            out.append(self.vertices[i])
+            mask ^= 1 << i
+        return out
 
     def to_set(self, mask: int) -> frozenset[str]:
-        return frozenset(self.members(mask))
+        return frozenset(self.ids(mask))
+
+    @staticmethod
+    def in_order(masks) -> list[int]:
+        """The masks ordered by size, then by their sorted ids: the larger
+        mask first, as the sort by size keeps that order among equals."""
+        return sorted(sorted(masks, reverse=True), key=int.bit_count)
 
     def sorted_sets(self, masks) -> tuple[frozenset[str], ...]:
-        """The masks as vertex sets, ordered by size, then by sorted ids."""
-        return tuple(self.to_set(m) for m in sorted(masks, key=lambda m: (m.bit_count(), -m)))
+        """The masks as vertex sets, in ``in_order``."""
+        return tuple(map(self.to_set, self.in_order(masks)))
 
     def hereditary(self, mask: int) -> int:
         """The hereditary closure: the OR of the descendant masks."""

@@ -18,6 +18,7 @@ from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
     _is_hereditary_saturated,
+    _pair,
     breaking_vertices,
     enumerate_HE,
     maximal_proper_elements,
@@ -107,7 +108,7 @@ def gr_of(d: IdealDescriptor) -> AdmissiblePair:
     if isinstance(d, GradedIdeal):
         return d.pair
     if isinstance(d, NonGradedFamily):
-        return AdmissiblePair(d.graph, d.H, breaking_vertices(d.graph, d.H))
+        return _pair(d.graph, d.H, breaking_vertices(d.graph, d.H))
     raise GraphError(f"not an ideal descriptor: {d!r}")
 
 
@@ -134,11 +135,11 @@ def enumerate_primes(
         if masks.full & ~tail not in lat._closed:
             continue
         hset = masks.to_set(masks.full & ~tail)
-        b_h = breaking_vertices(g, hset)
-        out.append(GradedIdeal(AdmissiblePair(g, hset, b_h)))
+        b_h = breaking_vertices(g, hset)  # each S below lies in it: no pair checks again
+        out.append(GradedIdeal(_pair(g, hset, b_h)))
         for u in b_h:
             if masks.ancestors[masks.index[u]] == tail:
-                out.append(GradedIdeal(AdmissiblePair(g, hset, b_h - {u})))
+                out.append(GradedIdeal(_pair(g, hset, b_h - {u})))
         for c in without_k:
             if masks.ancestors[masks.index[c.base]] == tail:
                 out.append(NonGradedFamily(g, hset, c))

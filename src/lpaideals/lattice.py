@@ -60,7 +60,8 @@ def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
 class HSLattice:
     """All hereditary saturated sets of a graph, as the closed masks that
     ``enumerate_HE`` walked; ``sets`` lists them as vertex sets, in
-    canonical order, built on first use."""
+    canonical order, built on first use.  Printing reads the masks
+    (``sorted_ids``) and builds no vertex set."""
 
     graph: DirectedGraph
     _closed: frozenset[int] = field(repr=False)
@@ -78,9 +79,14 @@ class HSLattice:
     def join(self, a, b) -> frozenset[str]:
         return hs_closure(self.graph, frozenset(a) | frozenset(b))
 
+    def sorted_ids(self) -> list[list[str]]:
+        """Each set's sorted vertex ids, in the order of ``sets``."""
+        masks = self.graph._masks
+        return [masks.ids(m) for m in masks.in_order(self._closed)]
+
     def to_json_dict(self) -> dict:
         return {
-            "sets": [sorted(s) for s in self.sets],
+            "sets": self.sorted_ids(),
             "maximal_proper": [sorted(s) for s in maximal_proper_elements(self)],
         }
 
@@ -183,6 +189,15 @@ class AdmissiblePair:
 
     def to_json_dict(self) -> dict:
         return {"H": sorted(self.H), "S": sorted(self.S)}
+
+
+def _pair(g: DirectedGraph, hset: frozenset[str], sset: frozenset[str]) -> AdmissiblePair:
+    """A pair whose S is known to lie in B_H, not checked again."""
+    pair = object.__new__(AdmissiblePair)
+    object.__setattr__(pair, "graph", g)
+    object.__setattr__(pair, "H", hset)
+    object.__setattr__(pair, "S", sset)
+    return pair
 
 
 def leq_prime(p1: AdmissiblePair, p2: AdmissiblePair) -> bool:

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import clique_with_loop, omega_graph, unique_maximal_graph, mixed_maximals_graph, random_corpus
+from conftest import clique_with_loop, graphs, omega_graph, unique_maximal_graph, mixed_maximals_graph, random_corpus
 from test_algebra import graph_and_two_elements
 from test_golden import escaped_ids, loop_antichain, mul_args
-from lpaideals import ResourceCapError, parse_element, parse_graph, render_element, serialize_graph
+from lpaideals import ResourceCapError, enumerate_HE, parse_element, parse_graph, render_element, serialize_graph
 from lpaideals import cli
 from lpaideals.algebra import zero
 from lpaideals.cli import main
@@ -472,6 +472,35 @@ def test_product_json_with_escaped_ids():
     product = parse_element(g, lhs) * parse_element(g, rhs)
     assert not product.is_zero()
     assert_product_json(product)
+
+
+def assert_lattice_json(g):
+    """The lattice writer gives the stdlib's text at the top level and
+    nested one level down, as ``analyze --json`` holds it."""
+    lat = enumerate_HE(g)
+    doc = lat.to_json_dict()
+    assert cli._lattice_json(lat, "\n") == json.dumps(doc, sort_keys=True, indent=2)
+    written = cli._Written(cli._lattice_json(lat, "\n  "))
+    nested = json.dumps({"hereditary_saturated": doc, "x": [1]}, sort_keys=True, indent=2)
+    assert cli._json_text({"hereditary_saturated": written, "x": [1]}, "\n") == nested
+
+
+@given(graphs())
+def test_lattice_json_matches_the_document(g):
+    assert_lattice_json(g)
+
+
+def test_lattice_json_on_fixed_graphs():
+    for g in random_corpus(500, seed=20260809) + [escaped_ids(), omega_graph()]:
+        assert_lattice_json(g)
+    for n in range(1, 15):
+        assert_lattice_json(loop_antichain(n))
+    # only {} and E^0: the empty set is the one maximal proper element
+    single = parse_graph('{"vertices": ["v"], "edges": []}')
+    assert cli._lattice_json(enumerate_HE(single), "\n") == (
+        '{\n  "maximal_proper": [\n    []\n  ],\n  "sets": [\n    [],\n    [\n      "v"\n    ]\n  ]\n}'
+    )
+    assert_lattice_json(single)
 
 
 def test_closed_stdout_exits_141_quietly(tmp_path):

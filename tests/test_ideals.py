@@ -473,11 +473,8 @@ def test_nongraded_family_enumerates_no_cycles(monkeypatch):
     assert family in primes
 
 
-def test_analyze_computes_B_H_once_less_per_coatom(monkeypatch, tmp_path, capsys):
-    """On A_12 each of the three prime enumerations of ``analyze`` computes
-    B_H twice for each of the 12 H (once itself, once in
-    ``AdmissiblePair``), and the two coatom filters take (H, B_H) from
-    the primes rather than computing B_H again: 72 calls, not 96."""
+def _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) -> int:
+    """The ``breaking_vertices`` calls of ``command --json`` on A_12."""
     from lpaideals import ideals, lattice, serialize_graph
     from lpaideals.cli import main
     from test_golden import loop_antichain
@@ -493,9 +490,22 @@ def test_analyze_computes_B_H_once_less_per_coatom(monkeypatch, tmp_path, capsys
         monkeypatch.setattr(module, "breaking_vertices", counted)
     path = tmp_path / "a12.json"
     path.write_text(serialize_graph(loop_antichain(12)))
-    assert main(["analyze", str(path), "--json"]) == 0
+    assert main([command, str(path), "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 72
+    return len(calls)
+
+
+def test_analyze_computes_B_H_once_less_per_coatom(monkeypatch, tmp_path, capsys):
+    """On A_12 each of the three prime enumerations of ``analyze`` computes
+    B_H once for each of the 12 H: its pairs take S within B_H without
+    checking it again, and the two coatom filters take (H, B_H) from the
+    primes rather than computing B_H again: 36 calls."""
+    assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, "analyze") == 36
+
+
+@pytest.mark.parametrize("command, enumerations", [("primes", 1), ("maximals", 2)])
+def test_each_prime_enumeration_computes_B_H_once_per_H(monkeypatch, tmp_path, capsys, command, enumerations):
+    assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) == 12 * enumerations
 
 
 VERTEX_SET_ENTRY_POINTS = {

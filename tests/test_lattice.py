@@ -24,7 +24,7 @@ from oracles import (
     maximal_proper_brute,
     reach_sets,
 )
-from test_golden import loop_antichain
+from test_golden import escaped_ids, loop_antichain
 from lpaideals import (
     AdmissiblePair,
     GraphError,
@@ -166,6 +166,28 @@ def test_maximal_proper_matches_the_quadratic_scan_on_the_acceptance_corpus():
         _check_coatoms_and_order(g)
 
 
+def _check_printed_ids(g):
+    """The print path reads each set's sorted ids off its mask, in the
+    order of ``sets``."""
+    lat = enumerate_HE(g)
+    masks = g._masks
+    for m in lat._closed | set(masks.descendants) | set(masks.ancestors):
+        assert masks.ids(m) == sorted(masks.to_set(m))
+    assert lat.sorted_ids() == lat.to_json_dict()["sets"] == [sorted(s) for s in lat.sets]
+
+
+@given(graphs())
+def test_printed_ids_are_the_sorted_sets(g):
+    _check_printed_ids(g)
+
+
+def test_printed_ids_are_the_sorted_sets_on_fixed_graphs():
+    for g in random_corpus(500, seed=20260809) + [escaped_ids(), graph(["v"])]:
+        _check_printed_ids(g)
+    for n in range(1, 15):
+        _check_printed_ids(loop_antichain(n))
+
+
 def test_enumerate_HE_refuses_within_bounded_work(monkeypatch):
     n, cap = 20, 10_000
     loops = [(f"{x}{i:02d}", f"v{i:02d}", f"v{i:02d}") for i in range(n) for x in "fg"]
@@ -215,10 +237,10 @@ def lattice_work(monkeypatch):
 @pytest.mark.parametrize(
     "command, expected",
     [
-        # 4,096 sets printed, the 12 coatoms twice (lattice and report),
-        # and the 12 M(d) that each prime enumeration reads
-        ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 4096 + 2 * 12 + 3 * 12}),
-        ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 4096 + 12}),
+        # the 12 coatoms twice (lattice and report) and the 12 M(d) that
+        # each prime enumeration reads; the 4,096 sets print off the masks
+        ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 2 * 12 + 3 * 12}),
+        ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
         ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12 + 2 * 12}),
         ("primes", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
     ],
@@ -231,6 +253,22 @@ def test_H_E_stays_in_masks_until_it_is_printed(lattice_work, tmp_path, capsys, 
     assert main([command, str(path), "--json"]) == 0
     capsys.readouterr()
     assert lattice_work == expected
+
+
+@pytest.mark.parametrize("command", ["hsets", "analyze"])
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_printing_H_E_builds_no_vertex_sets(monkeypatch, tmp_path, capsys, command, flags):
+    """``HSLattice.sets`` is there for library callers: no command builds it."""
+    from lpaideals.cli import main
+
+    def refused(lat):
+        raise AssertionError("HSLattice.sets was built")
+
+    monkeypatch.setattr(lattice.HSLattice, "sets", property(refused))
+    path = tmp_path / "a4.json"
+    path.write_text(serialize_graph(loop_antichain(4)), encoding="utf-8")
+    assert main([command, str(path), *flags]) == 0
+    capsys.readouterr()
 
 
 def test_join_closes_on_the_lattice_masks(lattice_work):
