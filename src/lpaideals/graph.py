@@ -264,15 +264,36 @@ class _Masks:
         returns it unchanged."""
         return self.saturate(self.hereditary(mask))
 
-    def saturate(self, closed: int) -> int:
+    def grow(self, closed: int, i: int) -> int:
+        """The hereditary saturated closure of a closed mask with vertex i
+        added, computed from the mask.
+
+        The mask is hereditary, so the OR with i's descendants is too.  It
+        is saturated, so each regular vertex outside it has a successor
+        outside it; such a vertex can join only if that successor was
+        just added.  Saturation therefore checks first only the
+        predecessors of the added vertices.
+        """
+        added = self.descendants[i] & ~closed
+        closed |= added
+        feeders = 0
+        while added:
+            low = added & -added
+            added ^= low
+            feeders |= self.predecessors[low.bit_length() - 1]
+        return self.saturate(closed, feeders)
+
+    def saturate(self, closed: int, candidates: int = -1) -> int:
         """The saturation of a vertex mask, hereditary if the mask is.
 
         A regular vertex joins once all its successors, the targets of
         its named edges, lie inside, and is checked again only when one
         of them joins.  A hereditary set stays hereditary, because all
-        of them land inside.
+        of them land inside.  Only the vertices in ``candidates`` (all
+        by default) are checked first; the caller vouches that no other
+        vertex outside the mask is yet ready to join.
         """
-        pending = self.regular & ~closed
+        pending = self.regular & ~closed & candidates
         while pending:
             low = pending & -pending
             pending ^= low

@@ -96,13 +96,17 @@ def enumerate_HE(
     cap: int = DEFAULT_CAP,
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> HSLattice:
-    """Exactly all hereditary saturated sets, ordered by size and then by
+    """Exactly all hereditary saturated sets, listed by size and then by
     their sorted vertex ids.  They are the closed sets of ``hs_closure``,
-    found by Ganter's NextClosure in lectic order, each exactly once and
-    with at most one closure per vertex between two of them.  Refuses
-    graphs above ``max_vertices`` and lattices above ``cap`` rather than
-    approximating.  The first complete walk is kept in the graph's index
-    and answers every later call on the graph, checked against its caps.
+    found by Kuznetsov's Close-by-One: a depth-first walk that grows
+    each set from a closed parent by one vertex i (``_Masks.grow``) and
+    keeps it only when it adds no vertex below i.  So each set is found
+    exactly once, with at most one step per vertex for each set found;
+    the walk's order does not show, as the sets are listed sorted.
+    Refuses graphs above ``max_vertices`` and lattices above ``cap``
+    rather than approximating.  The first complete walk is kept in the
+    graph's index and answers every later call on the graph, checked
+    against its caps.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -115,23 +119,25 @@ def enumerate_HE(
         if len(masks.closed_sets) > cap:
             raise ResourceCapError(f"lattice exceeds cap {cap}")
         return HSLattice(g, masks.closed_sets)
-    current = masks.close(0)
-    closed = [current]
-    while current != masks.full:
-        # the lectically next closed set: the largest i not in current
-        # whose closure of (current below i) + {i} adds nothing below i
-        for i in reversed(range(len(g.vertices))):
-            bit = 1 << i
-            if current & bit:
-                continue
-            below = current & (bit - 1)
-            candidate = masks.close(below | bit)
-            if candidate & (bit - 1) == below:
-                break
-        current = candidate
-        closed.append(current)
-        if len(closed) > cap:
-            raise ResourceCapError(f"lattice exceeds cap {cap}")
+    least = masks.close(0)
+    closed = [least]
+    stack = [(least, 0)]  # a closed set, and the least vertex it may grow by
+    while stack:
+        parent, start = stack.pop()
+        rest = masks.full & ~parent & -(1 << start)  # from start on, outside parent
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            i = bit.bit_length() - 1
+            if masks.descendants[i] & ~parent & (bit - 1):
+                continue  # i's descendants already add a vertex below i
+            child = masks.grow(parent, i)
+            if child & ~parent & (bit - 1):
+                continue  # saturation added one: another parent finds it
+            closed.append(child)
+            if len(closed) > cap:
+                raise ResourceCapError(f"lattice exceeds cap {cap}")
+            stack.append((child, i + 1))
     masks.closed_sets = frozenset(closed)
     return HSLattice(g, masks.closed_sets)
 

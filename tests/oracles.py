@@ -71,6 +71,31 @@ def hereditary_saturated_sets_brute(g):
     return out
 
 
+def next_closure_sets(g):
+    """The masks of H_E, walked by Ganter's NextClosure in lectic order,
+    a walk independent of the library's Close-by-One.  It closes each
+    candidate afresh with the library's ``_Masks.close``, which the
+    tests check against the two conditions above, so it checks the walk
+    and its incremental closure, not the closure itself."""
+    masks = g._masks
+    current = masks.close(0)
+    closed = [current]
+    while current != masks.full:
+        # the lectically next closed set: the largest i not in current
+        # whose closure of (current below i) + {i} adds nothing below i
+        for i in reversed(range(len(g.vertices))):
+            bit = 1 << i
+            if current & bit:
+                continue
+            below = current & (bit - 1)
+            candidate = masks.close(below | bit)
+            if candidate & (bit - 1) == below:
+                break
+        current = candidate
+        closed.append(current)
+    return frozenset(closed)
+
+
 def walkable_edges(g):
     """Named edges plus two anonymous parallel edges per bundle: (id, src, dst)."""
     edges = [(e.id, e.src, e.dst) for e in g.edges]

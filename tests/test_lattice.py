@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from collections import Counter
@@ -8,6 +9,7 @@ from hypothesis import given
 
 from conftest import (
     chain_graph,
+    clique_with_loop,
     graph,
     graph_and_subset,
     graphs,
@@ -22,8 +24,10 @@ from oracles import (
     is_hereditary_brute,
     is_saturated_brute,
     maximal_proper_brute,
+    next_closure_sets,
     reach_sets,
 )
+from test_cycles import sparse_graph
 from test_golden import escaped_ids, loop_antichain
 from lpaideals import (
     AdmissiblePair,
@@ -113,6 +117,34 @@ def test_enumerate_HE_against_subset_filter():
         assert set(enumerate_HE(g).sets) == hereditary_saturated_sets_brute(g)
 
 
+def _check_walk_against_next_closure(g, max_vertices=lattice.MAX_EXACT_VERTICES):
+    """Close-by-One finds the sets that NextClosure finds, each once: a
+    walk capped at their number answers."""
+    closed = next_closure_sets(g)
+    assert enumerate_HE(g, cap=len(closed), max_vertices=max_vertices)._closed == closed
+    return closed
+
+
+@given(graphs())
+def test_walk_matches_next_closure(g):
+    """The walk matches NextClosure, and each of its steps is the
+    closure of the grown set."""
+    masks = g._masks
+    for h in _check_walk_against_next_closure(g):
+        for i in range(len(g.vertices)):
+            assert masks.grow(h, i) == masks.close(h | 1 << i)
+
+
+def test_walk_matches_next_closure_on_fixed_graphs():
+    for g in random_corpus(500, seed=20260809):
+        _check_walk_against_next_closure(g)
+    for n in range(1, 15):
+        assert len(_check_walk_against_next_closure(loop_antichain(n))) == 2**n
+    _check_walk_against_next_closure(clique_with_loop(10))
+    # far beyond the subset filter: 2^200 subsets
+    assert len(_check_walk_against_next_closure(sparse_graph(200), max_vertices=1000)) == 513
+
+
 def test_enumerate_HE_caps():
     isolated = graph(["a", "b", "c", "d"])
     with pytest.raises(ResourceCapError):
@@ -193,17 +225,42 @@ def test_enumerate_HE_refuses_within_bounded_work(monkeypatch):
     loops = [(f"{x}{i:02d}", f"v{i:02d}", f"v{i:02d}") for i in range(n) for x in "fg"]
     antichain = graph([f"v{i:02d}" for i in range(n)], loops)
     calls = 0
-    close = _Masks.close
+    close, grow = _Masks.close, _Masks.grow
 
-    def counting(self, mask):
+    def counting_close(self, mask):
         nonlocal calls
         calls += 1
         return close(self, mask)
 
-    monkeypatch.setattr(_Masks, "close", counting)
+    def counting_grow(self, closed, i):
+        nonlocal calls
+        calls += 1
+        return grow(self, closed, i)
+
+    monkeypatch.setattr(_Masks, "close", counting_close)
+    monkeypatch.setattr(_Masks, "grow", counting_grow)
     with pytest.raises(ResourceCapError, match=f"lattice exceeds cap {cap}"):
         enumerate_HE(antichain, cap=cap)
     assert 0 < calls <= (cap + 1) * n
+
+
+def test_a_large_lattice_refuses_at_once(tmp_path, capsys):
+    """``--cap`` bounds the walk's work: on 1,000 vertices the lattice
+    refuses after at most about cap x |E^0| steps, each growing a closed
+    set by one vertex.  Lifting ``--max-vertices`` alone answers on 200
+    vertices."""
+    from lpaideals.cli import main
+
+    path = tmp_path / "sparse1000.json"
+    path.write_text(serialize_graph(sparse_graph(1000)), encoding="utf-8")
+    for command in ("hsets", "primes"):
+        assert main([command, str(path), "--max-vertices", "1000", "--cap", "20000"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: lattice exceeds cap 20000\n")
+    path = tmp_path / "sparse200.json"
+    path.write_text(serialize_graph(sparse_graph(200)), encoding="utf-8")
+    assert main(["hsets", str(path), "--max-vertices", "1000", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sets"]) == 513
 
 
 @pytest.fixture
@@ -287,17 +344,24 @@ def test_join_closes_on_the_lattice_masks(lattice_work):
 @pytest.fixture
 def walk_closures(monkeypatch):
     """The closures that the lattice walk itself takes: ``_Masks.close``
-    calls made from ``enumerate_HE`` (the breaking-vertex checks of the
-    primes close their H too, outside the walk)."""
+    and ``_Masks.grow`` calls made from ``enumerate_HE`` (the
+    breaking-vertex checks of the primes close their H too, outside the
+    walk)."""
     calls = []
-    close, walk = _Masks.close, lattice.enumerate_HE.__code__
+    close, grow, walk = _Masks.close, _Masks.grow, lattice.enumerate_HE.__code__
 
-    def counted(self, mask):
+    def counted_close(self, mask):
         if sys._getframe(1).f_code is walk:
             calls.append(mask)
         return close(self, mask)
 
-    monkeypatch.setattr(_Masks, "close", counted)
+    def counted_grow(self, closed, i):
+        if sys._getframe(1).f_code is walk:
+            calls.append((closed, i))
+        return grow(self, closed, i)
+
+    monkeypatch.setattr(_Masks, "close", counted_close)
+    monkeypatch.setattr(_Masks, "grow", counted_grow)
     return calls
 
 
