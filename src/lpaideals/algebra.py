@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 from .graph import DirectedGraph, GraphError
 from .lattice import breaking_vertices
@@ -77,30 +78,64 @@ class Monomial:
         return len(self.alpha) - len(self.beta)
 
 
-def _canonical_terms(terms) -> tuple[Monomial, ...]:
-    """The canonical terms of a sum of (numerator, denominator, alpha, beta)
-    with positive denominators: terms with the same paths merged, zero
-    sums dropped, sorted by (alpha, beta).  Coefficients stay integer
-    pairs until the end, so each output term builds one Fraction."""
-    merged: dict[tuple, list] = {}
-    for num, den, alpha, beta in terms:
-        key = (alpha.source, alpha.edges, beta.source, beta.edges)
-        entry = merged.get(key)
-        if entry is None:
-            merged[key] = [num, den, alpha, beta]
-        else:
-            entry[0] = entry[0] * den + num * entry[1]
-            entry[1] *= den
-    return tuple(
-        Monomial(Fraction(num, den), alpha, beta)
-        for num, den, alpha, beta in (merged[key] for key in sorted(merged))
-        if num
-    )
+def _monomial(coeff: Fraction, alpha: PathWord, beta: PathWord) -> Monomial:
+    """A monomial that is valid by construction, not checked again."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "coeff", coeff)
+    object.__setattr__(m, "alpha", alpha)
+    object.__setattr__(m, "beta", beta)
+    return m
+
+
+def _add_row(merged: dict, num: int, den: int, alpha: PathWord, beta: PathWord) -> None:
+    """Add num/den alpha beta* to ``merged``, keyed by the paths' identity."""
+    entry = merged.get((id(alpha), id(beta)))
+    if entry is None:
+        merged[id(alpha), id(beta)] = [num, den, alpha, beta]
+    elif entry[1] == den:
+        entry[0] += num
+    else:
+        entry[0] = entry[0] * den + num * entry[1]
+        entry[1] *= den
+
+
+def _canonical_terms(merged: dict, paths) -> tuple[Monomial, ...]:
+    """The canonical terms of the rows that ``_add_row`` merged, whose
+    equal paths are one object, each held once in ``paths``: zero sums
+    dropped, sorted by (alpha, beta).  The order is read off integer ranks
+    of the distinct paths, never off their identity, and each distinct
+    coefficient becomes one Fraction."""
+    rank = {id(p): r for r, p in enumerate(sorted(paths, key=lambda p: (p.source, p.edges)))}
+    n = len(rank)
+    keys = [rank[a] * n + rank[b] for a, b in merged]
+    fractions: dict[tuple[int, int], Fraction] = {}  # a row's (num, den) -> its Fraction
+    values: dict[tuple[int, int], Fraction] = {}  # the same, keyed by lowest terms
+    terms = []
+    for _, (num, den, alpha, beta) in sorted(zip(keys, merged.values())):
+        if not num:
+            continue
+        coeff = fractions.get((num, den))
+        if coeff is None:
+            d = gcd(num, den)
+            lowest = (num // d, den // d)
+            coeff = values.get(lowest)
+            if coeff is None:
+                coeff = values[lowest] = Fraction(*lowest)
+            fractions[num, den] = coeff
+        terms.append(_monomial(coeff, alpha, beta))
+    return tuple(terms)
 
 
 def _merged(monomials) -> tuple[Monomial, ...]:
-    """The canonical terms of a sum of monomials."""
-    return _canonical_terms((m.coeff.numerator, m.coeff.denominator, m.alpha, m.beta) for m in monomials)
+    """The canonical terms of a sum of monomials, whose equal paths may be
+    distinct objects."""
+    paths: dict[tuple, PathWord] = {}
+    merged: dict = {}
+    for m in monomials:
+        alpha = paths.setdefault((m.alpha.source, m.alpha.edges), m.alpha)
+        beta = paths.setdefault((m.beta.source, m.beta.edges), m.beta)
+        _add_row(merged, m.coeff.numerator, m.coeff.denominator, alpha, beta)
+    return _canonical_terms(merged, paths.values())
 
 
 @dataclass(frozen=True)
@@ -151,7 +186,7 @@ class AlgebraElement:
         The product of two valid monomials is valid, so it is not checked
         again.  Each result path is built once, keyed by its source and
         edges (which fix its target): equal paths in the product are one
-        object.
+        object, so the products merge by the identity of their paths.
         """
         self._same_algebra(other)
         paths: dict[tuple, PathWord] = {}
@@ -168,28 +203,27 @@ class AlgebraElement:
             for k in range(len(gamma.edges) + 1):
                 extending.setdefault((gamma.source, gamma.edges[:k]), []).append(entry)
 
-        def products():
-            for m1 in self.terms:
-                alpha, beta = shared(m1.alpha), m1.beta
-                num, den = m1.coeff.numerator, m1.coeff.denominator
-                cut = len(beta.edges)
-                # gamma = beta + rest: (alpha beta*)(gamma delta*) = (alpha rest) delta*
-                for num2, den2, gamma, delta in extending.get((beta.source, beta.edges), ()):
-                    key = (alpha.source, alpha.edges + gamma.edges[cut:])
+        merged: dict = {}
+        for m1 in self.terms:
+            alpha, beta = shared(m1.alpha), m1.beta
+            num, den = m1.coeff.numerator, m1.coeff.denominator
+            cut = len(beta.edges)
+            # gamma = beta + rest: (alpha beta*)(gamma delta*) = (alpha rest) delta*
+            for num2, den2, gamma, delta in extending.get((beta.source, beta.edges), ()):
+                key = (alpha.source, alpha.edges + gamma.edges[cut:])
+                path = paths.get(key)
+                if path is None:
+                    path = paths[key] = PathWord(alpha.source, key[1], gamma.target)
+                _add_row(merged, num * num2, den * den2, path, delta)
+            # beta = gamma + rest, rest non-empty: alpha (delta rest)*
+            for k in range(cut):
+                for num2, den2, _, delta in exact.get((beta.source, beta.edges[:k]), ()):
+                    key = (delta.source, delta.edges + beta.edges[k:])
                     path = paths.get(key)
                     if path is None:
-                        path = paths[key] = PathWord(alpha.source, key[1], gamma.target)
-                    yield num * num2, den * den2, path, delta
-                # beta = gamma + rest, rest non-empty: alpha (delta rest)*
-                for k in range(cut):
-                    for num2, den2, _, delta in exact.get((beta.source, beta.edges[:k]), ()):
-                        key = (delta.source, delta.edges + beta.edges[k:])
-                        path = paths.get(key)
-                        if path is None:
-                            path = paths[key] = PathWord(delta.source, key[1], beta.target)
-                        yield num * num2, den * den2, alpha, path
-
-        return _element(self.graph, _canonical_terms(products()))
+                        path = paths[key] = PathWord(delta.source, key[1], beta.target)
+                    _add_row(merged, num * num2, den * den2, alpha, path)
+        return _element(self.graph, _canonical_terms(merged, paths.values()))
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -295,83 +329,113 @@ def parse_element(g: DirectedGraph, text: str) -> AlgebraElement:
         raise GraphError("empty element expression")
     if tokens == ["0"]:
         return zero(g)
-    terms: list[Monomial] = []
+    reader = _TermReader(g)
     current: list[str] = []
-    sign = Fraction(1)
-
-    def flush(next_sign: Fraction):
-        nonlocal current, sign
-        if not current:
-            raise GraphError("empty term in element expression")
-        terms.append(_parse_term(g, current, sign))
-        current = []
-        sign = next_sign
-
+    sign = 1
     for tok in tokens:
-        if tok in ("+", "-"):
-            step = Fraction(1) if tok == "+" else Fraction(-1)
-            if not current and not terms:
+        if tok == "+" or tok == "-":
+            step = 1 if tok == "+" else -1
+            if not current and not reader.merged:  # a sign before the first term
                 sign *= step
-            else:
-                flush(step)
+                continue
+            reader.read(current, sign)
+            current = []
+            sign = step
         else:
             current.append(tok)
-    flush(Fraction(1))
-    return _element(g, _merged(terms))
+    reader.read(current, sign)
+    return _element(g, _canonical_terms(reader.merged, reader.paths.values()))
 
 
-def _parse_term(g: DirectedGraph, tokens: list[str], sign: Fraction) -> Monomial:
-    coeff = sign
-    if _COEFF_RE.match(tokens[0]):
-        # through decimal, which reads digits past int()'s limit (_coefficient_text)
-        num, _, den = tokens[0].partition("/")
-        den = int(Decimal(den or 1))
-        if not den:
-            raise GraphError(f"zero denominator in coefficient {tokens[0]!r}")
-        coeff *= Fraction(int(Decimal(num)), den)
-        tokens = tokens[1:]
+class _TermReader:
+    """Reads the terms of one element expression into merged rows.  Each
+    distinct run of real or of ghost tokens becomes a path once, and
+    equal paths are one object (``paths``, keyed by source and edges)."""
+
+    def __init__(self, g: DirectedGraph):
+        self.g = g
+        self.merged: dict = {}
+        self.paths: dict[tuple, PathWord] = {}
+        self._reals: dict[tuple[str, ...], PathWord] = {}
+        self._ghosts: dict[tuple[str, ...], PathWord] = {}
+
+    def read(self, tokens: list[str], sign: int) -> None:
         if not tokens:
-            raise GraphError("a term needs a path part after its coefficient")
-    real: list[str] = []
-    ghost: list[str] = []
-    after_pipe = False
-    for tok in tokens:
-        if tok == "|":
-            if after_pipe:
-                raise GraphError("at most one '|' per term")
-            after_pipe = True
-            continue
-        starred = tok.endswith("*")
-        name = tok[:-1] if starred else tok
-        if not name:
-            raise GraphError("empty id in element expression")
-        if after_pipe or starred:
-            ghost.append(name)
+            raise GraphError("empty term in element expression")
+        num, den = sign, 1
+        if _COEFF_RE.match(tokens[0]):
+            text, _, den_text = tokens[0].partition("/")
+            den = _integer(den_text) if den_text else 1
+            if not den:
+                raise GraphError(f"zero denominator in coefficient {tokens[0]!r}")
+            num *= _integer(text)
+            tokens = tokens[1:]
+            if not tokens:
+                raise GraphError("a term needs a path part after its coefficient")
+        real: list[str] = []
+        ghost: list[str] = []
+        after_pipe = False
+        for tok in tokens:
+            if tok == "|":
+                if after_pipe:
+                    raise GraphError("at most one '|' per term")
+                after_pipe = True
+                continue
+            starred = tok.endswith("*")
+            name = tok[:-1] if starred else tok
+            if not name:
+                raise GraphError("empty id in element expression")
+            if after_pipe or starred:
+                ghost.append(name)
+            else:
+                if ghost:
+                    raise GraphError("real-path tokens cannot follow ghost tokens")
+                real.append(name)
+        if after_pipe and not ghost:
+            raise GraphError("'|' must be followed by a ghost path")
+        alpha = self._run(self._reals, real, _parse_real_part) if real else None
+        if ghost:
+            beta = self._run(self._ghosts, ghost, _paths_from_edges)
+            if alpha is None:
+                alpha = self._vertex(beta.target)
         else:
-            if ghost:
-                raise GraphError("real-path tokens cannot follow ghost tokens")
-            real.append(name)
-    if after_pipe and not ghost:
-        raise GraphError("'|' must be followed by a ghost path")
-    alpha = _parse_real_part(g, real)
-    if ghost:
-        beta = _paths_from_edges(g, ghost)
-        if alpha is None:
-            alpha = vertex_path(g, beta.target)
-    else:
-        if alpha is None:
-            raise GraphError("a term needs a vertex, a path, or a ghost path")
-        beta = vertex_path(g, alpha.target)
-    if alpha.target != beta.target:
-        raise GraphError(
-            f"real part ends at {alpha.target!r} but ghost part ends at {beta.target!r}"
-        )
-    return Monomial(coeff, alpha, beta)
+            if alpha is None:
+                raise GraphError("a term needs a vertex, a path, or a ghost path")
+            beta = self._vertex(alpha.target)
+        if alpha.target != beta.target:
+            raise GraphError(
+                f"real part ends at {alpha.target!r} but ghost part ends at {beta.target!r}"
+            )
+        if not num:
+            raise GraphError("monomials carry nonzero coefficients")
+        _add_row(self.merged, num, den, alpha, beta)
+
+    def _run(self, runs: dict, names: list[str], read) -> PathWord:
+        """The path of a run of real or ghost tokens, read on first sight."""
+        key = tuple(names)
+        p = runs.get(key)
+        if p is None:
+            p = read(self.g, names)
+            p = runs[key] = self.paths.setdefault((p.source, p.edges), p)
+        return p
+
+    def _vertex(self, v: str) -> PathWord:
+        p = self.paths.get((v, ()))
+        if p is None:
+            p = self.paths[v, ()] = PathWord(v, (), v)
+        return p
 
 
-def _parse_real_part(g: DirectedGraph, tokens: list[str]) -> PathWord | None:
-    if not tokens:
-        return None
+def _integer(digits: str) -> int:
+    """``int(digits)`` for an optional sign and decimal digits of any
+    length: past int()'s digit limit (_coefficient_text) through decimal."""
+    try:
+        return int(digits)
+    except ValueError:  # over the limit
+        return int(Decimal(digits))
+
+
+def _parse_real_part(g: DirectedGraph, tokens: list[str]) -> PathWord:
     if len(tokens) == 1:
         name = tokens[0]
         is_vertex = name in g.vertices
@@ -389,36 +453,45 @@ def _paths_from_edges(g: DirectedGraph, edge_ids: list[str]) -> PathWord:
 
 
 def render_element(x: AlgebraElement) -> str:
-    """Canonical text form, re-parseable by parse_element.  The ghost
-    tokens of each distinct ghost path are joined once."""
-    if x.is_zero():
-        return "0"
-    parts: list[str] = []
-    ghosts: dict[tuple[str, ...], str] = {}
-    for i, m in enumerate(x.terms):
-        tokens: list[str] = []
-        num, den = m.coeff.numerator, m.coeff.denominator
-        if i == 0:
-            head = ""
-        else:
-            head = " - " if num < 0 else " + "
-            num = abs(num)
-        if num != 1 or den != 1:
-            tokens.append(_coefficient_text(num, den))
-        if m.alpha.edges:
-            tokens.extend(m.alpha.edges)
-        elif not m.beta.edges:
-            tokens.append(m.alpha.source)
-        edges = m.beta.edges
-        if edges:
-            if m.alpha.edges:
-                tokens.append("|")
-            ghost = ghosts.get(edges)
+    """Canonical text form, re-parseable by parse_element."""
+    return "".join([part for part, _, _ in _term_texts(x.terms)]) or "0"
+
+
+def _term_texts(terms):
+    """Each term's piece of the canonical text form (joined to the piece
+    before by ' + ' or ' - '), its signed coefficient text, and the term.
+    Each distinct coefficient, real path and ghost path is written once,
+    keyed by the identity of its object."""
+    coeffs: dict[int, tuple[str, str, str]] = {}
+    reals: dict[int, str] = {}
+    ghosts: dict[int, str] = {}
+    head = 1  # where the coefficient's head sits: 1 on the first piece, 2 after
+    for m in terms:
+        coeff = coeffs.get(id(m.coeff))
+        if coeff is None:
+            coeff = coeffs[id(m.coeff)] = _coefficient_texts(m.coeff.numerator, m.coeff.denominator)
+        alpha, beta = m.alpha, m.beta
+        body = reals.get(id(alpha))
+        if body is None:
+            body = reals[id(alpha)] = " ".join(alpha.edges) if alpha.edges else alpha.source
+        if beta.edges:
+            ghost = ghosts.get(id(beta))
             if ghost is None:
-                ghost = ghosts[edges] = " ".join(eid + "*" for eid in edges)
-            tokens.append(ghost)
-        parts.append(head + " ".join(tokens))
-    return "".join(parts)
+                ghost = ghosts[id(beta)] = " ".join([eid + "*" for eid in beta.edges])
+            body = body + " | " + ghost if alpha.edges else ghost
+        yield coeff[head] + body, coeff[0], m
+        head = 2
+
+
+def _coefficient_texts(num: int, den: int) -> tuple[str, str, str]:
+    """A coefficient's signed text, and its head on the first term of the
+    text form and on a later one, where the sign becomes ' + ' or ' - '
+    and a coefficient of 1 is left out."""
+    signed = _coefficient_text(num, den)
+    unit = abs(num) == 1 and den == 1
+    first = "" if unit and num == 1 else signed + " "
+    later = (" - " if num < 0 else " + ") + ("" if unit else signed.lstrip("-") + " ")
+    return signed, first, later
 
 
 def _coefficient_text(num: int, den: int) -> str:

@@ -337,30 +337,30 @@ def cmd_mul(g: DirectedGraph, args) -> None:
 _TERM_JSON = '{\n      "alpha": %s,\n      "beta": %s,\n      "coeff": %s\n    }'
 
 
-class _PathBlocks(dict):
-    """Path -> its ``{"edges", "source"}`` block in ``mul --json``, written
-    on first lookup.  The blocks of alpha and beta sit at one indentation."""
-
-    def __missing__(self, p):
-        text = self[p] = _json_text({"edges": p.edges, "source": p.source}, "\n      ")
-        return text
-
-
 def _product_json(product) -> str:
     """The ``mul --json`` text, byte for byte what ``_json_text`` gives for
     ``{"result": <rendered product>, "terms": [{"coeff": <coeff text>,
-    "alpha": <block>, "beta": <block>}, ...]}``: each term fills one
+    "alpha": <block>, "beta": <block>}, ...]}``.  One walk over the terms
+    writes the text form and the terms list: each term fills one
     template, and each distinct path's block is written once."""
-    result = _encode_str(algebra.render_element(product))
-    if not product.terms:
-        return '{\n  "result": ' + result + ',\n  "terms": []\n}'
-    blocks = _PathBlocks()
-    coeff = algebra._coefficient_text
-    terms = [
-        _TERM_JSON % (blocks[m.alpha], blocks[m.beta], _encode_str(coeff(m.coeff.numerator, m.coeff.denominator)))
-        for m in product.terms
-    ]
-    return '{\n  "result": ' + result + ',\n  "terms": [\n    ' + ",\n    ".join(terms) + "\n  ]\n}"
+    parts, items = [], []
+    blocks: dict[int, str] = {}  # id of a path -> its {"edges", "source"} block
+    for part, coeff, m in algebra._term_texts(product.terms):
+        parts.append(part)
+        alpha = blocks.get(id(m.alpha)) or _path_block(blocks, m.alpha)
+        beta = blocks.get(id(m.beta)) or _path_block(blocks, m.beta)
+        items.append(_TERM_JSON % (alpha, beta, _encode_str(coeff)))
+    if not items:
+        return '{\n  "result": "0",\n  "terms": []\n}'
+    result = _encode_str("".join(parts))
+    return '{\n  "result": ' + result + ',\n  "terms": [\n    ' + ",\n    ".join(items) + "\n  ]\n}"
+
+
+def _path_block(blocks: dict, p) -> str:
+    """A path's ``{"edges", "source"}`` block, written into ``blocks``;
+    the blocks of alpha and beta sit at one indentation."""
+    text = blocks[id(p)] = _json_text({"edges": p.edges, "source": p.source}, "\n      ")
+    return text
 
 
 _COMMANDS = {

@@ -205,7 +205,9 @@ class _Masks:
     of two sets of one size the larger mask has the smaller sorted ids.
     Vertex i reaches ``descendants[i]`` and is reached from
     ``ancestors[i]`` (its M(v)); both hold i.  ``closed_sets`` holds the
-    masks of H_E once ``enumerate_HE`` has walked them all."""
+    masks of H_E once ``enumerate_HE`` has walked them all, and
+    ``coatoms`` its coatoms as vertex sets once
+    ``lattice.maximal_proper_elements`` has found them."""
 
     def __init__(self, g: DirectedGraph):
         self.vertices = g.vertices[::-1]
@@ -218,6 +220,7 @@ class _Masks:
         self.descendants, self.ancestors = _reach(self.successors), _reach(self.predecessors)
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
         self.closed_sets: frozenset[int] | None = None
+        self.coatoms: tuple[frozenset[str], ...] | None = None
 
     def of(self, subset) -> int:
         out = 0

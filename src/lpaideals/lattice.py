@@ -152,11 +152,19 @@ def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
     reaches a sink, an infinite emitter or a vertex w on a closed path;
     each regular vertex of M(w) then has an edge into M(w), so
     E^0 minus M(w) is saturated, lies in H_E and contains H.
+
+    The answer on the lattice that ``enumerate_HE`` keeps is kept beside
+    it (``_Masks.coatoms``), so a second call scans nothing.
     """
     masks = lat.graph._masks
+    kept = lat._closed is masks.closed_sets
+    if kept and masks.coatoms is not None:
+        return list(masks.coatoms)
     candidates = {masks.full & ~m for m in masks.ancestors} & lat._closed
-    maximal = [h for h in candidates if not any(h != o and not h & ~o for o in candidates)]
-    return list(masks.sorted_sets(maximal))
+    maximal = masks.sorted_sets(h for h in candidates if not any(h != o and not h & ~o for o in candidates))
+    if kept:
+        masks.coatoms = maximal
+    return list(maximal)
 
 
 def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:

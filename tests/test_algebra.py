@@ -220,9 +220,36 @@ def test_render_then_parse_is_the_identity(g, rng):
 
 
 def test_parse_rejects_garbage(unique_max):
-    for text in ("", "unknown", "e1 |", "| |", "e2 e1", "u | c*", "e1 u", "3/0 u"):
-        with pytest.raises(GraphError):
+    """Each bad expression names its first fault, in the order the term
+    is read: signs, coefficient, tokens, paths, then the coefficient's
+    value."""
+    for text, message in (
+        ("", "empty element expression"),
+        ("unknown", "unknown edge 'unknown'"),
+        ("e1 |", "'|' must be followed by a ghost path"),
+        ("| |", "at most one '|' per term"),
+        ("e2 e1", "edge 'e1' does not start at 'w'"),
+        ("u | c*", "real part ends at 'u' but ghost part ends at 'w'"),
+        ("e1 u", "unknown edge 'u'"),
+        ("3/0 u", "zero denominator in coefficient '3/0'"),
+        ("1/0 u", "zero denominator in coefficient '1/0'"),
+        ("3/0 unknown", "zero denominator in coefficient '3/0'"),
+        ("2", "a term needs a path part after its coefficient"),
+        ("0 u", "monomials carry nonzero coefficients"),
+        ("-0 u", "monomials carry nonzero coefficients"),
+        ("0 unknown", "unknown edge 'unknown'"),
+        ("c* e1", "real-path tokens cannot follow ghost tokens"),
+        ("- -", "empty term in element expression"),
+        ("u - - v", "empty term in element expression"),
+        ("u +", "empty term in element expression"),
+    ):
+        with pytest.raises(GraphError) as caught:
             parse_element(unique_max, text)
+        assert str(caught.value) == message, text
+    assert parse_element(unique_max, "- - u") == vertex_element(unique_max, "u")
+    assert parse_element(unique_max, "- - 2 c - c") == edge_element(unique_max, "c")
+    cancelled = parse_element(unique_max, "2 u - 2 u")
+    assert cancelled.is_zero() and render_element(cancelled) == "0"
 
 
 def _terms_by_key(x):
@@ -272,6 +299,52 @@ def graph_and_two_elements(draw):
     return element(), element()
 
 
+def _with_own_paths(x):
+    """x rebuilt through the validating constructor from a new path object
+    for every path of every term: no path object of it is shared with
+    another element."""
+    g = x.graph
+    return AlgebraElement(
+        g,
+        tuple(
+            Monomial(m.coeff, make_path(g, m.alpha.source, m.alpha.edges), make_path(g, m.beta.source, m.beta.edges))
+            for m in x.terms
+        ),
+    )
+
+
+@given(graph_and_two_elements())
+def test_products_merge_equal_paths_that_are_distinct_objects(xy):
+    """The product merges its terms by the identity of their paths, so it
+    must make equal paths of the two factors one object first."""
+    x, y = xy
+    own_x, own_y = _with_own_paths(x), _with_own_paths(y)
+    for left, right in ((own_x, own_y), (own_y, own_x), (own_x, _with_own_paths(x)), (own_x, own_x)):
+        assert_product_matches_oracle(left, right)
+    assert own_x * own_y == x * y
+
+
+def test_term_pairs_with_one_product_merge(unique_max):
+    """Distinct term pairs whose products have the same (alpha, beta), with
+    equal and with unequal denominators, and a sum that cancels."""
+    g = unique_max
+
+    def element(*terms):
+        return AlgebraElement(
+            g, tuple(Monomial(Fraction(c), make_path(g, *a), make_path(g, *b)) for c, a, b in terms)
+        )
+
+    u, e1 = ("u", ()), ("u", ("e1",))
+    x = element((1, u, u), (1, e1, e1))
+    assert x * element((1, u, u), (1, e1, e1)) == element((1, u, u), (3, e1, e1))
+    x = element((Fraction(1, 2), u, u), (Fraction(1, 3), e1, e1))
+    y = element((1, u, u), (Fraction(-3, 4), e1, e1))
+    assert x * y == element((Fraction(1, 2), u, u), (Fraction(-7, 24), e1, e1))
+    assert (element((1, e1, e1)) * element((1, u, u), (-1, e1, e1))).is_zero()
+    for left, right in ((x, y), (y, x), (x, x)):
+        assert_product_matches_oracle(left, right)
+
+
 @given(graph_and_two_elements())
 def test_product_matches_all_pairs_oracle(xy):
     x, y = xy
@@ -288,6 +361,7 @@ def test_product_matches_oracle_on_the_acceptance_corpus():
         y = _random_element(g, rng, pool)
         for left, right in ((x, y), (x, _prefix_partners(g, x, rng)), (_prefix_partners(g, y, rng), y)):
             assert_product_matches_oracle(left, right)
+            assert_product_matches_oracle(_with_own_paths(left), _with_own_paths(right))
             checked += not (left * right).is_zero()
     assert checked > 500
 
@@ -346,22 +420,42 @@ def test_parse_sum_and_scale_check_no_path_again(unique_max, monkeypatch):
     assert results[0] == parse_element(unique_max, "-7/3 e1 + f1 | g1* + c | c*")
 
 
-def test_equal_paths_of_a_product_are_one_object(unique_max):
-    """A product of two 300-term elements builds each distinct path once."""
+def _300_term_factors(g):
     rng = random.Random(5)
-    pool = _monomial_pool(unique_max, max_len=4)
+    pool = _monomial_pool(g, max_len=4)
 
     def element():
         pairs = rng.sample(pool, 300)
         return AlgebraElement(
-            unique_max, tuple(Monomial(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)), a, b) for a, b in pairs)
+            g, tuple(Monomial(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)), a, b) for a, b in pairs)
         )
 
-    x, y = element(), element()
+    return _with_own_paths(element()), _with_own_paths(element())
+
+
+def test_equal_paths_of_a_product_are_one_object(unique_max):
+    """A product of two 300-term elements builds each distinct path once."""
+    x, y = _300_term_factors(unique_max)
     product = x * y
     paths = [p for m in product.terms for p in (m.alpha, m.beta)]
     assert len(set(paths)) < len(paths) // 4
     assert len({id(p) for p in paths}) == len(set(paths))
+
+
+def test_a_product_checks_no_term_and_builds_each_coefficient_once(unique_max, monkeypatch):
+    """The product's terms are valid by construction: none goes through
+    the checking constructor, and each distinct coefficient is one
+    Fraction."""
+    x, y = _300_term_factors(unique_max)
+    checked, built = [], []
+    post_init, new = Monomial.__post_init__, Fraction.__new__
+    monkeypatch.setattr(Monomial, "__post_init__", lambda m: checked.append(m) or post_init(m))
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    product = x * y
+    monkeypatch.undo()
+    coefficients = {m.coeff for m in product.terms}
+    assert len(product.terms) > 5000 and checked == []
+    assert 0 < len(built) <= len(coefficients) == len({id(m.coeff) for m in product.terms})
 
 
 def test_long_coefficients_under_the_default_digit_limit(unique_max):

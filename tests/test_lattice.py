@@ -294,9 +294,10 @@ def lattice_work(monkeypatch):
 @pytest.mark.parametrize(
     "command, expected",
     [
-        # the 12 coatoms twice (lattice and report) and the 12 M(d) that
-        # each prime enumeration reads; the 4,096 sets print off the masks
-        ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 2 * 12 + 3 * 12}),
+        # the 12 coatoms once (the report reuses the lattice's) and the 12
+        # M(d) that each prime enumeration reads; the 4,096 sets print off
+        # the masks
+        ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 12 + 3 * 12}),
         ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
         ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12 + 2 * 12}),
         ("primes", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
@@ -310,6 +311,23 @@ def test_H_E_stays_in_masks_until_it_is_printed(lattice_work, tmp_path, capsys, 
     assert main([command, str(path), "--json"]) == 0
     capsys.readouterr()
     assert lattice_work == expected
+
+
+def test_the_coatoms_are_scanned_once_per_graph(monkeypatch):
+    """``analyze`` asks for the coatoms of the kept H_E twice, and the
+    second call reads the first one's answer; a lattice over other masks
+    gets its own scan."""
+    g = loop_antichain(3)
+    lat = enumerate_HE(g)
+    first = maximal_proper_elements(lat)
+    assert first == [{"a1", "a2"}, {"a1", "a3"}, {"a2", "a3"}]
+    scans = []
+    sorted_sets = _Masks.sorted_sets
+    monkeypatch.setattr(_Masks, "sorted_sets", lambda self, masks: scans.append(1) or sorted_sets(self, masks))
+    assert maximal_proper_elements(enumerate_HE(g)) == first and scans == []
+    singletons = lattice.HSLattice(g, frozenset(m for m in lat._closed if m.bit_count() < 2))
+    assert maximal_proper_elements(singletons) == [] and scans == [1]
+    assert maximal_proper_elements(lat) == first and scans == [1]
 
 
 @pytest.mark.parametrize("command", ["hsets", "analyze"])
