@@ -30,7 +30,6 @@ from .cycles import (
     is_downward_directed,
     is_maximal_tail,
     make_cycle,
-    simple_cycles,
 )
 from .lattice import (
     AdmissiblePair,

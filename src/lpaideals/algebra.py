@@ -453,7 +453,8 @@ def _paths_from_edges(g: DirectedGraph, edge_ids: list[str]) -> PathWord:
 
 
 def render_element(x: AlgebraElement) -> str:
-    """Canonical text form, re-parseable by parse_element."""
+    """Canonical text form, which parse_element reads back as x unless an
+    id names both a vertex and an edge (ambiguous) or is '+' or '-'."""
     return "".join([part for part, _, _ in _term_texts(x.terms)]) or "0"
 
 
@@ -462,8 +463,8 @@ def _term_texts(terms):
     before by ' + ' or ' - '), its signed coefficient text, and the term.
     Each distinct coefficient, real path and ghost path is written once,
     keyed by the identity of its object."""
-    coeffs: dict[int, tuple[str, str, str]] = {}
-    reals: dict[int, str] = {}
+    coeffs: dict[int, tuple[str, str, str, str, str]] = {}
+    reals: dict[int, tuple[str, bool]] = {}
     ghosts: dict[int, str] = {}
     head = 1  # where the coefficient's head sits: 1 on the first piece, 2 after
     for m in terms:
@@ -471,27 +472,30 @@ def _term_texts(terms):
         if coeff is None:
             coeff = coeffs[id(m.coeff)] = _coefficient_texts(m.coeff.numerator, m.coeff.denominator)
         alpha, beta = m.alpha, m.beta
-        body = reals.get(id(alpha))
-        if body is None:
-            body = reals[id(alpha)] = " ".join(alpha.edges) if alpha.edges else alpha.source
+        real = reals.get(id(alpha))
+        if real is None:  # the real path's text, and if its first id reads as a coefficient
+            first = alpha.edges[0] if alpha.edges else alpha.source
+            real = reals[id(alpha)] = (" ".join(alpha.edges) or first, bool(_COEFF_RE.match(first)))
+        body, numeric = real
         if beta.edges:
             ghost = ghosts.get(id(beta))
             if ghost is None:
                 ghost = ghosts[id(beta)] = " ".join([eid + "*" for eid in beta.edges])
-            body = body + " | " + ghost if alpha.edges else ghost
-        yield coeff[head] + body, coeff[0], m
+            body, numeric = (body + " | " + ghost, numeric) if alpha.edges else (ghost, False)
+        yield coeff[head if numeric else head + 2] + body, coeff[0], m
         head = 2
 
 
-def _coefficient_texts(num: int, den: int) -> tuple[str, str, str]:
-    """A coefficient's signed text, and its head on the first term of the
-    text form and on a later one, where the sign becomes ' + ' or ' - '
-    and a coefficient of 1 is left out."""
+def _coefficient_texts(num: int, den: int) -> tuple[str, str, str, str, str]:
+    """A coefficient's signed text; its head on the first term of the text
+    form and on a later one, where the sign becomes ' + ' or ' - '; and
+    the same two heads with a coefficient of 1 left out, used unless the
+    term's first id would then read as a coefficient."""
     signed = _coefficient_text(num, den)
-    unit = abs(num) == 1 and den == 1
-    first = "" if unit and num == 1 else signed + " "
-    later = (" - " if num < 0 else " + ") + ("" if unit else signed.lstrip("-") + " ")
-    return signed, first, later
+    first, later = signed + " ", (" - " if num < 0 else " + ") + signed.lstrip("-") + " "
+    if abs(num) == 1 and den == 1:
+        return signed, first, later, "" if num == 1 else first, later[:3]
+    return signed, first, later, first, later
 
 
 def _coefficient_text(num: int, den: int) -> str:

@@ -1,4 +1,4 @@
-"""Cycle-level structure: simple cycles, exits, Conditions (L) and (K).
+"""Cycle-level structure: exits, Conditions (L) and (K), maximal tails.
 
 Cycles range over named edges only: an omega bundle stands for
 infinitely many anonymous edges, so it is never returned as a cycle or
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DEFAULT_CAP, DirectedGraph, Edge, GraphError, ResourceCapError
+from .graph import DirectedGraph, Edge, GraphError
 from .lattice import _is_hereditary_saturated
 
 
@@ -59,61 +59,6 @@ def _rotated(edge_ids, sources) -> Cycle:
     ``edge_ids[i]``, rotated to start at its least vertex."""
     k = sources.index(min(sources))
     return Cycle(tuple(edge_ids[k:] + edge_ids[:k]), tuple(sources[k:] + sources[:k]))
-
-
-def simple_cycles(g: DirectedGraph, cap: int = DEFAULT_CAP) -> list[Cycle]:
-    """All simple cycles over named edges, deduplicated up to rotation.
-
-    Enumerates cycles rooted at their least vertex, so each cycle is
-    produced exactly once and already in canonical rotation.  A cycle
-    rooted at ``base`` stays in base's strongly connected component among
-    the vertices from ``base`` up (the restriction of Johnson's
-    algorithm, without its blocked sets).  The paths from ``base`` only
-    meet vertices that base reaches, so they grow only among those that
-    reach base back, and not at all from a base with no edge up.
-    Raises ResourceCapError when more than ``cap`` cycles exist.  No
-    command calls it: the conditions and the primes read their cycles
-    off the graph's components.
-    """
-    found: list[Cycle] = []
-    stepping_up = {e.src for e in g.edges if e.dst > e.src}
-    for base in g.vertices:
-        inside = set()
-        if base in stepping_up:
-            masks = g._masks
-            inside = set(masks.ids(masks.reaching_above(masks.index[base])))
-        _grow_cycles(g, cap, found, base, inside)
-    found.sort(key=lambda c: c.edges)
-    return found
-
-
-def _grow_cycles(g, cap, found, base, inside) -> None:
-    """Grow every simple path from ``base`` by each out-edge of its last
-    vertex: an edge back to ``base`` closes a cycle, one to a vertex of
-    ``inside`` (those above ``base`` that reach it, less the path)
-    extends the path.  The path and the out-edges left at each of its
-    vertices are kept on explicit stacks, so a path may be longer than
-    the interpreter's recursion limit."""
-    edge_acc: list[str] = []
-    vert_acc = [base]
-    pending = [iter(g._out_edges[base])]
-    while pending:
-        for e in pending[-1]:
-            if e.dst == base:
-                if len(found) >= cap:
-                    raise ResourceCapError(f"more than {cap} simple cycles")
-                found.append(Cycle(tuple(edge_acc + [e.id]), tuple(vert_acc)))
-            elif e.dst in inside:
-                inside.remove(e.dst)
-                edge_acc.append(e.id)
-                vert_acc.append(e.dst)
-                pending.append(iter(g._out_edges[e.dst]))
-                break
-        else:
-            pending.pop()
-            if edge_acc:
-                edge_acc.pop()
-                inside.add(vert_acc.pop())
 
 
 def _cycle_in_graph(g: DirectedGraph, c: Cycle) -> bool:

@@ -34,7 +34,7 @@ class ResourceCapError(RuntimeError):
     """An enumeration would exceed its configured cap."""
 
 
-# The default bound on simple cycles and on hereditary saturated sets alike.
+# The default bound on the hereditary saturated sets that one walk of H_E finds.
 DEFAULT_CAP = 1_000_000
 
 
@@ -306,11 +306,6 @@ class _Masks:
                 pending |= self.predecessors[i] & self.regular & ~closed
         return closed
 
-    def reaching_above(self, i: int) -> int:
-        """The vertices with ids above vertex i's, bits 0..i-1, that reach
-        it through such vertices."""
-        return _walk(self.predecessors, i, (2 << i) - 1) & ~(1 << i)
-
 
 def _reach(steps: list[int]) -> list[int]:
     """Entry i: each vertex that a walk along ``steps`` from vertex i meets."""
@@ -324,19 +319,6 @@ def _reach(steps: list[int]) -> list[int]:
             out[i] |= out[j] or 1 << j  # done before: its whole entry
             rest &= ~out[i]
     return out
-
-
-def _walk(steps: list[int], i: int, within: int) -> int:
-    """Each vertex that a walk along ``steps`` from vertex i meets without
-    leaving ``within``, which holds i."""
-    seen = rest = 1 << i
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        new = steps[low.bit_length() - 1] & within & ~seen
-        seen |= new
-        rest |= new
-    return seen
 
 
 def parse_graph(text: str) -> DirectedGraph:

@@ -110,6 +110,35 @@ def breaker_below_coatom_with_loop():
     return graph(["a", "b", "c"], [("d", "c", "c"), ("e", "a", "c")], [("a", "b")])
 
 
+def diamond_chain(k):
+    """The base a, then k diamonds in a row: each join vertex, a first,
+    feeds two middle vertices that both feed the next join, and the last
+    join carries the only cycle, a loop c.  a has 2^k paths to it."""
+    vertices, edges, join = ["a"], [], "a"
+    for j in range(1, k + 1):
+        x, y, z = f"v{j:02}x", f"v{j:02}y", f"v{j:02}z"
+        vertices += [x, y, z]
+        edges += [(f"p{j}", join, x), (f"q{j}", join, y), (f"r{j}", x, z), (f"s{j}", y, z)]
+        join = z
+    return graph(vertices, edges + [("c", join, join)])
+
+
+def ring(n):
+    """One cycle through n vertices, r0000 -> r0001 -> ... -> r0000."""
+    vertices = [f"r{i:04}" for i in range(n)]
+    return graph(vertices, [(f"e{i:04}", v, vertices[(i + 1) % n]) for i, v in enumerate(vertices)])
+
+
+def sparse_graph(n):
+    """n vertices, 3n random named edges and n // 50 random bundles,
+    drawn from random.Random(n)."""
+    rng = random.Random(n)
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [(f"e{j}", rng.choice(vertices), rng.choice(vertices)) for j in range(3 * n)]
+    bundles = sorted({(rng.choice(vertices), rng.choice(vertices)) for _ in range(n // 50)})
+    return graph(vertices, edges, bundles)
+
+
 @pytest.fixture
 def unique_max():
     return unique_maximal_graph()

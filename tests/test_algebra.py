@@ -212,11 +212,64 @@ def test_parse_and_render(unique_max):
         assert parse_element(x.graph, render_element(x)) == x
 
 
-@given(st.sampled_from([unique_maximal_graph(), omega_graph(), mixed_maximals_graph()]), st.randoms())
+def numeric_ids_graph():
+    """Ids that read as coefficients: the vertices 0 and 1, the loop
+    c: 0 -> 0, d: 1 -> 0, and the edges 3: 1 -> 1, 2/3: 1 -> 0 and
+    -1: 0 -> 0."""
+    return graph(
+        ["0", "1"],
+        [("c", "0", "0"), ("d", "1", "0"), ("3", "1", "1"), ("2/3", "1", "0"), ("-1", "0", "0")],
+    )
+
+
+@given(
+    st.sampled_from([unique_maximal_graph(), omega_graph(), mixed_maximals_graph(), numeric_ids_graph()]),
+    st.randoms(),
+)
 def test_render_then_parse_is_the_identity(g, rng):
     x = _random_element(g, rng, _monomial_pool(g, max_len=2))
     for y in (x, x - x, zero(g)):
         assert parse_element(g, render_element(y)) == y
+
+
+def test_an_id_that_reads_as_a_coefficient_gets_an_explicit_one():
+    """A term whose first token would read as a coefficient is written
+    with its coefficient, 1 included, so that the id reads as an id."""
+    g = numeric_ids_graph()
+    at_0 = parse_element(g, "c*") * parse_element(g, "c")
+    assert at_0 == vertex_element(g, "0") and render_element(at_0) == "1 0"
+    for text, rendered in (
+        ("0", "0"),  # the zero element
+        ("1 0", "1 0"),
+        ("-1 0", "-1 0"),
+        ("1 1 - 1 0", "-1 0 + 1 1"),
+        ("1 0 - 1 1", "1 0 - 1 1"),
+        ("1 3", "1 3"),
+        ("1 2/3 + 1 -1", "1 -1 + 1 2/3"),
+        ("2 -1 - 1 3 | 3*", "2 -1 - 1 3 | 3*"),
+        ("c* - 1 -1 | c*", "c* - 1 -1 | c*"),
+        ("1 d - 1 0", "-1 0 + d"),
+    ):
+        x = parse_element(g, text)
+        assert render_element(x) == rendered, text
+        assert parse_element(g, rendered) == x, text
+
+
+def test_ids_that_the_text_form_cannot_carry():
+    """An id that names both a vertex and an edge renders bare and reads
+    back as ambiguous; an id '+' or '-' reads back as a sign."""
+    both = graph(["x", "y"], [("x", "y", "y")])
+    for x in (vertex_element(both, "x"), edge_element(both, "x")):
+        assert render_element(x) == "x"
+        with pytest.raises(GraphError) as caught:
+            parse_element(both, render_element(x))
+        assert str(caught.value) == "'x' names both a vertex and an edge; ambiguous"
+    signs = graph(["+", "-"])
+    for v in signs.vertices:
+        assert render_element(vertex_element(signs, v)) == v
+        with pytest.raises(GraphError) as caught:
+            parse_element(signs, v)
+        assert str(caught.value) == "empty term in element expression"
 
 
 def test_parse_rejects_garbage(unique_max):

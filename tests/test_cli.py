@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import clique_with_loop, graphs, omega_graph, unique_maximal_graph, mixed_maximals_graph, random_corpus
+from conftest import clique_with_loop, graph, graphs, omega_graph, unique_maximal_graph, mixed_maximals_graph, random_corpus
 from test_algebra import graph_and_two_elements
 from test_golden import escaped_ids, loop_antichain, mul_args
 from lpaideals import ResourceCapError, enumerate_HE, parse_element, parse_graph, render_element, serialize_graph
@@ -230,6 +230,21 @@ def test_mul_coefficients_have_no_digit_limit(run, tmp_path):
         assert doc["result"] == f"{coeff} {product_path}"
         assert [t["coeff"] for t in doc["terms"]] == [coeff]
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_mul_writes_a_product_at_a_numeric_vertex_so_it_reads_back(run, tmp_path):
+    """c* c is the vertex 0, not the zero element: its text carries the
+    coefficient 1, and it reads back as the vertex."""
+    path = write_graph(tmp_path, graph(["0", "1"], [("c", "0", "0"), ("d", "1", "0")]))
+    assert run("mul", path, "--lhs", "c*", "--rhs", "c") == (0, "1 0\n", "")
+    code, out, err = run("mul", path, "--lhs", "c*", "--rhs", "c", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["result"] == "1 0"
+    assert doc["terms"] == [
+        {"coeff": "1", "alpha": {"source": "0", "edges": []}, "beta": {"source": "0", "edges": []}}
+    ]
+    assert run("mul", path, "--lhs", "1 0", "--rhs", "d* - 1 0") == (0, "-1 0 + d*\n", "")
 
 
 def test_check_condition_holds(run, tmp_path):

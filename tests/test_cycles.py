@@ -1,4 +1,4 @@
-import gc
+import functools
 import json
 import random
 from itertools import combinations
@@ -13,10 +13,13 @@ from conftest import (
     chain_graph,
     clique_with_loop,
     cross_bundle_cycle,
+    diamond_chain,
     graph,
     graph_and_subset,
     graphs,
     random_corpus,
+    ring,
+    sparse_graph,
     unique_maximal_graph,
 )
 from oracles import (
@@ -28,9 +31,9 @@ from oracles import (
     is_maximal_tail_brute,
     reach_sets,
 )
+import lpaideals
 from lpaideals import (
     GraphError,
-    ResourceCapError,
     condition_K,
     condition_L,
     cycles_without_K,
@@ -40,7 +43,6 @@ from lpaideals import (
     is_maximal_tail,
     make_cycle,
     serialize_graph,
-    simple_cycles,
 )
 from lpaideals import cycles
 from lpaideals.cli import main
@@ -51,59 +53,48 @@ def cycle_of(g, *edge_ids):
     return make_cycle(g, edge_ids)
 
 
+@functools.cache
+def every_cycle(g):
+    """Every simple cycle of g over named edges, in canonical rotation and
+    sorted by edge tuple, by the arrangement oracle.  Kept per graph, as
+    several comparisons read it."""
+    return [make_cycle(g, edges) for edges in sorted(cycles_brute(g))]
+
+
+# The reference list by hand on small graphs: every cycle once, in its
+# canonical rotation (least vertex first), sorted by edge tuple.
+
+
 def test_simple_cycles_unique_maximal_fixture():
     g = unique_maximal_graph()
-    assert [c.edges for c in simple_cycles(g)] == [("c",), ("f1",), ("g1",)]
+    assert [c.edges for c in every_cycle(g)] == [("c",), ("f1",), ("g1",)]
 
 
 def test_simple_cycles_acyclic_path():
     g = graph(["u", "v", "w"], [("a", "u", "v"), ("b", "v", "w")])
-    assert simple_cycles(g) == []
+    assert every_cycle(g) == []
 
 
 def test_simple_cycles_chain_truncation():
-    assert len(simple_cycles(chain_graph(3))) == 6
+    assert len(every_cycle(chain_graph(3))) == 6
 
 
 def test_simple_cycles_multivertex_and_parallel():
     g = graph(["u", "v"], [("a", "u", "v"), ("b", "v", "u"), ("b2", "v", "u")])
-    cycles = simple_cycles(g)
-    assert [c.edges for c in cycles] == [("a", "b"), ("a", "b2")]
-    assert all(c.base == "u" for c in cycles)
-
-
-def test_simple_cycles_respects_cap():
-    g = chain_graph(3)
-    with pytest.raises(ResourceCapError):
-        simple_cycles(g, cap=5)
-    assert len(simple_cycles(g, cap=6)) == 6
-
-
-def test_simple_cycles_leave_no_cyclic_garbage():
-    g = chain_graph(3)
-    gc.collect()
-    gc.disable()
-    try:
-        assert len(simple_cycles(g)) == 6
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    found = every_cycle(g)
+    assert [c.edges for c in found] == [("a", "b"), ("a", "b2")]
+    assert all(c.base == "u" for c in found)
 
 
 def test_cycle_type_invariants():
     for g in random_corpus(50, seed=13):
-        cycles = simple_cycles(g)
-        assert len({c.edges for c in cycles}) == len(cycles)
-        for c in cycles:
-            assert len(c.edges) == len(c.vertices)
-            assert len(set(c.vertices)) == len(c.vertices)
-            assert c.base == min(c.vertices)
-            assert make_cycle(g, c.edges) == c
-
-
-def test_cycle_enumeration_against_arrangement_oracle():
-    for g in random_corpus(80, seed=17, with_bundles=False):
-        assert {c.edges for c in simple_cycles(g)} == cycles_brute(g)
+        for found in (cycles_without_K(g), cycles._exitless_cycles(g)):
+            assert len({c.edges for c in found}) == len(found)
+            for c in found:
+                assert len(c.edges) == len(c.vertices)
+                assert len(set(c.vertices)) == len(c.vertices)
+                assert c.base == min(c.vertices)
+                assert make_cycle(g, c.edges) == c
 
 
 def test_has_exit_examples():
@@ -283,7 +274,7 @@ def test_is_maximal_tail_against_the_mt_oracle_on_the_acceptance_corpus():
 
 def _assert_without_K_test_agrees(g):
     without_k = cycles_without_K(g)
-    for c in simple_cycles(g):
+    for c in every_cycle(g):
         assert _is_cycle_without_K(g, c) == (c in without_k), c
 
 
@@ -328,88 +319,11 @@ def test_clique_edge_ids_stay_distinct_past_nine_vertices():
     assert [e.id for e in clique_with_loop(5).edges][:3] == ["c", "e12", "e13"]
 
 
-def _count_grow_calls(monkeypatch, limit):
-    """The bases from which the cycle search grows paths, one per
-    ``_grow_cycles`` call; fails the test as soon as there are more than
-    ``limit`` of them."""
-    calls = []
-    grow = cycles._grow_cycles
-
-    def counted(*args):
-        calls.append(args[3])
-        assert len(calls) <= limit, f"more than {limit} cycle searches"
-        return grow(*args)
-
-    monkeypatch.setattr(cycles, "_grow_cycles", counted)
-    return calls
-
-
-class _CountedLookups(dict):
-    """A graph's out-edge table that records each vertex looked up: the
-    cycle search looks up each base once and each vertex a path steps to."""
-
-    def __init__(self, table):
-        super().__init__(table)
-        self.seen = []
-
-    def __getitem__(self, v):
-        self.seen.append(v)
-        return super().__getitem__(v)
-
-
-def diamond_chain(k):
-    """The base a, then k diamonds in a row: each join vertex, a first,
-    feeds two middle vertices that both feed the next join, and the last
-    join carries the only cycle, a loop.  a has 2^k paths to it."""
-    vertices, edges, join = ["a"], [], "a"
-    for j in range(1, k + 1):
-        x, y, z = f"v{j:02}x", f"v{j:02}y", f"v{j:02}z"
-        vertices += [x, y, z]
-        edges += [(f"p{j}", join, x), (f"q{j}", join, y), (f"r{j}", x, z), (f"s{j}", y, z)]
-        join = z
-    return graph(vertices, edges + [("c", join, join)])
-
-
-def test_cycle_search_stays_in_each_base_component():
-    # every base but the last join has a component of itself alone, so
-    # it grows no path; searching all paths above each base took
-    # 4,194,163 steps to find the one loop
-    g = diamond_chain(18)
-    g._masks  # the index is built before the lookups are counted
-    steps = _CountedLookups(g._out_edges)
-    object.__setattr__(g, "_out_edges", steps)
-    assert [c.edges for c in simple_cycles(g)] == [("c",)]
-    assert steps.seen == list(g.vertices)  # each base once, and no path step
-
-
-def ring(n):
-    """One cycle through n vertices, r0000 -> r0001 -> ... -> r0000."""
-    vertices = [f"r{i:04}" for i in range(n)]
-    return graph(vertices, [(f"e{i:04}", v, vertices[(i + 1) % n]) for i, v in enumerate(vertices)])
-
-
-def test_simple_cycles_follow_a_path_past_the_recursion_limit():
-    g = ring(1200)
-    assert [c.edges for c in simple_cycles(g)] == [tuple(e.id for e in g.edges)]
-    assert [c.edges for c in simple_cycles(g, cap=1)] == [tuple(e.id for e in g.edges)]
-
-
-def sparse_graph(n):
-    """n vertices, 3n random named edges and n // 50 random bundles,
-    drawn from random.Random(n)."""
-    rng = random.Random(n)
-    vertices = [f"v{i}" for i in range(n)]
-    edges = [(f"e{j}", rng.choice(vertices), rng.choice(vertices)) for j in range(3 * n)]
-    bundles = sorted({(rng.choice(vertices), rng.choice(vertices)) for _ in range(n // 50)})
-    return graph(vertices, edges, bundles)
-
-
-def test_cycle_cap_refuses_a_sparse_graph_within_bounded_work(monkeypatch, tmp_path, capsys):
+def test_cycle_cap_refuses_a_sparse_graph_within_bounded_work(tmp_path, capsys):
     """``check`` answers at any ``--cap`` and searches no cycle: it used
     to refuse at ``--cap 100`` on the 200-vertex graph, and to run past
     20 s on the 1,000-vertex one, growing paths inside its large
     component."""
-    _count_grow_calls(monkeypatch, 0)  # a cycle search fails the test
     for n in (200, 1000):
         g = sparse_graph(n)
         path = tmp_path / f"sparse{n}.json"
@@ -471,18 +385,13 @@ REPORT_COMMANDS = [
 ]
 
 
-def test_analyze_searches_the_cycles_once(monkeypatch, tmp_path, capsys):
-    """At most once, and in fact never: ``analyze``, like every other
-    command, reads the conditions and the prime families off the
-    components without calling ``simple_cycles``."""
+def test_analyze_searches_the_cycles_once(tmp_path, capsys):
+    """At most once, and in fact never: every command reads the
+    conditions and the prime families off the components, and the
+    library has no cycle enumerator left to call."""
+    assert not hasattr(lpaideals, "simple_cycles") and not hasattr(cycles, "simple_cycles")
     path = tmp_path / "k5.json"
     path.write_text(serialize_graph(clique_with_loop(5)))
-    _count_grow_calls(monkeypatch, 0)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a command called simple_cycles")
-
-    monkeypatch.setattr(cycles, "simple_cycles", refuse)
     for command in REPORT_COMMANDS:
         assert main([command[0], str(path), *command[1:], "--json"]) == 0
     capsys.readouterr()
@@ -533,12 +442,11 @@ def clique_report(n):
 
 
 @pytest.mark.parametrize("n", [10, 12])
-def test_large_cliques_answer_without_a_cycle_search(monkeypatch, tmp_path, capsys, n):
+def test_large_cliques_answer_without_a_cycle_search(tmp_path, capsys, n):
     """K10 plus a loop used to refuse at ``--cap 200000`` after seconds of
     enumeration; K12 has about 10^9 simple cycles."""
     path = tmp_path / "clique.json"
     path.write_text(serialize_graph(clique_with_loop(n)))
-    _count_grow_calls(monkeypatch, 0)
     expected = clique_report(n)
     for command in REPORT_COMMANDS:
         assert main([command[0], str(path), *command[1:], "--json", "--cap", "200000"]) == 0
@@ -554,19 +462,21 @@ def _on_one_cycle(g, v):
     return sum(a.dst in component for a in arrows) == len(component)
 
 
-def exitless_by_enumeration(g):
+def exitless_by_enumeration(g, every):
     """The exitless cycles, filtered from every simple cycle."""
-    return [c for c in simple_cycles(g) if not has_exit(g, c)]
+    return [c for c in every if not has_exit(g, c)]
 
 
-def without_K_by_enumeration(g):
+def without_K_by_enumeration(g, every):
     """The cycles without K, filtered from every simple cycle."""
-    return [c for c in simple_cycles(g) if _on_one_cycle(g, c.base)]
+    return [c for c in every if _on_one_cycle(g, c.base)]
 
 
-def _assert_component_cycles_match_the_enumeration(g):
-    assert cycles._exitless_cycles(g) == exitless_by_enumeration(g)
-    assert cycles_without_K(g) == without_K_by_enumeration(g)
+def _assert_component_cycles_match_the_enumeration(g, every=None):
+    """``every`` is g's list of simple cycles, the oracle's by default."""
+    every = every_cycle(g) if every is None else every
+    assert cycles._exitless_cycles(g) == exitless_by_enumeration(g, every)
+    assert cycles_without_K(g) == without_K_by_enumeration(g, every)
 
 
 @given(graphs())
@@ -580,6 +490,7 @@ def test_component_cycles_match_the_enumeration_on_the_acceptance_corpus():
 
 
 def test_component_cycles_match_the_enumeration_on_the_fixtures():
+    diamond = diamond_chain(3)
     fixtures = [
         unique_maximal_graph(),
         cross_bundle_cycle(),
@@ -588,10 +499,22 @@ def test_component_cycles_match_the_enumeration_on_the_fixtures():
         breaking_emitters(3),
         clique_with_loop(5),
         chain_graph(3),
-        diamond_chain(3),
+        diamond,
         ring(7),
     ]
+    # diamond has 10 vertices, where the arrangement oracle takes seconds;
+    # by hand, its one simple cycle is the loop c at the last join
+    hand_derived = {diamond: [make_cycle(diamond, ["c"])]}
     for g in fixtures:
-        _assert_component_cycles_match_the_enumeration(g)
+        _assert_component_cycles_match_the_enumeration(g, hand_derived.get(g))
+    assert [c.edges for c in cycles._exitless_cycles(diamond)] == [("c",)]
+    assert [c.edges for c in cycles_without_K(diamond)] == [("c",)]
     assert [c.edges for c in cycles._exitless_cycles(breaker_below_coatom_with_loop())] == [("d",)]
     assert cycles._exitless_cycles(cross_bundle_cycle()) == cycles_without_K(cross_bundle_cycle()) == []
+
+
+def test_cycle_lists_follow_a_ring_past_the_recursion_limit():
+    g = ring(1200)
+    ring_edges = tuple(e.id for e in g.edges)
+    assert [c.edges for c in cycles._exitless_cycles(g)] == [ring_edges]
+    assert [c.edges for c in cycles_without_K(g)] == [ring_edges]

@@ -17,6 +17,7 @@ from conftest import (
     unique_maximal_graph,
     mixed_maximals_graph,
     random_corpus,
+    sparse_graph,
 )
 from oracles import (
     breaking_vertices_brute,
@@ -27,7 +28,6 @@ from oracles import (
     next_closure_sets,
     reach_sets,
 )
-from test_cycles import sparse_graph
 from test_golden import escaped_ids, loop_antichain
 from lpaideals import (
     AdmissiblePair,
