@@ -76,8 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
     command("maximals", "maximal ideals, graded and non-graded families")
 
     quot = command("quotient", "quotient graph at an admissible pair (H, S)", flags=())
-    quot.add_argument("--H", default="", help="comma-separated vertices of H (empty for the zero ideal)")
-    quot.add_argument("--S", default="", help="comma-separated breaking vertices kept in S")
+    quot.add_argument(
+        "--H",
+        default="",
+        help=(
+            "comma-separated vertices of H (empty for the zero ideal); "
+            "give a list that starts with '-' with '=', as in --H=-1,0"
+        ),
+    )
+    quot.add_argument(
+        "--S",
+        default="",
+        help=(
+            "comma-separated breaking vertices kept in S; "
+            "give a list that starts with '-' with '=', as in --S=-1,0"
+        ),
+    )
 
     check = command("check", "check Condition (L) or (K)", flags=("json", "cap"))
     check.add_argument("--condition", choices=("L", "K"), required=True)

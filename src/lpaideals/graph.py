@@ -204,10 +204,20 @@ class _Masks:
     Bit i stands for ``vertices[i]``, the ids in descending order, so that
     of two sets of one size the larger mask has the smaller sorted ids.
     Vertex i reaches ``descendants[i]`` and is reached from
-    ``ancestors[i]`` (its M(v)); both hold i.  ``closed_sets`` holds the
-    masks of H_E once ``enumerate_HE`` has walked them all, and
-    ``coatoms`` its coatoms as vertex sets once
-    ``lattice.maximal_proper_elements`` has found them."""
+    ``ancestors[i]`` (its M(v)); both hold i.  What is derived once per
+    graph is kept here, each fact once it is complete:
+
+    - ``closed_sets``: the masks of H_E, once ``enumerate_HE`` has walked
+      them all;
+    - ``coatoms``: its coatoms as vertex sets, once
+      ``lattice.maximal_proper_elements`` has found them;
+    - ``primes``: the prime descriptors, once ``ideals.enumerate_primes``
+      has listed them;
+    - ``coatom_primes``: the graded primes and the prime families at
+      those coatoms, once ``ideals._coatom_primes`` has filtered them.
+
+    A call that refuses on a cap keeps nothing, and every later call
+    checks its own caps before it reads a kept fact."""
 
     def __init__(self, g: DirectedGraph):
         self.vertices = g.vertices[::-1]
@@ -221,6 +231,8 @@ class _Masks:
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
         self.closed_sets: frozenset[int] | None = None
         self.coatoms: tuple[frozenset[str], ...] | None = None
+        self.primes: tuple | None = None
+        self.coatom_primes: tuple[tuple, tuple] | None = None
 
     def of(self, subset) -> int:
         out = 0

@@ -126,10 +126,17 @@ def enumerate_primes(
     distinct M(d) whose complement H is hereditary saturated gives
     (H, B_H), (H, B_H - {u}) for each u in B_H with M(u) = M(d), and a
     family per cycle without K whose base has M(base) = M(d).
+
+    The caps decide only whether a call refuses, never the list, so the
+    first answer is kept in the graph's index (``_Masks.primes``) and
+    answers every later call on the graph once ``enumerate_HE`` has
+    checked that call's caps.
     """
     lat = enumerate_HE(g, cap, max_vertices)
-    without_k = cycles_without_K(g)
     masks = g._masks
+    if masks.primes is not None:
+        return list(masks.primes)
+    without_k = cycles_without_K(g)
     out: list[IdealDescriptor] = []
     for tail in set(masks.ancestors):
         if masks.full & ~tail not in lat._closed:
@@ -144,6 +151,7 @@ def enumerate_primes(
             if masks.ancestors[masks.index[c.base]] == tail:
                 out.append(NonGradedFamily(g, hset, c))
     out.sort(key=descriptor_sort_key)
+    masks.primes = tuple(out)
     return out
 
 
@@ -162,8 +170,15 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
     component, and for c without K that component holds no bundle and
     no named edge but c's own (``cycles_without_K``).  So no exit is
     checked.  The graded prime with the largest S at H is (H, B_H).
+
+    The answer is kept beside the primes (``_Masks.coatom_primes``), after
+    ``enumerate_primes`` has checked the caps of this call.
     """
     primes = enumerate_primes(g, cap, max_vertices)
+    masks = g._masks
+    if masks.coatom_primes is not None:
+        kept_graded, kept_families = masks.coatom_primes
+        return list(kept_graded), list(kept_families)
     hsets = {d.pair.H if isinstance(d, GradedIdeal) else d.H for d in primes}
     coatoms = {h for h in hsets if not any(h < o for o in hsets)}
     graded: dict[frozenset[str], AdmissiblePair] = {}
@@ -175,6 +190,7 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
                 graded[d.pair.H] = d.pair
         elif d.H in coatoms:
             families.append(d)
+    masks.coatom_primes = (tuple(graded.values()), tuple(families))
     return list(graded.values()), families
 
 

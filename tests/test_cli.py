@@ -178,6 +178,20 @@ def test_quotient_with_S(run, tmp_path):
     assert parse_graph(out).vertices == ("v",)
 
 
+def test_a_vertex_list_that_starts_with_a_dash_needs_an_equals_sign(run, tmp_path, capsys):
+    """argparse reads ``--H -1,0`` as ``--H`` with no value, as ``-1,0`` looks
+    like an option; ``--H=-1,0`` is the documented form (README, ``--help``)."""
+    g = graph(["-1", "0", "u"], [("a", "u", "u"), ("b", "u", "-1"), ("c", "-1", "0")])
+    path = write_graph(tmp_path, g)
+    code, out, err = run("quotient", path, "--H=-1,0")
+    assert (code, err) == (0, "")
+    assert out == serialize_graph(graph(["u"], [("a", "u", "u")]))
+    with pytest.raises(SystemExit) as exc:
+        run("quotient", path, "--H", "-1,0")
+    assert exc.value.code == 2
+    assert "--H: expected one argument" in capsys.readouterr().err
+
+
 def test_check(run, tmp_path):
     path = write_graph(tmp_path, unique_maximal_graph())
     code, out, _ = run("check", path, "--condition", "L", "--json")

@@ -16,7 +16,7 @@ from conftest import (
     random_corpus,
 )
 from oracles import breaking_vertices_brute, hereditary_saturated_sets_brute, maximals_brute
-from test_lattice import all_admissible_pairs
+from test_lattice import _refusal, all_admissible_pairs
 from lpaideals import (
     AdmissiblePair,
     GradedIdeal,
@@ -479,17 +479,106 @@ def _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) -> int:
     return len(calls)
 
 
-def test_analyze_computes_B_H_once_less_per_coatom(monkeypatch, tmp_path, capsys):
-    """On A_12 each of the three prime enumerations of ``analyze`` computes
-    B_H once for each of the 12 H: its pairs take S within B_H without
-    checking it again, and the two coatom filters take (H, B_H) from the
-    primes rather than computing B_H again: 36 calls."""
-    assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, "analyze") == 36
+def test_analyze_computes_B_H_once_per_graph(monkeypatch, tmp_path, capsys):
+    """On A_12 ``analyze`` asks for the primes three times and computes
+    them once, as the first answer is kept on the graph's index; that
+    computation finds B_H once for each of the 12 H: its pairs take S
+    within B_H without checking it again, and the coatom filter takes
+    (H, B_H) from the primes rather than computing B_H again: 12 calls."""
+    assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, "analyze") == 12
 
 
-@pytest.mark.parametrize("command, enumerations", [("primes", 1), ("maximals", 2)])
-def test_each_prime_enumeration_computes_B_H_once_per_H(monkeypatch, tmp_path, capsys, command, enumerations):
-    assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) == 12 * enumerations
+@pytest.mark.parametrize("command", ["primes", "maximals"])
+def test_each_prime_enumeration_computes_B_H_once_per_H(monkeypatch, tmp_path, capsys, command):
+    assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) == 12
+
+
+@pytest.mark.parametrize("command, calls", [("analyze", 2), ("maximals", 1), ("primes", 1)])
+def test_the_cycles_without_K_are_read_once_per_fact(monkeypatch, tmp_path, capsys, command, calls):
+    """On K_5 plus a loop, ``condition_K`` reads the cycles without K once
+    and the one prime computation once; the coatom filters and the later
+    prime calls read the kept primes."""
+    from lpaideals import cycles, ideals, serialize_graph
+    from lpaideals.cli import main
+
+    found = []
+    original = cycles.cycles_without_K
+
+    def counted(g):
+        found.append(g)
+        return original(g)
+
+    for module in (cycles, ideals):
+        monkeypatch.setattr(module, "cycles_without_K", counted)
+    path = tmp_path / "k5.json"
+    path.write_text(serialize_graph(clique_with_loop(5)))
+    for _ in range(3):
+        found.clear()
+        assert main([command, str(path), "--json"]) == 0
+        assert len(found) == calls
+    capsys.readouterr()
+
+
+def test_kept_primes_refuse_each_cap_as_a_fresh_graph():
+    """The prime list and its coatom filter are kept on the graph's index,
+    but each later call checks its own caps first, so it refuses with the
+    message that a fresh graph gives; a refused call keeps nothing."""
+    from test_golden import loop_antichain
+
+    calls = [
+        lambda g: enumerate_primes(g, cap=1),
+        lambda g: existence_report(g, cap=1),
+        lambda g: maximal_graded_ideals(g, cap=4095),
+        lambda g: enumerate_primes(g, max_vertices=1),
+        lambda g: existence_report(g, max_vertices=1),
+        lambda g: maximal_nongraded_families(g, max_vertices=11),
+    ]
+    fresh = []
+    for call in calls:
+        g = loop_antichain(12)
+        fresh.append(_refusal(lambda: call(g)))
+        assert g._masks.primes is None and g._masks.coatom_primes is None
+    assert fresh[:3] == ["lattice exceeds cap 1", "lattice exceeds cap 1", "lattice exceeds cap 4095"]
+    assert fresh[3] == "exact enumeration limited to 1 vertices, graph has 12"
+    g = loop_antichain(12)
+    assert len(enumerate_primes(g)) == 12 and len(existence_report(g).graded_maximals) == 12
+    assert g._masks.primes is not None and g._masks.coatom_primes is not None
+    assert [_refusal(lambda: call(g)) for call in calls] == fresh
+    assert len(enumerate_primes(g, cap=4096)) == 12
+
+
+def test_a_returned_prime_list_is_the_callers_own(mixed_max):
+    """Changing a list that a call returned leaves the kept answer as it was."""
+    primes = enumerate_primes(mixed_max)
+    graded, families = maximal_graded_ideals(mixed_max), maximal_nongraded_families(mixed_max)
+    expected = (list(primes), list(graded), list(families))
+    assert graded and families
+    for returned in (primes, graded, families):
+        returned.reverse()
+        returned.append(returned[0])
+    assert enumerate_primes(mixed_max) == expected[0]
+    assert maximal_graded_ideals(mixed_max) == expected[1]
+    assert maximal_nongraded_families(mixed_max) == expected[2]
+    report = existence_report(mixed_max)
+    assert (list(report.graded_maximals), list(report.nongraded_maximal_families)) == expected[1:]
+
+
+def test_an_equal_graph_computes_its_own_primes(monkeypatch):
+    """The kept primes belong to one graph object: an equal but separate
+    graph computes its own, and each graph then answers from its own."""
+    from lpaideals import ideals
+
+    computed = []
+    original = ideals.cycles_without_K
+    monkeypatch.setattr(ideals, "cycles_without_K", lambda g: computed.append(g) or original(g))
+    g, twin = clique_with_loop(4), clique_with_loop(4)
+    assert g == twin and g is not twin
+    answer = enumerate_primes(g)
+    report = existence_report(g)
+    assert computed == [g] and twin._masks.primes is None and twin._masks.coatom_primes is None
+    assert enumerate_primes(twin) == answer and existence_report(twin) == report
+    assert len(computed) == 2 and computed[1] is twin
+    assert enumerate_primes(g) == enumerate_primes(twin) == answer and len(computed) == 2
 
 
 VERTEX_SET_ENTRY_POINTS = {

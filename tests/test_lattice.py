@@ -295,11 +295,11 @@ def lattice_work(monkeypatch):
     "command, expected",
     [
         # the 12 coatoms once (the report reuses the lattice's) and the 12
-        # M(d) that each prime enumeration reads; the 4,096 sets print off
-        # the masks
-        ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 12 + 3 * 12}),
+        # M(d) that the one prime computation reads (later prime calls
+        # read the kept list); the 4,096 sets print off the masks
+        ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 12 + 12}),
         ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
-        ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12 + 2 * 12}),
+        ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12 + 12}),
         ("primes", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
     ],
 )
