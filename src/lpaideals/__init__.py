@@ -36,7 +36,6 @@ from .lattice import (
     HSLattice,
     breaking_vertices,
     enumerate_HE,
-    hereditary_closure,
     hs_closure,
     is_hereditary,
     is_saturated,

@@ -64,8 +64,8 @@ class DirectedGraph:
     Vertices, edges and bundles are kept in a canonical order (sorted by
     id, respectively by (src, dst)), so equality is independent of the
     order in which the parts were supplied.  What is derived from them
-    (the reachability index, H_E) is kept on the graph once complete,
-    out of equality and hashing.
+    (the reachability index, H_E, the primes) is kept on the graph once
+    complete, out of equality and hashing.
     """
 
     vertices: tuple[str, ...]
@@ -187,12 +187,6 @@ class DirectedGraph:
         self.require_vertex(v)
         return self._masks.to_set(self._masks.descendants[self._masks.index[v]])
 
-    def reaches(self, u: str, v: str) -> bool:
-        """True iff there is a directed path (length >= 0) from u to v."""
-        self.require_vertex(v)
-        self.require_vertex(u)
-        return bool(self._masks.descendants[self._masks.index[u]] >> self._masks.index[v] & 1)
-
     def m_of(self, v: str) -> frozenset[str]:
         """All vertices that reach v (v itself included)."""
         self.require_vertex(v)
@@ -204,20 +198,19 @@ class _Masks:
     Bit i stands for ``vertices[i]``, the ids in descending order, so that
     of two sets of one size the larger mask has the smaller sorted ids.
     Vertex i reaches ``descendants[i]`` and is reached from
-    ``ancestors[i]`` (its M(v)); both hold i.  What is derived once per
-    graph is kept here, each fact once it is complete:
+    ``ancestors[i]`` (its M(v)); both hold i.  Two facts derived once per
+    graph are kept here, each once it is complete, and neither refers
+    back to the graph, so the graph is freed by reference counting:
 
     - ``closed_sets``: the masks of H_E, once ``enumerate_HE`` has walked
       them all;
-    - ``coatoms``: its coatoms as vertex sets, once
-      ``lattice.maximal_proper_elements`` has found them;
-    - ``primes``: the prime descriptors, once ``ideals.enumerate_primes``
-      has listed them;
-    - ``coatom_primes``: the graded primes and the prime families at
-      those coatoms, once ``ideals._coatom_primes`` has filtered them.
+    - ``primes``: the prime rows, ``(H, S)`` for a graded prime and
+      ``(H, cycle)`` for a family, once ``ideals.enumerate_primes`` has
+      listed them.
 
     A call that refuses on a cap keeps nothing, and every later call
-    checks its own caps before it reads a kept fact."""
+    passes ``enumerate_HE``, which checks its caps against the kept
+    walk, before it reads a kept fact."""
 
     def __init__(self, g: DirectedGraph):
         self.vertices = g.vertices[::-1]
@@ -230,9 +223,7 @@ class _Masks:
         self.descendants, self.ancestors = _reach(self.successors), _reach(self.predecessors)
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
         self.closed_sets: frozenset[int] | None = None
-        self.coatoms: tuple[frozenset[str], ...] | None = None
-        self.primes: tuple | None = None
-        self.coatom_primes: tuple[tuple, tuple] | None = None
+        self.primes: tuple[tuple, ...] | None = None
 
     def of(self, subset) -> int:
         out = 0

@@ -21,7 +21,6 @@ from .lattice import (
     _pair,
     breaking_vertices,
     enumerate_HE,
-    maximal_proper_elements,
 )
 
 POLY_TOKEN = "irreducible f in K[x,x^-1]"
@@ -63,13 +62,32 @@ class NonGradedFamily:
         }
 
 
+def _family(g: DirectedGraph, hset: frozenset[str], cycle: Cycle) -> NonGradedFamily:
+    """A family whose H and cycle are known to fit, not checked again."""
+    family = object.__new__(NonGradedFamily)
+    object.__setattr__(family, "graph", g)
+    object.__setattr__(family, "H", hset)
+    object.__setattr__(family, "cycle", cycle)
+    object.__setattr__(family, "poly", POLY_TOKEN)
+    return family
+
+
 IdealDescriptor = GradedIdeal | NonGradedFamily
 
 
 def descriptor_sort_key(d: IdealDescriptor):
     if isinstance(d, GradedIdeal):
-        return (sorted(d.pair.H), 0, sorted(d.pair.S))
-    return (sorted(d.H), 1, list(d.cycle.edges))
+        return _row_key((d.pair.H, d.pair.S))
+    return _row_key((d.H, d.cycle))
+
+
+def _row_key(row: tuple) -> tuple:
+    """The order of the prime rows ``(H, S)`` and ``(H, cycle)``: by H,
+    then graded before families, then by S or by the cycle's edges."""
+    hset, rest = row
+    if isinstance(rest, Cycle):
+        return (sorted(hset), 1, list(rest.edges))
+    return (sorted(hset), 0, sorted(rest))
 
 
 def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
@@ -128,34 +146,33 @@ def enumerate_primes(
     family per cycle without K whose base has M(base) = M(d).
 
     The caps decide only whether a call refuses, never the list, so the
-    first answer is kept in the graph's index (``_Masks.primes``) and
-    answers every later call on the graph once ``enumerate_HE`` has
-    checked that call's caps.
+    first answer is kept in the graph's index (``_Masks.primes``) as rows
+    that name no graph: ``(H, S)`` for a graded prime and ``(H, cycle)``
+    for a family.  Each call passes ``enumerate_HE``, which checks its
+    caps, and then builds its own descriptors over g from the rows.
     """
     lat = enumerate_HE(g, cap, max_vertices)
     masks = g._masks
-    if masks.primes is not None:
-        return list(masks.primes)
-    without_k = cycles_without_K(g)
-    out: list[IdealDescriptor] = []
-    for tail in set(masks.ancestors):
-        if masks.full & ~tail not in lat._closed:
-            continue
-        hset = masks.to_set(masks.full & ~tail)
-        b_h = breaking_vertices(g, hset)  # each S below lies in it: no pair checks again
-        out.append(GradedIdeal(_pair(g, hset, b_h)))
-        for u in b_h:
-            if masks.ancestors[masks.index[u]] == tail:
-                out.append(GradedIdeal(_pair(g, hset, b_h - {u})))
-        for c in without_k:
-            if masks.ancestors[masks.index[c.base]] == tail:
-                out.append(NonGradedFamily(g, hset, c))
-    out.sort(key=descriptor_sort_key)
-    masks.primes = tuple(out)
-    return out
+    if masks.primes is None:
+        without_k = cycles_without_K(g)
+        rows: list[tuple] = []
+        for tail in set(masks.ancestors):
+            if masks.full & ~tail not in lat._closed:
+                continue
+            hset = masks.to_set(masks.full & ~tail)
+            b_h = breaking_vertices(g, hset)  # each S below lies in it: no pair checks again
+            rows.append((hset, b_h))
+            rows += [(hset, b_h - {u}) for u in b_h if masks.ancestors[masks.index[u]] == tail]
+            rows += [(hset, c) for c in without_k if masks.ancestors[masks.index[c.base]] == tail]
+        rows.sort(key=_row_key)
+        masks.primes = tuple(rows)
+    return [
+        _family(g, hset, rest) if isinstance(rest, Cycle) else GradedIdeal(_pair(g, hset, rest))
+        for hset, rest in masks.primes
+    ]
 
 
-def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
+def _primes_at_coatoms(g: DirectedGraph, cap: int, max_vertices: int):
     """The primes (H, B_H) at the coatoms H of H_E, and the prime families
     (H, c) at them, in ``enumerate_primes`` order.
 
@@ -171,14 +188,10 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
     no named edge but c's own (``cycles_without_K``).  So no exit is
     checked.  The graded prime with the largest S at H is (H, B_H).
 
-    The answer is kept beside the primes (``_Masks.coatom_primes``), after
-    ``enumerate_primes`` has checked the caps of this call.
+    Nothing is kept: each call filters the list that its own
+    ``enumerate_primes`` call returns.
     """
     primes = enumerate_primes(g, cap, max_vertices)
-    masks = g._masks
-    if masks.coatom_primes is not None:
-        kept_graded, kept_families = masks.coatom_primes
-        return list(kept_graded), list(kept_families)
     hsets = {d.pair.H if isinstance(d, GradedIdeal) else d.H for d in primes}
     coatoms = {h for h in hsets if not any(h < o for o in hsets)}
     graded: dict[frozenset[str], AdmissiblePair] = {}
@@ -190,7 +203,6 @@ def _coatom_primes(g: DirectedGraph, cap: int, max_vertices: int):
                 graded[d.pair.H] = d.pair
         elif d.H in coatoms:
             families.append(d)
-    masks.coatom_primes = (tuple(graded.values()), tuple(families))
     return list(graded.values()), families
 
 
@@ -200,7 +212,7 @@ def maximal_graded_ideals(
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> list[AdmissiblePair]:
     """Pairs (H, B_H) with H maximal proper whose quotient satisfies (L)."""
-    graded, families = _coatom_primes(g, cap, max_vertices)
+    graded, families = _primes_at_coatoms(g, cap, max_vertices)
     return [p for p in graded if all(f.H != p.H for f in families)]
 
 
@@ -210,7 +222,7 @@ def maximal_nongraded_families(
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> list[NonGradedFamily]:
     """One family per maximal proper H and exitless cycle of its quotient."""
-    return _coatom_primes(g, cap, max_vertices)[1]
+    return _primes_at_coatoms(g, cap, max_vertices)[1]
 
 
 @dataclass(frozen=True)
@@ -245,11 +257,15 @@ def existence_report(
 ) -> MaximalityReport:
     """Aggregate maximal-ideal structure of the graph's algebra.
 
-    Both existence predicates are read off the coatoms of H_E: it is a
-    finite lattice with the proper element {}, so it has a coatom, and
-    every proper element lies below one.
+    Both existence predicates hold by theorem, so nothing is scanned for
+    them: a graph has a vertex, so L_K(E) is unital and every proper
+    ideal lies in a maximal one; in lattice terms H_E is finite and holds
+    the proper set {}, so it has a coatom and every proper element lies
+    below one.  The first step asks for H_E as the call's cap gate (one
+    of the five ``enumerate_HE`` calls of ``analyze`` that
+    ``perfbench/test_perfbench.py`` pins).
     """
-    maximal = maximal_proper_elements(enumerate_HE(g, cap, max_vertices))
+    enumerate_HE(g, cap, max_vertices)
     graded = tuple(maximal_graded_ideals(g, cap, max_vertices))
     families = tuple(maximal_nongraded_families(g, cap, max_vertices))
     unique = None
@@ -258,8 +274,8 @@ def existence_report(
     return MaximalityReport(
         graded_maximals=graded,
         nongraded_maximal_families=families,
-        exists_maximal=bool(maximal),
-        every_ideal_below_maximal=bool(maximal),
+        exists_maximal=True,
+        every_ideal_below_maximal=True,
         every_maximal_graded=not families,
         unique_maximal=unique,
     )

@@ -46,11 +46,6 @@ def _is_hereditary_saturated(g: DirectedGraph, subset) -> bool:
     return g._masks.close(mask) == mask
 
 
-def hereditary_closure(g: DirectedGraph, subset) -> frozenset[str]:
-    """Least hereditary superset: forward reachability closure."""
-    return g._masks.to_set(g._masks.hereditary(_mask(g, subset)))
-
-
 def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
     """Least hereditary and saturated superset (a closure operator)."""
     return g._masks.to_set(g._masks.close(_mask(g, subset)))
@@ -75,9 +70,6 @@ class HSLattice:
             return self.graph._masks.of(subset) in self._closed
         except KeyError:  # a vertex of another graph
             return False
-
-    def join(self, a, b) -> frozenset[str]:
-        return hs_closure(self.graph, frozenset(a) | frozenset(b))
 
     def sorted_ids(self) -> list[list[str]]:
         """Each set's sorted vertex ids, in the order of ``sets``."""
@@ -153,18 +145,13 @@ def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
     each regular vertex of M(w) then has an edge into M(w), so
     E^0 minus M(w) is saturated, lies in H_E and contains H.
 
-    The answer on the lattice that ``enumerate_HE`` keeps is kept beside
-    it (``_Masks.coatoms``), so a second call scans nothing.
+    Each call scans anew: only the commands that print the coatoms
+    (``analyze`` and ``hsets``, once each) ask for them.
     """
     masks = lat.graph._masks
-    kept = lat._closed is masks.closed_sets
-    if kept and masks.coatoms is not None:
-        return list(masks.coatoms)
     candidates = {masks.full & ~m for m in masks.ancestors} & lat._closed
-    maximal = masks.sorted_sets(h for h in candidates if not any(h != o and not h & ~o for o in candidates))
-    if kept:
-        masks.coatoms = maximal
-    return list(maximal)
+    maximal = (h for h in candidates if not any(h != o and not h & ~o for o in candidates))
+    return list(masks.sorted_sets(maximal))
 
 
 def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import assume, given
 
@@ -30,7 +33,6 @@ from lpaideals import (
     enumerate_primes,
     existence_report,
     gr_of,
-    hereditary_closure,
     hs_closure,
     is_downward_directed,
     is_hereditary,
@@ -520,9 +522,9 @@ def test_the_cycles_without_K_are_read_once_per_fact(monkeypatch, tmp_path, caps
 
 
 def test_kept_primes_refuse_each_cap_as_a_fresh_graph():
-    """The prime list and its coatom filter are kept on the graph's index,
-    but each later call checks its own caps first, so it refuses with the
-    message that a fresh graph gives; a refused call keeps nothing."""
+    """The prime list is kept on the graph's index, but each later call
+    checks its own caps first, so it refuses with the message that a
+    fresh graph gives; a refused call keeps nothing."""
     from test_golden import loop_antichain
 
     calls = [
@@ -537,12 +539,12 @@ def test_kept_primes_refuse_each_cap_as_a_fresh_graph():
     for call in calls:
         g = loop_antichain(12)
         fresh.append(_refusal(lambda: call(g)))
-        assert g._masks.primes is None and g._masks.coatom_primes is None
+        assert g._masks.primes is None
     assert fresh[:3] == ["lattice exceeds cap 1", "lattice exceeds cap 1", "lattice exceeds cap 4095"]
     assert fresh[3] == "exact enumeration limited to 1 vertices, graph has 12"
     g = loop_antichain(12)
     assert len(enumerate_primes(g)) == 12 and len(existence_report(g).graded_maximals) == 12
-    assert g._masks.primes is not None and g._masks.coatom_primes is not None
+    assert g._masks.primes is not None
     assert [_refusal(lambda: call(g)) for call in calls] == fresh
     assert len(enumerate_primes(g, cap=4096)) == 12
 
@@ -575,16 +577,35 @@ def test_an_equal_graph_computes_its_own_primes(monkeypatch):
     assert g == twin and g is not twin
     answer = enumerate_primes(g)
     report = existence_report(g)
-    assert computed == [g] and twin._masks.primes is None and twin._masks.coatom_primes is None
+    assert computed == [g] and twin._masks.primes is None
     assert enumerate_primes(twin) == answer and existence_report(twin) == report
     assert len(computed) == 2 and computed[1] is twin
     assert enumerate_primes(g) == enumerate_primes(twin) == answer and len(computed) == 2
 
 
+def test_a_graph_that_has_answered_is_freed_by_reference_counting():
+    """Nothing that the graph keeps refers back to it, so with the cyclic
+    collector off a graph is freed as soon as its last reference goes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = clique_with_loop(4)
+        assert len(enumerate_HE(g).sorted_ids()) == 4
+        assert len(enumerate_primes(g)) == 3
+        assert len(maximal_proper_elements(enumerate_HE(g))) == 2
+        assert not existence_report(g).every_maximal_graded
+        assert g._masks.closed_sets is not None and g._masks.primes is not None
+        alive = weakref.ref(g)
+        del g
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 VERTEX_SET_ENTRY_POINTS = {
     "is_hereditary": is_hereditary,
     "is_saturated": is_saturated,
-    "hereditary_closure": hereditary_closure,
     "hs_closure": hs_closure,
     "breaking_vertices": breaking_vertices,
     "is_downward_directed": is_downward_directed,
@@ -604,7 +625,7 @@ def test_vertex_sets_with_an_undeclared_vertex_are_refused(name):
 
 def _assert_prime_families_exit_into_H(g) -> int:
     """Every exit of a prime family's cycle lands in the family's H, as
-    ``_coatom_primes`` assumes without checking; returns the families."""
+    ``_primes_at_coatoms`` assumes without checking; returns the families."""
     families = [d for d in enumerate_primes(g) if isinstance(d, NonGradedFamily)]
     for f in families:
         on_cycle = set(f.cycle.vertices)

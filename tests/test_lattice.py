@@ -35,7 +35,6 @@ from lpaideals import (
     ResourceCapError,
     breaking_vertices,
     enumerate_HE,
-    hereditary_closure,
     hs_closure,
     is_hereditary,
     is_saturated,
@@ -53,10 +52,17 @@ def sets_of(lat):
     return [set(s) for s in lat.sets]
 
 
+def _hereditary_closure(g, subset):
+    """The index's hereditary closure of a vertex set, the first step of
+    ``hs_closure``."""
+    masks = g._masks
+    return masks.to_set(masks.hereditary(masks.of(subset)))
+
+
 def test_hereditary_closure_examples(unique_max):
-    assert hereditary_closure(unique_max, {"u"}) == {"u", "v", "w"}
-    assert hereditary_closure(unique_max, set()) == set()
-    assert hereditary_closure(unique_max, {"w"}) == {"w"}
+    assert _hereditary_closure(unique_max, {"u"}) == {"u", "v", "w"} == unique_max.descendants("u")
+    assert _hereditary_closure(unique_max, set()) == set()
+    assert _hereditary_closure(unique_max, {"w"}) == {"w"}
 
 
 def test_hs_closure_examples(unique_max, mixed_max):
@@ -82,10 +88,8 @@ def _check_reachability_and_closures(g, subsets):
     for u in g.vertices:
         assert g.descendants(u) == reach[u]
         assert g.m_of(u) == {w for w in g.vertices if u in reach[w]}
-        for v in g.vertices:
-            assert g.reaches(u, v) == (v in reach[u])
     for x in subsets:
-        assert hereditary_closure(g, x) == frozenset().union(*(reach[v] for v in x))
+        assert _hereditary_closure(g, x) == frozenset().union(*(reach[v] for v in x))
         uppers = [h for h in family if x <= h]
         closed = hs_closure(g, x)
         assert closed in uppers and all(closed <= h for h in uppers)
@@ -161,7 +165,7 @@ def test_lattice_is_intersection_and_join_closed(g):
     for a in family:
         for b in family:
             assert a & b in family
-            join = lat.join(a, b)
+            join = hs_closure(g, a | b)
             assert join in family
             uppers = [s for s in family if a <= s and b <= s]
             assert join == min(uppers, key=len)
@@ -294,12 +298,12 @@ def lattice_work(monkeypatch):
 @pytest.mark.parametrize(
     "command, expected",
     [
-        # the 12 coatoms once (the report reuses the lattice's) and the 12
-        # M(d) that the one prime computation reads (later prime calls
-        # read the kept list); the 4,096 sets print off the masks
+        # the 12 coatoms once, where they are printed, and the 12 M(d)
+        # that the one prime computation reads (later prime calls read the
+        # kept rows); the 4,096 sets print off the masks
         ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 12 + 12}),
         ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
-        ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12 + 12}),
+        ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12}),
         ("primes", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
     ],
 )
@@ -313,21 +317,30 @@ def test_H_E_stays_in_masks_until_it_is_printed(lattice_work, tmp_path, capsys, 
     assert lattice_work == expected
 
 
-def test_the_coatoms_are_scanned_once_per_graph(monkeypatch):
-    """``analyze`` asks for the coatoms of the kept H_E twice, and the
-    second call reads the first one's answer; a lattice over other masks
-    gets its own scan."""
-    g = loop_antichain(3)
-    lat = enumerate_HE(g)
-    first = maximal_proper_elements(lat)
-    assert first == [{"a1", "a2"}, {"a1", "a3"}, {"a2", "a3"}]
+def test_the_coatoms_are_scanned_once_per_printed_list(monkeypatch, tmp_path, capsys):
+    """A command scans H_E for its coatoms only to print them: ``analyze``
+    and ``hsets`` print the maximal proper sets once each, and the
+    maximal-ideal report answers both existence questions by theorem, so
+    ``maximals`` and ``primes`` scan nothing."""
+    from lpaideals import cli, ideals
+    from lpaideals.cli import main
+
+    assert not hasattr(ideals, "maximal_proper_elements")
     scans = []
-    sorted_sets = _Masks.sorted_sets
-    monkeypatch.setattr(_Masks, "sorted_sets", lambda self, masks: scans.append(1) or sorted_sets(self, masks))
-    assert maximal_proper_elements(enumerate_HE(g)) == first and scans == []
-    singletons = lattice.HSLattice(g, frozenset(m for m in lat._closed if m.bit_count() < 2))
-    assert maximal_proper_elements(singletons) == [] and scans == [1]
-    assert maximal_proper_elements(lat) == first and scans == [1]
+    original = lattice.maximal_proper_elements
+    for module in (lattice, cli):
+        monkeypatch.setattr(module, "maximal_proper_elements", lambda lat: scans.append(lat) or original(lat))
+    path = tmp_path / "k4.json"
+    path.write_text(serialize_graph(clique_with_loop(4)), encoding="utf-8")
+    expected = {"analyze": 1, "hsets": 1, "maximals": 0, "primes": 0}
+    found = {}
+    for command in expected:
+        for flags in ([], ["--json"]):
+            scans.clear()
+            assert main([command, str(path), *flags]) == 0
+            found[(command, *flags)] = len(scans)
+    capsys.readouterr()
+    assert found == {(command, *flags): n for command, n in expected.items() for flags in ([], ["--json"])}
 
 
 @pytest.mark.parametrize("command", ["hsets", "analyze"])
@@ -347,14 +360,15 @@ def test_printing_H_E_builds_no_vertex_sets(monkeypatch, tmp_path, capsys, comma
 
 
 def test_join_closes_on_the_lattice_masks(lattice_work):
-    """On a graph already indexed, nothing builds the index again."""
+    """On a graph already indexed, nothing builds the index again: the
+    join of two sets of H_E is the closure of their union."""
     g = loop_antichain(12)
     lat = lattice.enumerate_HE(g)
     lattice_work.clear()
-    assert lat.join({"a1"}, {"a2", "a3"}) == {"a1", "a2", "a3"}
+    assert hs_closure(g, {"a1"} | {"a2", "a3"}) == {"a1", "a2", "a3"}
     assert {"a1", "a2"} in lat and {"a1", "x"} not in lat
     assert lattice_work == {"to_set": 1}
-    assert hs_closure(g, {"a1"}) == hereditary_closure(g, {"a1"}) == {"a1"}
+    assert hs_closure(g, {"a1"}) == _hereditary_closure(g, {"a1"}) == {"a1"}
     assert g.descendants("a1") == g.m_of("a1") == {"a1"}
     assert "masks" not in lattice_work
 
