@@ -202,15 +202,18 @@ class _Masks:
     graph are kept here, each once it is complete, and neither refers
     back to the graph, so the graph is freed by reference counting:
 
-    - ``closed_sets``: the masks of H_E, once ``enumerate_HE`` has walked
-      them all;
+    - ``closed_sets``: the masks of H_E, kept only once walked.  With k
+      strongly connected components |H_E| <= 2^k, so
+      ``lattice.enumerate_HE`` walks at the call only when its cap is
+      below 2^k; otherwise the first read of the lattice's masks walks,
+      and ``primes`` and ``maximals``, which read none, never do;
     - ``primes``: the prime rows, ``(H, S)`` for a graded prime and
       ``(H, cycle)`` for a family, once ``ideals.enumerate_primes`` has
       listed them.
 
     A call that refuses on a cap keeps nothing, and every later call
-    passes ``enumerate_HE``, which checks its caps against the kept
-    walk, before it reads a kept fact."""
+    passes ``enumerate_HE``, which checks its caps against the kept walk
+    or the 2^k bound, before it reads a kept fact."""
 
     def __init__(self, g: DirectedGraph):
         self.vertices = g.vertices[::-1]

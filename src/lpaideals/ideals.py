@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, _is_cycle_without_K, cycles_without_K
-from .graph import DEFAULT_CAP, DirectedGraph, GraphError
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError, _Masks
 from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
@@ -145,20 +145,29 @@ def enumerate_primes(
     (H, B_H), (H, B_H - {u}) for each u in B_H with M(u) = M(d), and a
     family per cycle without K whose base has M(base) = M(d).
 
+    Each such H is read off the index with one mask test per d
+    (``_closed_complement``), not looked up in H_E.  H = E^0 minus M(d)
+    is hereditary: an edge from v in H into M(d) would put v in M(d).  It
+    is saturated unless d is regular and no successor of d lies in M(d).
+    Every w != d in M(d) has a successor in M(d), the first step of its
+    path to d, so no such w can join H by saturation; d joins exactly
+    when it is regular and all its successors lie in H.  Vertices d and
+    d' with one M(d) lie on a closed path through both when d != d', so
+    each has a successor in M(d) and the test agrees on them.
+
     The caps decide only whether a call refuses, never the list, so the
     first answer is kept in the graph's index (``_Masks.primes``) as rows
     that name no graph: ``(H, S)`` for a graded prime and ``(H, cycle)``
-    for a family.  Each call passes ``enumerate_HE``, which checks its
-    caps, and then builds its own descriptors over g from the rows.
+    for a family.  Each call passes ``enumerate_HE``, which decides its
+    caps without walking H_E when it cannot refuse, and then builds its
+    own descriptors over g from the rows.
     """
-    lat = enumerate_HE(g, cap, max_vertices)
+    enumerate_HE(g, cap, max_vertices)
     masks = g._masks
     if masks.primes is None:
         without_k = cycles_without_K(g)
         rows: list[tuple] = []
-        for tail in set(masks.ancestors):
-            if masks.full & ~tail not in lat._closed:
-                continue
+        for tail in {t for d, t in enumerate(masks.ancestors) if _closed_complement(masks, d)}:
             hset = masks.to_set(masks.full & ~tail)
             b_h = breaking_vertices(g, hset)  # each S below lies in it: no pair checks again
             rows.append((hset, b_h))
@@ -170,6 +179,12 @@ def enumerate_primes(
         _family(g, hset, rest) if isinstance(rest, Cycle) else GradedIdeal(_pair(g, hset, rest))
         for hset, rest in masks.primes
     ]
+
+
+def _closed_complement(masks: _Masks, d: int) -> bool:
+    """Whether E^0 minus M(d) is hereditary saturated, by the one mask
+    test that ``enumerate_primes`` proves."""
+    return not (masks.regular >> d & 1 and not masks.successors[d] & masks.ancestors[d])
 
 
 def _primes_at_coatoms(g: DirectedGraph, cap: int, max_vertices: int):

@@ -19,6 +19,7 @@ from .graph import (
     GraphError,
     OmegaBundle,
     ResourceCapError,
+    _Masks,
 )
 
 MAX_EXACT_VERTICES = 20
@@ -53,13 +54,21 @@ def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class HSLattice:
-    """All hereditary saturated sets of a graph, as the closed masks that
-    ``enumerate_HE`` walked; ``sets`` lists them as vertex sets, in
-    canonical order, built on first use.  Printing reads the masks
-    (``sorted_ids``) and builds no vertex set."""
+    """All hereditary saturated sets of a graph, as closed masks.
+    ``enumerate_HE`` has decided the caps, so reading the masks cannot
+    refuse: the first read walks H_E (``_close_by_one``), unless a call
+    already has, and keeps the walk in the graph's index.  ``sets`` lists
+    them as vertex sets, in canonical order, built on first use.
+    Printing reads the masks (``sorted_ids``) and builds no vertex set."""
 
     graph: DirectedGraph
-    _closed: frozenset[int] = field(repr=False)
+
+    @property
+    def _closed(self) -> frozenset[int]:
+        masks = self.graph._masks
+        if masks.closed_sets is None:  # no lattice has more than 2^|E^0| sets
+            masks.closed_sets = _close_by_one(masks, 1 << len(masks.vertices))
+        return masks.closed_sets
 
     @cached_property
     def sets(self) -> tuple[frozenset[str], ...]:
@@ -89,16 +98,18 @@ def enumerate_HE(
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> HSLattice:
     """Exactly all hereditary saturated sets, listed by size and then by
-    their sorted vertex ids.  They are the closed sets of ``hs_closure``,
-    found by Kuznetsov's Close-by-One: a depth-first walk that grows
-    each set from a closed parent by one vertex i (``_Masks.grow``) and
-    keeps it only when it adds no vertex below i.  So each set is found
-    exactly once, with at most one step per vertex for each set found;
-    the walk's order does not show, as the sets are listed sorted.
-    Refuses graphs above ``max_vertices`` and lattices above ``cap``
-    rather than approximating.  The first complete walk is kept in the
-    graph's index and answers every later call on the graph, checked
-    against its caps.
+    their sorted vertex ids.  Refuses graphs above ``max_vertices`` and
+    lattices above ``cap`` rather than approximating.
+
+    The caps are decided at the call, and the walk runs only where the
+    sets are read.  A hereditary set takes in a whole strongly connected
+    component at a time, so with k components |H_E| <= 2^k.  When
+    2^k <= cap the call cannot refuse, and it returns a lattice that
+    walks on first read.  Otherwise the call walks now, refusing once the
+    walk passes ``cap``.  The first complete walk is kept in the graph's
+    index and answers every later call on the graph, checked against its
+    caps; a refused walk keeps nothing.  So each call refuses exactly
+    when a fresh walk would, with the same message.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -110,7 +121,31 @@ def enumerate_HE(
     if masks.closed_sets is not None:
         if len(masks.closed_sets) > cap:
             raise ResourceCapError(f"lattice exceeds cap {cap}")
-        return HSLattice(g, masks.closed_sets)
+    elif 1 << _components(masks) > cap:
+        masks.closed_sets = _close_by_one(masks, cap)
+    return HSLattice(g)
+
+
+def _components(masks: _Masks) -> int:
+    """The number of strongly connected components: vertex i's is the
+    meet of its descendants and its ancestors."""
+    rest, count = masks.full, 0
+    while rest:
+        i = rest.bit_length() - 1
+        rest &= ~(masks.descendants[i] & masks.ancestors[i])
+        count += 1
+    return count
+
+
+def _close_by_one(masks: _Masks, cap: int) -> frozenset[int]:
+    """The closed sets of ``hs_closure``, found by Kuznetsov's
+    Close-by-One: a depth-first walk that grows each set from a closed
+    parent by one vertex i (``_Masks.grow``) and keeps it only when it
+    adds no vertex below i.  So each set is found exactly once, with at
+    most one step per vertex for each set found; the walk's order does
+    not show, as the sets are listed sorted.  Raises ResourceCapError
+    once it finds more than ``cap`` sets.
+    """
     least = masks.close(0)
     closed = [least]
     stack = [(least, 0)]  # a closed set, and the least vertex it may grow by
@@ -130,8 +165,7 @@ def enumerate_HE(
             if len(closed) > cap:
                 raise ResourceCapError(f"lattice exceeds cap {cap}")
             stack.append((child, i + 1))
-    masks.closed_sets = frozenset(closed)
-    return HSLattice(g, masks.closed_sets)
+    return frozenset(closed)
 
 
 def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:

@@ -9,7 +9,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import clique_with_loop, graph, graphs, omega_graph, unique_maximal_graph, mixed_maximals_graph, random_corpus
+from conftest import (
+    breaker_below_coatom,
+    breaker_below_coatom_with_loop,
+    breaking_emitters,
+    clique_with_loop,
+    cross_bundle_cycle,
+    diamond_chain,
+    graph,
+    graphs,
+    mixed_maximals_graph,
+    omega_graph,
+    random_corpus,
+    ring,
+    unique_maximal_graph,
+)
+from oracles import hereditary_saturated_sets_brute, reach_sets
 from test_algebra import graph_and_two_elements
 from test_golden import escaped_ids, loop_antichain, mul_args
 from lpaideals import ResourceCapError, enumerate_HE, parse_element, parse_graph, render_element, serialize_graph
@@ -419,6 +434,50 @@ def test_every_command_answers_alike_on_a_graph_it_enumerated_before(capsys):
                 argv = [command[0], "graph.json", *command[1:], "--json", *cap]
                 alone = _answer(parse_graph(text), argv, capsys)
                 assert _answer(kept, argv, capsys) == _answer(kept, argv, capsys) == alone
+
+
+LATTICE_COMMANDS = ("primes", "maximals", "analyze", "hsets")
+
+
+def _limits(g):
+    """Each cap at either side of |H_E| and of 2^k (k the strongly
+    connected components), and each vertex bound at either side of n,
+    with the refusal that a walk under it must give."""
+    size = len(hereditary_saturated_sets_brute(g))
+    reach = reach_sets(g)
+    k = len({frozenset(w for w in reach[v] if v in reach[w]) for v in g.vertices})
+    n = len(g.vertices)
+    caps = sorted({size - 1, size, (1 << k) - 1, 1 << k} - {0})
+    limits = [(["--cap", str(cap)], f"lattice exceeds cap {cap}" if size > cap else None) for cap in caps]
+    limits += [
+        (["--max-vertices", str(m)], f"exact enumeration limited to {m} vertices, graph has {n}" if n > m else None)
+        for m in (n - 1, n)
+        if m
+    ]
+    return limits
+
+
+def test_lattice_commands_refuse_alike_at_each_cap(monkeypatch, capsys):
+    """The caps are decided when ``enumerate_HE`` is called, by the 2^k
+    bound or by a walk, so ``primes`` and ``maximals``, which never read
+    H_E, refuse exactly where ``analyze`` and ``hsets`` do, on a fresh
+    graph and on one whose walk is kept."""
+    fixtures = [
+        unique_maximal_graph(), mixed_maximals_graph(), omega_graph(), clique_with_loop(4),
+        breaking_emitters(2), cross_bundle_cycle(), breaker_below_coatom(),
+        breaker_below_coatom_with_loop(), diamond_chain(1), ring(3), loop_antichain(5),
+    ]
+    for g in random_corpus(500) + fixtures:
+        text = serialize_graph(g)
+        kept = parse_graph(text)
+        assert enumerate_HE(kept).sets
+        for limit, refusal in _limits(g):
+            expected = (0, "") if refusal is None else (3, f"error: {refusal}\n")
+            for load in (lambda path: parse_graph(text), lambda path: kept):
+                monkeypatch.setattr(cli, "_load_graph", load)
+                for command in LATTICE_COMMANDS:
+                    assert main([command, "graph.json", *limit]) == expected[0]
+                    assert capsys.readouterr().err == expected[1]
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):

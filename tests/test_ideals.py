@@ -18,7 +18,13 @@ from conftest import (
     mixed_maximals_graph,
     random_corpus,
 )
-from oracles import breaking_vertices_brute, hereditary_saturated_sets_brute, maximals_brute
+from oracles import (
+    breaking_vertices_brute,
+    hereditary_saturated_sets_brute,
+    is_hereditary_brute,
+    is_saturated_brute,
+    maximals_brute,
+)
 from test_lattice import _refusal, all_admissible_pairs
 from lpaideals import (
     AdmissiblePair,
@@ -46,7 +52,8 @@ from lpaideals import (
     quotient_graph,
     ResourceCapError,
 )
-from lpaideals.ideals import descriptor_sort_key
+from lpaideals.ideals import _closed_complement, descriptor_sort_key
+from lpaideals.lattice import _is_hereditary_saturated
 
 
 def pair(g, h, s=()):
@@ -292,6 +299,31 @@ def test_every_prime_complement_is_some_m_of(g):
 def test_enumerate_primes_is_in_descriptor_order(g):
     keys = [descriptor_sort_key(d) for d in enumerate_primes(g)]
     assert keys == sorted(keys)
+
+
+def _assert_one_mask_decides_each_complement(g):
+    """For each vertex d, the one mask test of ``enumerate_primes`` says
+    E^0 minus M(d) is hereditary saturated exactly when its closure and
+    the raw definitions do; returns the kinds of d seen."""
+    masks = g._masks
+    kinds = set()
+    for d, tail in enumerate(masks.ancestors):
+        hset = masks.to_set(masks.full & ~tail)
+        closed = _closed_complement(masks, d)
+        assert closed == _is_hereditary_saturated(g, hset)
+        assert closed == (is_hereditary_brute(g, hset) and is_saturated_brute(g, hset))
+        kinds.add((g.vertex_kind(masks.vertices[d]).value, closed))
+    return kinds
+
+
+@given(graphs())
+def test_one_mask_decides_each_complement(g):
+    _assert_one_mask_decides_each_complement(g)
+
+
+def test_one_mask_decides_each_complement_on_the_acceptance_corpus():
+    seen = set().union(*map(_assert_one_mask_decides_each_complement, random_corpus(500)))
+    assert seen == {("sink", True), ("infinite_emitter", True), ("regular", True), ("regular", False)}
 
 
 def test_one_cap_bounds_the_cycles_of_enumerate_primes():

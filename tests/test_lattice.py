@@ -376,11 +376,12 @@ def test_join_closes_on_the_lattice_masks(lattice_work):
 @pytest.fixture
 def walk_closures(monkeypatch):
     """The closures that the lattice walk itself takes: ``_Masks.close``
-    and ``_Masks.grow`` calls made from ``enumerate_HE`` (the
+    and ``_Masks.grow`` calls made from ``lattice._close_by_one``, which
+    ``enumerate_HE`` or the first read of a lattice's masks runs (the
     breaking-vertex checks of the primes close their H too, outside the
     walk)."""
     calls = []
-    close, grow, walk = _Masks.close, _Masks.grow, lattice.enumerate_HE.__code__
+    close, grow, walk = _Masks.close, _Masks.grow, lattice._close_by_one.__code__
 
     def counted_close(self, mask):
         if sys._getframe(1).f_code is walk:
@@ -412,6 +413,26 @@ def test_analyze_walks_H_E_once(walk_closures, tmp_path, capsys):
     assert work["analyze"] == work["hsets"] >= 4096
 
 
+@pytest.mark.parametrize("command", ["primes", "maximals"])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_primes_and_maximals_never_walk_H_E(walk_closures, monkeypatch, tmp_path, capsys, command, flags):
+    """On ``A_12`` (12 components, so at most 4,096 sets, within the
+    default cap) the caps are decided at the call, the primes are read
+    off the M(d), and nothing reads the lattice's masks."""
+    from lpaideals import cli
+
+    loaded = []
+    load = cli._load_graph
+    monkeypatch.setattr(cli, "_load_graph", lambda path: loaded.append(load(path)) or loaded[-1])
+    path = tmp_path / "a12.json"
+    path.write_text(serialize_graph(loop_antichain(12)), encoding="utf-8")
+    assert cli.main([command, str(path), *flags]) == 0
+    capsys.readouterr()
+    assert walk_closures == []
+    (g,) = loaded
+    assert g._masks.closed_sets is None and g._masks.primes is not None
+
+
 def _refusal(call):
     """The message of the ResourceCapError that ``call()`` raises."""
     with pytest.raises(ResourceCapError) as exc:
@@ -435,6 +456,7 @@ def test_a_kept_walk_answers_each_cap_as_a_fresh_walk(walk_closures):
     ]
     g = loop_antichain(4)
     lat = enumerate_HE(g)
+    assert len(lat.sets) == 16  # walked on first read, and kept
     walk_closures.clear()
     assert [
         _refusal(lambda: enumerate_HE(g, cap=15)),
