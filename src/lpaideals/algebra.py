@@ -438,7 +438,7 @@ def _integer(digits: str) -> int:
 def _parse_real_part(g: DirectedGraph, tokens: list[str]) -> PathWord:
     if len(tokens) == 1:
         name = tokens[0]
-        is_vertex = name in g.vertices
+        is_vertex = name in g._out_edges  # keyed by vertex id: a lookup, not a scan
         is_edge = g.has_edge_id(name)
         if is_vertex and is_edge:
             raise GraphError(f"{name!r} names both a vertex and an edge; ambiguous")

@@ -215,11 +215,9 @@ def _fmt_condition(name: str, report) -> str:
 
 
 def _split_vertices(g: DirectedGraph, raw: str, flag: str) -> frozenset[str]:
-    if not raw:
-        return frozenset()
     parts = [p for p in raw.split(",") if p]
     for v in parts:
-        if v not in g.vertices:
+        if v not in g._out_edges:  # keyed by vertex id: a lookup, not a scan
             raise UsageError(f"{flag}: unknown vertex {v!r}")
     return frozenset(parts)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DirectedGraph, Edge, GraphError
-from .lattice import _is_hereditary_saturated
 
 
 @dataclass(frozen=True)
@@ -199,10 +198,10 @@ def is_maximal_tail(g: DirectedGraph, subset) -> bool:
     MT-1: ancestors of members are members.  MT-2: every regular member
     keeps an edge inside the set.  MT-3: the set is downward directed.
     MT-1 and MT-2 say that the complement is hereditary saturated, and
-    then MT-3 that the set is an M(w), w a common descendant in it.
+    then MT-3 that the set is an M(w), w a common descendant in it: the
+    set is a closed tail (``_Masks.tails``).
     """
     vs = g.require_vertices(subset)
     if not vs:
         raise GraphError("maximal tails are non-empty")
-    complement_closed = _is_hereditary_saturated(g, frozenset(g.vertices) - vs)
-    return complement_closed and g._masks.of(vs) in g._masks.ancestors
+    return g._masks.of(vs) in g._masks.tails().values()

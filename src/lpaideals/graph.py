@@ -198,9 +198,11 @@ class _Masks:
     Bit i stands for ``vertices[i]``, the ids in descending order, so that
     of two sets of one size the larger mask has the smaller sorted ids.
     Vertex i reaches ``descendants[i]`` and is reached from
-    ``ancestors[i]`` (its M(v)); both hold i.  Two facts derived once per
-    graph are kept here, each once it is complete, and neither refers
-    back to the graph, so the graph is freed by reference counting:
+    ``ancestors[i]`` (its M(v)); both hold i.  Emitter i sends its bundles
+    to ``bundles[i]``.  The closed tails, the least of them and B_H have
+    one rule each here (``tails``, ``least_tails``, ``breaking``).  Two
+    facts derived once per graph are kept, each once it is complete, and
+    neither refers back to the graph, so it is freed by reference counting:
 
     - ``closed_sets``: the masks of H_E, kept only once walked.  With k
       strongly connected components |H_E| <= 2^k, so
@@ -224,6 +226,7 @@ class _Masks:
             self.successors[self.index[arrow.src]] |= 1 << self.index[arrow.dst]
             self.predecessors[self.index[arrow.dst]] |= 1 << self.index[arrow.src]
         self.descendants, self.ancestors = _reach(self.successors), _reach(self.predecessors)
+        self.bundles = {self.index[v]: self.of(b.dst for b in bs) for v, bs in g._out_bundles.items() if bs}
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
         self.closed_sets: frozenset[int] | None = None
         self.primes: tuple[tuple, ...] | None = None
@@ -256,6 +259,38 @@ class _Masks:
     def sorted_sets(self, masks) -> tuple[frozenset[str], ...]:
         """The masks as vertex sets, in ``in_order``."""
         return tuple(map(self.to_set, self.in_order(masks)))
+
+    def tails(self) -> dict[int, int]:
+        """The closed tails: M(d), keyed by d, for each vertex d whose
+        complement H = E^0 minus M(d) is hereditary saturated.  H is
+        hereditary, as an edge from H into M(d) would put its source in
+        M(d).  Each w != d in M(d) has a successor in M(d), the first
+        step of its path to d, so only d can join H by saturation: when it
+        is regular and no successor of d lies in M(d).  Two vertices with
+        one M(d) lie on a closed path, so the test agrees on them."""
+        regular = self.regular
+        return {d: t for d, t in enumerate(self.ancestors) if self.successors[d] & t or not regular >> d & 1}
+
+    def least_tails(self) -> set[int]:
+        """The closed tails minimal under inclusion, the complements of the
+        coatoms of H_E: a walk from outside a proper H in H_E stays
+        outside (H is saturated) until it meets a sink, an infinite
+        emitter or a closed path at some w, whose closed tail M(w) misses
+        H (H is hereditary).  M(e) lies in M(d) exactly when e does, and
+        is M(d) when e is also a descendant of d."""
+        tails = self.tails()
+        ends = 0
+        for d in tails:
+            ends |= 1 << d
+        return {t for d, t in tails.items() if not ends & t & ~self.descendants[d]}
+
+    def breaking(self, h: int) -> frozenset[str]:
+        """B_H of a hereditary saturated mask h, as vertex ids: the
+        infinite emitters whose bundles all land in h and that have a
+        successor outside h, the target of one of finitely many named
+        edges.  An emitter in h has none, as h is hereditary."""
+        emitters = self.bundles.items()
+        return frozenset(self.vertices[i] for i, b in emitters if not b & ~h and self.successors[i] & ~h)
 
     def hereditary(self, mask: int) -> int:
         """The hereditary closure: the OR of the descendant masks."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, _is_cycle_without_K, cycles_without_K
-from .graph import DEFAULT_CAP, DirectedGraph, GraphError, _Masks
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError
 from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
@@ -145,15 +145,9 @@ def enumerate_primes(
     (H, B_H), (H, B_H - {u}) for each u in B_H with M(u) = M(d), and a
     family per cycle without K whose base has M(base) = M(d).
 
-    Each such H is read off the index with one mask test per d
-    (``_closed_complement``), not looked up in H_E.  H = E^0 minus M(d)
-    is hereditary: an edge from v in H into M(d) would put v in M(d).  It
-    is saturated unless d is regular and no successor of d lies in M(d).
-    Every w != d in M(d) has a successor in M(d), the first step of its
-    path to d, so no such w can join H by saturation; d joins exactly
-    when it is regular and all its successors lie in H.  Vertices d and
-    d' with one M(d) lie on a closed path through both when d != d', so
-    each has a successor in M(d) and the test agrees on them.
+    Each such M(d) is a closed tail, read off the index
+    (``_Masks.tails``), not looked up in H_E, and its B_H is the index's
+    rule (``_Masks.breaking``).
 
     The caps decide only whether a call refuses, never the list, so the
     first answer is kept in the graph's index (``_Masks.primes``) as rows
@@ -167,9 +161,9 @@ def enumerate_primes(
     if masks.primes is None:
         without_k = cycles_without_K(g)
         rows: list[tuple] = []
-        for tail in {t for d, t in enumerate(masks.ancestors) if _closed_complement(masks, d)}:
-            hset = masks.to_set(masks.full & ~tail)
-            b_h = breaking_vertices(g, hset)  # each S below lies in it: no pair checks again
+        for tail in set(masks.tails().values()):
+            h = masks.full & ~tail
+            hset, b_h = masks.to_set(h), masks.breaking(h)  # each S below lies in B_H: no pair checks again
             rows.append((hset, b_h))
             rows += [(hset, b_h - {u}) for u in b_h if masks.ancestors[masks.index[u]] == tail]
             rows += [(hset, c) for c in without_k if masks.ancestors[masks.index[c.base]] == tail]
@@ -181,44 +175,34 @@ def enumerate_primes(
     ]
 
 
-def _closed_complement(masks: _Masks, d: int) -> bool:
-    """Whether E^0 minus M(d) is hereditary saturated, by the one mask
-    test that ``enumerate_primes`` proves."""
-    return not (masks.regular >> d & 1 and not masks.successors[d] & masks.ancestors[d])
-
-
 def _primes_at_coatoms(g: DirectedGraph, cap: int, max_vertices: int):
     """The primes (H, B_H) at the coatoms H of H_E, and the prime families
     (H, c) at them, in ``enumerate_primes`` order.
 
-    The coatoms are the H maximal among the primes' H, the complements of
-    the M(d) in H_E (``maximal_proper_elements``).  The quotient at
-    (H, B_H) adds no primed vertex, so its exitless cycles are the cycles
-    c avoiding H whose exits all land in the hereditary H; such a c is
-    without K, and M(c.base) is E^0 minus H, so (H, c) is a prime family.
-    Conversely every exit of a prime family's cycle c lands in its
-    H = E^0 minus M(c.base): an exit to a w outside H leaves c and w
-    reaches c.base, so the exit lies inside c's strongly connected
-    component, and for c without K that component holds no bundle and
-    no named edge but c's own (``cycles_without_K``).  So no exit is
-    checked.  The graded prime with the largest S at H is (H, B_H).
+    The coatoms are the complements of the least closed tails
+    (``_Masks.least_tails``).  The quotient at (H, B_H) adds no primed
+    vertex, so its exitless cycles are the cycles c avoiding H whose exits
+    all land in the hereditary H; such a c is without K, and M(c.base) is
+    E^0 minus H, so (H, c) is a prime family.  Conversely every exit of a
+    prime family's cycle c lands in its H = E^0 minus M(c.base): an exit
+    to a w outside H leaves c and w reaches c.base, so the exit lies
+    inside c's strongly connected component, and for c without K that
+    component holds no bundle and no named edge but c's own
+    (``cycles_without_K``).  So no exit is checked.  The graded prime
+    with the largest S at H is (H, B_H).
 
     Nothing is kept: each call filters the list that its own
     ``enumerate_primes`` call returns.
     """
     primes = enumerate_primes(g, cap, max_vertices)
-    hsets = {d.pair.H if isinstance(d, GradedIdeal) else d.H for d in primes}
-    coatoms = {h for h in hsets if not any(h < o for o in hsets)}
+    masks = g._masks
+    coatoms = {masks.full & ~t for t in masks.least_tails()}
+    at = [d for d in primes if masks.of(d.H if isinstance(d, NonGradedFamily) else d.pair.H) in coatoms]
     graded: dict[frozenset[str], AdmissiblePair] = {}
-    families = []
-    for d in primes:
-        if isinstance(d, GradedIdeal):
-            best = graded.get(d.pair.H)
-            if d.pair.H in coatoms and (best is None or len(d.pair.S) > len(best.S)):
-                graded[d.pair.H] = d.pair
-        elif d.H in coatoms:
-            families.append(d)
-    return list(graded.values()), families
+    for d in at:
+        if isinstance(d, GradedIdeal) and len(d.pair.S) >= len(graded.get(d.pair.H, d.pair).S):
+            graded[d.pair.H] = d.pair
+    return list(graded.values()), [d for d in at if isinstance(d, NonGradedFamily)]
 
 
 def maximal_graded_ideals(

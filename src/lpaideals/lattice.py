@@ -169,39 +169,23 @@ def _close_by_one(masks: _Masks, cap: int) -> frozenset[int]:
 
 
 def maximal_proper_elements(lat: HSLattice) -> list[frozenset[str]]:
-    """All H with H != E^0 and nothing strictly between H and E^0.
-
-    These are the sets maximal among the complements E^0 minus M(d) (M(d)
-    the vertices reaching d) that lie in H_E, each proper as it misses d.
-    A proper H misses M(w) for any w outside it, as H is hereditary.  A
-    walk from outside H can stay outside, as H is saturated, until it
-    reaches a sink, an infinite emitter or a vertex w on a closed path;
-    each regular vertex of M(w) then has an edge into M(w), so
-    E^0 minus M(w) is saturated, lies in H_E and contains H.
-
-    Each call scans anew: only the commands that print the coatoms
-    (``analyze`` and ``hsets``, once each) ask for them.
-    """
+    """All H with H != E^0 and nothing strictly between H and E^0: the
+    complements of the least closed tails (``_Masks.least_tails``), read
+    off the index with no walk of H_E.  Each call scans anew: only the
+    commands that print the coatoms (``analyze`` and ``hsets``) ask."""
     masks = lat.graph._masks
-    candidates = {masks.full & ~m for m in masks.ancestors} & lat._closed
-    maximal = (h for h in candidates if not any(h != o and not h & ~o for o in candidates))
-    return list(masks.sorted_sets(maximal))
+    return list(masks.sorted_sets(masks.full & ~t for t in masks.least_tails()))
 
 
 def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:
     """Breaking vertices of a hereditary saturated set H: infinite
     emitters outside H whose edges leaving H are named, at least one,
-    and finitely many (so every bundle must land in H).
+    and finitely many (so every bundle must land in H), by ``_Masks.breaking``.
     """
-    hset = g.require_vertices(subset)
-    if not _is_hereditary_saturated(g, hset):
+    mask = _mask(g, subset)
+    if g._masks.close(mask) != mask:
         raise GraphError("set is not hereditary saturated")
-    return frozenset(
-        w
-        for w in g.vertices
-        if w not in hset and g.out_bundles(w) and all(b.dst in hset for b in g.out_bundles(w))
-        and any(e.dst not in hset for e in g.out_edges(w))
-    )
+    return g._masks.breaking(mask)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from conftest import (
 from oracles import mul_brute
 from lpaideals import (
     AlgebraElement,
+    DirectedGraph,
     GraphError,
     edge_element,
     ghost_element,
@@ -536,3 +538,14 @@ def test_long_coefficients_under_the_default_digit_limit(unique_max):
         assert len(text) == digits and parse_element(unique_max, f"{text} u").terms[0].coeff == n
         assert _coefficient_text(-n, 7) == f"-{text}/7"
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_real_part_vertices_are_checked_by_lookup():
+    """A one-token real part is looked up in the graph's id dict: a sum of
+    20,000 vertices parses well within a second, where a scan of the vertex
+    tuple per token took seconds."""
+    g = DirectedGraph.from_parts([f"v{i}" for i in range(20_000)])
+    start = time.perf_counter()
+    x = parse_element(g, " + ".join(g.vertices))
+    assert time.perf_counter() - start < 1.0
+    assert len(x.terms) == 20_000

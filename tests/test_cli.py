@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,15 @@ from conftest import (
 from oracles import hereditary_saturated_sets_brute, reach_sets
 from test_algebra import graph_and_two_elements
 from test_golden import escaped_ids, loop_antichain, mul_args
-from lpaideals import ResourceCapError, enumerate_HE, parse_element, parse_graph, render_element, serialize_graph
+from lpaideals import (
+    DirectedGraph,
+    ResourceCapError,
+    enumerate_HE,
+    parse_element,
+    parse_graph,
+    render_element,
+    serialize_graph,
+)
 from lpaideals import cli
 from lpaideals.algebra import zero
 from lpaideals.cli import main
@@ -608,3 +617,17 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_vertex_ids_are_checked_by_lookup():
+    """``--H`` and ``--S`` check each id against the graph's id dict: 20,000
+    ids take milliseconds, where a scan of the vertex tuple per id took
+    seconds."""
+    g = DirectedGraph.from_parts([f"v{i}" for i in range(20_000)])
+    raw = ",".join(g.vertices)
+    start = time.perf_counter()
+    assert cli._split_vertices(g, raw, "--H") == frozenset(g.vertices)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(cli.UsageError) as caught:
+        cli._split_vertices(g, raw + ",x", "--S")
+    assert str(caught.value) == "--S: unknown vertex 'x'"

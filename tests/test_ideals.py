@@ -1,5 +1,6 @@
 import gc
 import weakref
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given
@@ -52,7 +53,8 @@ from lpaideals import (
     quotient_graph,
     ResourceCapError,
 )
-from lpaideals.ideals import _closed_complement, descriptor_sort_key
+from lpaideals.graph import _Masks
+from lpaideals.ideals import descriptor_sort_key
 from lpaideals.lattice import _is_hereditary_saturated
 
 
@@ -302,14 +304,16 @@ def test_enumerate_primes_is_in_descriptor_order(g):
 
 
 def _assert_one_mask_decides_each_complement(g):
-    """For each vertex d, the one mask test of ``enumerate_primes`` says
-    E^0 minus M(d) is hereditary saturated exactly when its closure and
-    the raw definitions do; returns the kinds of d seen."""
+    """For each vertex d, the closed tails of the index (``_Masks.tails``)
+    hold M(d) exactly when its closure and the raw definitions say E^0
+    minus M(d) is hereditary saturated; returns the kinds of d seen."""
     masks = g._masks
+    tails = masks.tails()
     kinds = set()
     for d, tail in enumerate(masks.ancestors):
         hset = masks.to_set(masks.full & ~tail)
-        closed = _closed_complement(masks, d)
+        closed = d in tails
+        assert tails.get(d, tail) == tail
         assert closed == _is_hereditary_saturated(g, hset)
         assert closed == (is_hereditary_brute(g, hset) and is_saturated_brute(g, hset))
         kinds.add((g.vertex_kind(masks.vertices[d]).value, closed))
@@ -324,6 +328,22 @@ def test_one_mask_decides_each_complement(g):
 def test_one_mask_decides_each_complement_on_the_acceptance_corpus():
     seen = set().union(*map(_assert_one_mask_decides_each_complement, random_corpus(500)))
     assert seen == {("sink", True), ("infinite_emitter", True), ("regular", True), ("regular", False)}
+
+
+def test_the_primes_and_the_maximal_tails_close_no_set(monkeypatch):
+    """The primes read their closed tails and each B_H off the index
+    (``_Masks.tails``, ``_Masks.breaking``), and ``is_maximal_tail`` asks
+    whether its set is a closed tail: neither closes a set."""
+    closed = []
+    close = _Masks.close
+    monkeypatch.setattr(_Masks, "close", lambda self, mask: closed.append(mask) or close(self, mask))
+    fixtures = [omega_graph(), breaking_emitters(3), clique_with_loop(4), mixed_maximals_graph()]
+    for g in fixtures + random_corpus(100):
+        assert enumerate_primes(g)
+        for r in range(1, len(g.vertices) + 1):
+            for subset in combinations(g.vertices, r):
+                is_maximal_tail(g, subset)
+    assert closed == []
 
 
 def test_one_cap_bounds_the_cycles_of_enumerate_primes():
@@ -492,20 +512,20 @@ def test_nongraded_family_enumerates_no_cycles():
 
 
 def _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) -> int:
-    """The ``breaking_vertices`` calls of ``command --json`` on A_12."""
-    from lpaideals import ideals, lattice, serialize_graph
+    """The ``_Masks.breaking`` calls of ``command --json`` on A_12: the
+    one rule for B_H, which ``breaking_vertices`` reads too."""
+    from lpaideals import serialize_graph
     from lpaideals.cli import main
     from test_golden import loop_antichain
 
     calls = []
-    original = lattice.breaking_vertices
+    original = _Masks.breaking
 
-    def counted(g, subset):
-        calls.append(subset)
-        return original(g, subset)
+    def counted(masks, h):
+        calls.append(h)
+        return original(masks, h)
 
-    for module in (lattice, ideals):
-        monkeypatch.setattr(module, "breaking_vertices", counted)
+    monkeypatch.setattr(_Masks, "breaking", counted)
     path = tmp_path / "a12.json"
     path.write_text(serialize_graph(loop_antichain(12)))
     assert main([command, str(path), "--json"]) == 0

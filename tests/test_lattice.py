@@ -377,9 +377,8 @@ def test_join_closes_on_the_lattice_masks(lattice_work):
 def walk_closures(monkeypatch):
     """The closures that the lattice walk itself takes: ``_Masks.close``
     and ``_Masks.grow`` calls made from ``lattice._close_by_one``, which
-    ``enumerate_HE`` or the first read of a lattice's masks runs (the
-    breaking-vertex checks of the primes close their H too, outside the
-    walk)."""
+    ``enumerate_HE`` or the first read of a lattice's masks runs (a
+    ``breaking_vertices`` check closes its H too, outside the walk)."""
     calls = []
     close, grow, walk = _Masks.close, _Masks.grow, lattice._close_by_one.__code__
 
@@ -431,6 +430,20 @@ def test_primes_and_maximals_never_walk_H_E(walk_closures, monkeypatch, tmp_path
     assert walk_closures == []
     (g,) = loaded
     assert g._masks.closed_sets is None and g._masks.primes is not None
+
+
+def test_the_coatoms_are_read_off_the_index_with_no_walk(monkeypatch):
+    """``maximal_proper_elements`` reads the least closed tails
+    (``_Masks.least_tails``), not the lattice's masks: on A_16 (65,536
+    sets) it takes no ``_Masks.grow`` step and keeps no walk."""
+    steps = []
+    grow = _Masks.grow
+    monkeypatch.setattr(_Masks, "grow", lambda self, closed, i: steps.append(i) or grow(self, closed, i))
+    g = loop_antichain(16)
+    coatoms = lattice.maximal_proper_elements(enumerate_HE(g))
+    assert steps == [] and g._masks.closed_sets is None
+    full = frozenset(g.vertices)
+    assert len(coatoms) == 16 and set(coatoms) == {full - {v} for v in full}
 
 
 def _refusal(call):
