@@ -398,9 +398,7 @@ class _TermReader:
             beta = self._run(self._ghosts, ghost, _paths_from_edges)
             if alpha is None:
                 alpha = self._vertex(beta.target)
-        else:
-            if alpha is None:
-                raise GraphError("a term needs a vertex, a path, or a ghost path")
+        else:  # every token but a lone "|" joins one part, so alpha is set
             beta = self._vertex(alpha.target)
         if alpha.target != beta.target:
             raise GraphError(

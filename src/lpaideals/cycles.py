@@ -204,4 +204,4 @@ def is_maximal_tail(g: DirectedGraph, subset) -> bool:
     vs = g.require_vertices(subset)
     if not vs:
         raise GraphError("maximal tails are non-empty")
-    return g._masks.of(vs) in g._masks.tails().values()
+    return g._masks.of(vs) in g._masks.tails

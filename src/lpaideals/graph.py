@@ -200,22 +200,23 @@ class _Masks:
     Vertex i reaches ``descendants[i]`` and is reached from
     ``ancestors[i]`` (its M(v)); both hold i.  Emitter i sends its bundles
     to ``bundles[i]``.  The closed tails, the least of them and B_H have
-    one rule each here (``tails``, ``least_tails``, ``breaking``).  Two
+    one rule each here (``tails``, ``least_tails``, ``breaking``), and the
+    closed tails, which decide all of H_E, are built with the index.  Two
     facts derived once per graph are kept, each once it is complete, and
     neither refers back to the graph, so it is freed by reference counting:
 
-    - ``closed_sets``: the masks of H_E, kept only once walked.  With k
-      strongly connected components |H_E| <= 2^k, so
-      ``lattice.enumerate_HE`` walks at the call only when its cap is
-      below 2^k; otherwise the first read of the lattice's masks walks,
-      and ``primes`` and ``maximals``, which read none, never do;
+    - ``closed_sets``: the masks of H_E, kept only once walked.  With t
+      closed tails |H_E| <= 2^t, so ``lattice.enumerate_HE`` walks at
+      the call only when its cap is below 2^t; otherwise the first read
+      of the lattice's masks walks, and ``primes`` and ``maximals``,
+      which read none, never do;
     - ``primes``: the prime rows, ``(H, S)`` for a graded prime and
       ``(H, cycle)`` for a family, once ``ideals.enumerate_primes`` has
       listed them.
 
     A call that refuses on a cap keeps nothing, and every later call
     passes ``enumerate_HE``, which checks its caps against the kept walk
-    or the 2^k bound, before it reads a kept fact."""
+    or the 2^t bound, before it reads a kept fact."""
 
     def __init__(self, g: DirectedGraph):
         self.vertices = g.vertices[::-1]
@@ -228,6 +229,7 @@ class _Masks:
         self.descendants, self.ancestors = _reach(self.successors), _reach(self.predecessors)
         self.bundles = {self.index[v]: self.of(b.dst for b in bs) for v, bs in g._out_bundles.items() if bs}
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
+        self.tails = self._closed_tails()
         self.closed_sets: frozenset[int] | None = None
         self.primes: tuple[tuple, ...] | None = None
 
@@ -260,29 +262,35 @@ class _Masks:
         """The masks as vertex sets, in ``in_order``."""
         return tuple(map(self.to_set, self.in_order(masks)))
 
-    def tails(self) -> dict[int, int]:
-        """The closed tails: M(d), keyed by d, for each vertex d whose
-        complement H = E^0 minus M(d) is hereditary saturated.  H is
-        hereditary, as an edge from H into M(d) would put its source in
-        M(d).  Each w != d in M(d) has a successor in M(d), the first
-        step of its path to d, so only d can join H by saturation: when it
-        is regular and no successor of d lies in M(d).  Two vertices with
-        one M(d) lie on a closed path, so the test agrees on them."""
-        regular = self.regular
-        return {d: t for d, t in enumerate(self.ancestors) if self.successors[d] & t or not regular >> d & 1}
+    def _closed_tails(self) -> dict[int, int]:
+        """The closed tails: each distinct M(d) whose complement H = E^0
+        minus M(d) is hereditary saturated, mapped to the ends of the
+        closed tails strictly inside it (the ends of a closed tail are the
+        d with that M(d)).  H is hereditary, as an edge from H into M(d)
+        would put its source in M(d).  Each w != d in M(d) has a successor
+        in M(d), the first step of its path to d, so only d can join H by
+        saturation: when it is regular and no successor of d lies in M(d).
+        Two vertices with one M(d) lie on a closed path, so the test
+        agrees on them.  M(e) lies in M(d) exactly when e does, so the
+        closed tails strictly inside M(d) are those with an end in M(d)
+        that is not one of its own.  The tails are listed in ascending
+        order as masks, so each comes after every closed tail inside it."""
+        regular, ends, every = self.regular, {}, 0
+        for d, t in enumerate(self.ancestors):
+            if self.successors[d] & t or not regular >> d & 1:
+                ends[t] = ends[t] | 1 << d if t in ends else 1 << d
+                every |= 1 << d
+        return {t: every & t & ~ends[t] for t in sorted(ends)}
 
-    def least_tails(self) -> set[int]:
-        """The closed tails minimal under inclusion, the complements of the
-        coatoms of H_E: a walk from outside a proper H in H_E stays
+    def least_tails(self) -> list[int]:
+        """The closed tails with none inside, the complements of the
+        coatoms of H_E.  A walk from outside a proper H in H_E stays
         outside (H is saturated) until it meets a sink, an infinite
         emitter or a closed path at some w, whose closed tail M(w) misses
-        H (H is hereditary).  M(e) lies in M(d) exactly when e does, and
-        is M(d) when e is also a descendant of d."""
-        tails = self.tails()
-        ends = 0
-        for d in tails:
-            ends |= 1 << d
-        return {t for d, t in tails.items() if not ends & t & ~self.descendants[d]}
+        H (H is hereditary).  So E^0 minus H is the union of the closed
+        tails that miss H (``lattice._walk``), and it is one least closed
+        tail exactly when H is a coatom."""
+        return [t for t, inside in self.tails.items() if not inside]
 
     def breaking(self, h: int) -> frozenset[str]:
         """B_H of a hereditary saturated mask h, as vertex ids: the
@@ -308,36 +316,15 @@ class _Masks:
         returns it unchanged."""
         return self.saturate(self.hereditary(mask))
 
-    def grow(self, closed: int, i: int) -> int:
-        """The hereditary saturated closure of a closed mask with vertex i
-        added, computed from the mask.
-
-        The mask is hereditary, so the OR with i's descendants is too.  It
-        is saturated, so each regular vertex outside it has a successor
-        outside it; such a vertex can join only if that successor was
-        just added.  Saturation therefore checks first only the
-        predecessors of the added vertices.
-        """
-        added = self.descendants[i] & ~closed
-        closed |= added
-        feeders = 0
-        while added:
-            low = added & -added
-            added ^= low
-            feeders |= self.predecessors[low.bit_length() - 1]
-        return self.saturate(closed, feeders)
-
-    def saturate(self, closed: int, candidates: int = -1) -> int:
+    def saturate(self, closed: int) -> int:
         """The saturation of a vertex mask, hereditary if the mask is.
 
         A regular vertex joins once all its successors, the targets of
         its named edges, lie inside, and is checked again only when one
         of them joins.  A hereditary set stays hereditary, because all
-        of them land inside.  Only the vertices in ``candidates`` (all
-        by default) are checked first; the caller vouches that no other
-        vertex outside the mask is yet ready to join.
+        of them land inside.
         """
-        pending = self.regular & ~closed & candidates
+        pending = self.regular & ~closed
         while pending:
             low = pending & -pending
             pending ^= low

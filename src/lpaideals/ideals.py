@@ -161,7 +161,7 @@ def enumerate_primes(
     if masks.primes is None:
         without_k = cycles_without_K(g)
         rows: list[tuple] = []
-        for tail in set(masks.tails().values()):
+        for tail in masks.tails:
             h = masks.full & ~tail
             hset, b_h = masks.to_set(h), masks.breaking(h)  # each S below lies in B_H: no pair checks again
             rows.append((hset, b_h))

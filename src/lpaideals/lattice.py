@@ -56,7 +56,7 @@ def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
 class HSLattice:
     """All hereditary saturated sets of a graph, as closed masks.
     ``enumerate_HE`` has decided the caps, so reading the masks cannot
-    refuse: the first read walks H_E (``_close_by_one``), unless a call
+    refuse: the first read walks H_E (``_walk``), unless a call
     already has, and keeps the walk in the graph's index.  ``sets`` lists
     them as vertex sets, in canonical order, built on first use.
     Printing reads the masks (``sorted_ids``) and builds no vertex set."""
@@ -66,8 +66,8 @@ class HSLattice:
     @property
     def _closed(self) -> frozenset[int]:
         masks = self.graph._masks
-        if masks.closed_sets is None:  # no lattice has more than 2^|E^0| sets
-            masks.closed_sets = _close_by_one(masks, 1 << len(masks.vertices))
+        if masks.closed_sets is None:  # no lattice has more than 2^t sets
+            masks.closed_sets = _walk(masks, 1 << len(masks.tails))
         return masks.closed_sets
 
     @cached_property
@@ -102,14 +102,14 @@ def enumerate_HE(
     lattices above ``cap`` rather than approximating.
 
     The caps are decided at the call, and the walk runs only where the
-    sets are read.  A hereditary set takes in a whole strongly connected
-    component at a time, so with k components |H_E| <= 2^k.  When
-    2^k <= cap the call cannot refuse, and it returns a lattice that
-    walks on first read.  Otherwise the call walks now, refusing once the
-    walk passes ``cap``.  The first complete walk is kept in the graph's
-    index and answers every later call on the graph, checked against its
-    caps; a refused walk keeps nothing.  So each call refuses exactly
-    when a fresh walk would, with the same message.
+    sets are read.  Each H is E^0 minus a union of closed tails
+    (``_walk``), so with t closed tails |H_E| <= 2^t.  When 2^t <= cap
+    the call cannot refuse, and it returns a lattice that walks on first
+    read.  Otherwise the call walks now, refusing once the walk passes
+    ``cap``.  The first complete walk is kept in the graph's index and
+    answers every later call on the graph, checked against its caps; a
+    refused walk keeps nothing.  So each call refuses exactly when a
+    fresh walk would, with the same message.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -121,50 +121,40 @@ def enumerate_HE(
     if masks.closed_sets is not None:
         if len(masks.closed_sets) > cap:
             raise ResourceCapError(f"lattice exceeds cap {cap}")
-    elif 1 << _components(masks) > cap:
-        masks.closed_sets = _close_by_one(masks, cap)
+    elif 1 << len(masks.tails) > cap:
+        masks.closed_sets = _walk(masks, cap)
     return HSLattice(g)
 
 
-def _components(masks: _Masks) -> int:
-    """The number of strongly connected components: vertex i's is the
-    meet of its descendants and its ancestors."""
-    rest, count = masks.full, 0
-    while rest:
-        i = rest.bit_length() - 1
-        rest &= ~(masks.descendants[i] & masks.ancestors[i])
-        count += 1
-    return count
-
-
-def _close_by_one(masks: _Masks, cap: int) -> frozenset[int]:
-    """The closed sets of ``hs_closure``, found by Kuznetsov's
-    Close-by-One: a depth-first walk that grows each set from a closed
-    parent by one vertex i (``_Masks.grow``) and keeps it only when it
-    adds no vertex below i.  So each set is found exactly once, with at
-    most one step per vertex for each set found; the walk's order does
-    not show, as the sets are listed sorted.  Raises ResourceCapError
-    once it finds more than ``cap`` sets.
+def _walk(masks: _Masks, cap: int) -> frozenset[int]:
+    """The masks of H_E, walked over the closed tails (``_Masks.tails``).
+    E^0 minus each H in H_E is the union of the closed tails that miss H
+    (``_Masks.least_tails``), and that union holds every closed tail
+    inside one it holds.  Conversely, for such a union U, E^0 minus U is
+    the meet of the sets E^0 minus T over the held tails T, so it is in
+    H_E, and a closed tail inside U has an end in a held tail, so it lies
+    inside that tail and is held.  So H_E is the lattice of down-closed
+    sets of closed tails (Birkhoff's representation).  The walk builds
+    each union by taking the tails in their order in ``_Masks.tails``,
+    each after every tail inside it, and takes a tail once the union
+    holds the ends of the tails inside it.  So it finds each set once,
+    with one mask test per later tail.  Raises ResourceCapError once it
+    finds more than ``cap`` sets.
     """
-    least = masks.close(0)
-    closed = [least]
-    stack = [(least, 0)]  # a closed set, and the least vertex it may grow by
+    tails = list(masks.tails.items())
+    closed = [masks.full]
+    stack = [(0, 0)]  # a down-closed union of tails, and the first tail it may take
     while stack:
-        parent, start = stack.pop()
-        rest = masks.full & ~parent & -(1 << start)  # from start on, outside parent
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            i = bit.bit_length() - 1
-            if masks.descendants[i] & ~parent & (bit - 1):
-                continue  # i's descendants already add a vertex below i
-            child = masks.grow(parent, i)
-            if child & ~parent & (bit - 1):
-                continue  # saturation added one: another parent finds it
-            closed.append(child)
+        union, start = stack.pop()
+        for k in range(start, len(tails)):
+            tail, inside = tails[k]
+            if inside & ~union:
+                continue  # a tail inside this one is not yet held
+            child = union | tail
+            closed.append(masks.full & ~child)
             if len(closed) > cap:
                 raise ResourceCapError(f"lattice exceeds cap {cap}")
-            stack.append((child, i + 1))
+            stack.append((child, k + 1))
     return frozenset(closed)
 
 

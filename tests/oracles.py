@@ -73,10 +73,10 @@ def hereditary_saturated_sets_brute(g):
 
 def next_closure_sets(g):
     """The masks of H_E, walked by Ganter's NextClosure in lectic order,
-    a walk independent of the library's Close-by-One.  It closes each
-    candidate afresh with the library's ``_Masks.close``, which the
-    tests check against the two conditions above, so it checks the walk
-    and its incremental closure, not the closure itself."""
+    a walk independent of the library's walk over the closed tails.  It
+    closes each candidate afresh with the library's ``_Masks.close``,
+    which the tests check against the two conditions above, so it checks
+    the walk and the closed tails it reads, not the closure itself."""
     masks = g._masks
     current = masks.close(0)
     closed = [current]

@@ -549,3 +549,15 @@ def test_real_part_vertices_are_checked_by_lookup():
     x = parse_element(g, " + ".join(g.vertices))
     assert time.perf_counter() - start < 1.0
     assert len(x.terms) == 20_000
+
+
+def test_elements_combine_only_with_elements_over_their_graph():
+    u = vertex_element(unique_maximal_graph(), "u")
+    other = vertex_element(mixed_maximals_graph(), "u")
+    for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(GraphError) as exc:
+            combine(u, other)
+        assert str(exc.value) == "elements live over different graphs"
+        with pytest.raises(TypeError) as exc:
+            combine(u, 1)
+        assert str(exc.value) == "cannot combine with int"

@@ -132,6 +132,10 @@ def test_bad_usage_exits_2(run, tmp_path):
     assert (code, err) == (2, "error: quotient at the full vertex set would be the empty graph\n")
     code, _, err = run("mul", path, "--lhs", "zzz", "--rhs", "u")
     assert code == 2
+    # the emitter u breaks {w}, and its primed copy u' is taken
+    taken = write_graph(tmp_path, graph(["u", "u'", "w"], [("e", "u", "u'")], [("u", "w")]), "taken.json")
+    code, _, err = run("quotient", taken, "--H", "w")
+    assert (code, err) == (2, """error: primed vertex ids collide with existing ids: ["u'"]\n""")
 
 
 def test_resource_cap_exits_3(run, tmp_path):
@@ -449,14 +453,19 @@ LATTICE_COMMANDS = ("primes", "maximals", "analyze", "hsets")
 
 
 def _limits(g):
-    """Each cap at either side of |H_E| and of 2^k (k the strongly
+    """Each cap at either side of |H_E|, of 2^t (t the closed tails, the
+    bound that ``enumerate_HE`` decides by) and of 2^k (k the strongly
     connected components), and each vertex bound at either side of n,
     with the refusal that a walk under it must give."""
-    size = len(hereditary_saturated_sets_brute(g))
+    family = hereditary_saturated_sets_brute(g)
+    size = len(family)
     reach = reach_sets(g)
     k = len({frozenset(w for w in reach[v] if v in reach[w]) for v in g.vertices})
+    full = frozenset(g.vertices)
+    m_of = {frozenset(w for w in g.vertices if v in reach[w]) for v in g.vertices}
+    t = len({full - h for h in family} & m_of)
     n = len(g.vertices)
-    caps = sorted({size - 1, size, (1 << k) - 1, 1 << k} - {0})
+    caps = sorted({size - 1, size, (1 << t) - 1, 1 << t, (1 << k) - 1, 1 << k} - {0})
     limits = [(["--cap", str(cap)], f"lattice exceeds cap {cap}" if size > cap else None) for cap in caps]
     limits += [
         (["--max-vertices", str(m)], f"exact enumeration limited to {m} vertices, graph has {n}" if n > m else None)
@@ -467,7 +476,7 @@ def _limits(g):
 
 
 def test_lattice_commands_refuse_alike_at_each_cap(monkeypatch, capsys):
-    """The caps are decided when ``enumerate_HE`` is called, by the 2^k
+    """The caps are decided when ``enumerate_HE`` is called, by the 2^t
     bound or by a walk, so ``primes`` and ``maximals``, which never read
     H_E, refuse exactly where ``analyze`` and ``hsets`` do, on a fresh
     graph and on one whose walk is kept."""

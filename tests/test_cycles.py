@@ -518,3 +518,20 @@ def test_cycle_lists_follow_a_ring_past_the_recursion_limit():
     ring_edges = tuple(e.id for e in g.edges)
     assert [c.edges for c in cycles._exitless_cycles(g)] == [ring_edges]
     assert [c.edges for c in cycles_without_K(g)] == [ring_edges]
+
+
+@pytest.mark.parametrize(
+    "edge_ids, message",
+    [
+        ((), "a cycle has at least one edge"),
+        (("a", "a"), "edges 'a' and 'a' do not compose"),
+        (("a",), "edge sequence is not closed"),
+        (("a", "b", "c", "d"), "cycle passes through a vertex twice"),
+    ],
+)
+def test_make_cycle_names_what_is_wrong(edge_ids, message):
+    """On u -a-> v -b-> u -c-> w -d-> u, a closed walk through u twice."""
+    g = graph(["u", "v", "w"], [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "w"), ("d", "w", "u")])
+    with pytest.raises(GraphError) as exc:
+        make_cycle(g, edge_ids)
+    assert str(exc.value) == message

@@ -97,6 +97,18 @@ def test_classify_prime_rejects_malformed(mixed_max, omega):
         classify_prime(mixed_max, GradedIdeal(pair(omega, set())))
 
 
+def test_a_non_descriptor_is_named(unique_max):
+    """``classify_prime`` and ``gr_of`` take a graded ideal or a family,
+    and name anything else, such as the bare admissible pair."""
+    bare = pair(unique_max, set())
+    with pytest.raises(GraphError) as exc:
+        classify_prime(unique_max, bare)
+    assert str(exc.value) == f"not an ideal descriptor: {bare!r}"
+    with pytest.raises(GraphError) as exc:
+        gr_of(bare)
+    assert str(exc.value) == f"not an ideal descriptor: {bare!r}"
+
+
 def test_full_vertex_set_is_not_a_prime(unique_max):
     assert not classify_prime(unique_max, graded(unique_max, {"u", "v", "w"}))
 
@@ -308,12 +320,10 @@ def _assert_one_mask_decides_each_complement(g):
     hold M(d) exactly when its closure and the raw definitions say E^0
     minus M(d) is hereditary saturated; returns the kinds of d seen."""
     masks = g._masks
-    tails = masks.tails()
     kinds = set()
     for d, tail in enumerate(masks.ancestors):
         hset = masks.to_set(masks.full & ~tail)
-        closed = d in tails
-        assert tails.get(d, tail) == tail
+        closed = tail in masks.tails
         assert closed == _is_hereditary_saturated(g, hset)
         assert closed == (is_hereditary_brute(g, hset) and is_saturated_brute(g, hset))
         kinds.add((g.vertex_kind(masks.vertices[d]).value, closed))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import sys
@@ -122,8 +123,8 @@ def test_enumerate_HE_against_subset_filter():
 
 
 def _check_walk_against_next_closure(g, max_vertices=lattice.MAX_EXACT_VERTICES):
-    """Close-by-One finds the sets that NextClosure finds, each once: a
-    walk capped at their number answers."""
+    """The walk over the closed tails finds the sets that NextClosure
+    finds, each once: a walk capped at their number answers."""
     closed = next_closure_sets(g)
     assert enumerate_HE(g, cap=len(closed), max_vertices=max_vertices)._closed == closed
     return closed
@@ -131,12 +132,7 @@ def _check_walk_against_next_closure(g, max_vertices=lattice.MAX_EXACT_VERTICES)
 
 @given(graphs())
 def test_walk_matches_next_closure(g):
-    """The walk matches NextClosure, and each of its steps is the
-    closure of the grown set."""
-    masks = g._masks
-    for h in _check_walk_against_next_closure(g):
-        for i in range(len(g.vertices)):
-            assert masks.grow(h, i) == masks.close(h | 1 << i)
+    _check_walk_against_next_closure(g)
 
 
 def test_walk_matches_next_closure_on_fixed_graphs():
@@ -149,6 +145,43 @@ def test_walk_matches_next_closure_on_fixed_graphs():
     assert len(_check_walk_against_next_closure(sparse_graph(200), max_vertices=1000)) == 513
 
 
+def _check_H_E_is_the_down_closed_sets_of_closed_tails(g):
+    """H -> {closed tails missing H} is a bijection from H_E onto the
+    down-closed sets of closed tails, so |H_E| <= 2^t, with H_E from the
+    subset filter and the closed tails read off the raw M(d); and the
+    index's closed tails are those, each mapped to the vertices d whose
+    M(d) is a closed tail strictly inside it."""
+    full = frozenset(g.vertices)
+    family = hereditary_saturated_sets_brute(g)
+    reach = reach_sets(g)
+    m_of = {d: frozenset(w for w in g.vertices if d in reach[w]) for d in g.vertices}
+    tails = {t for t in m_of.values() if full - t in family}
+    down_closed = {
+        frozenset(chosen)
+        for r in range(len(tails) + 1)
+        for chosen in combinations(tails, r)
+        if all(s in chosen for t in chosen for s in tails if s < t)
+    }
+    image = [frozenset(t for t in tails if not t & h) for h in family]
+    assert len(set(image)) == len(family) and set(image) == down_closed
+    assert len(family) <= 2 ** len(tails)
+    masks = g._masks
+    assert [masks.to_set(t) for t in masks.tails] == sorted(tails, key=masks.of)
+    for t, inside in masks.tails.items():
+        below = {s for s in tails if s < masks.to_set(t)}
+        assert masks.to_set(inside) == {d for d in g.vertices if m_of[d] in below}
+
+
+@given(graphs())
+def test_H_E_is_the_down_closed_sets_of_closed_tails(g):
+    _check_H_E_is_the_down_closed_sets_of_closed_tails(g)
+
+
+def test_H_E_is_the_down_closed_sets_of_closed_tails_on_the_acceptance_corpus():
+    for g in random_corpus(500, seed=20260809):
+        _check_H_E_is_the_down_closed_sets_of_closed_tails(g)
+
+
 def test_enumerate_HE_caps():
     isolated = graph(["a", "b", "c", "d"])
     with pytest.raises(ResourceCapError):
@@ -156,6 +189,8 @@ def test_enumerate_HE_caps():
     assert len(enumerate_HE(isolated, cap=16).sets) == 16
     with pytest.raises(ResourceCapError):
         enumerate_HE(chain_graph(4), max_vertices=3)
+    with pytest.raises(ValueError, match="^cap must be positive$"):
+        enumerate_HE(isolated, cap=0)
 
 
 @given(graphs(max_vertices=4, max_edges=6))
@@ -224,34 +259,39 @@ def test_printed_ids_are_the_sorted_sets_on_fixed_graphs():
         _check_printed_ids(loop_antichain(n))
 
 
-def test_enumerate_HE_refuses_within_bounded_work(monkeypatch):
+def test_enumerate_HE_refuses_within_bounded_work():
+    """A walk makes one mask test per later closed tail for each set it
+    finds, so it refuses after at most (cap + 1) x t tests: on an
+    antichain of 20 loops, t = 20.  The tests are the line events of the
+    walk's test line."""
     n, cap = 20, 10_000
     loops = [(f"{x}{i:02d}", f"v{i:02d}", f"v{i:02d}") for i in range(n) for x in "fg"]
     antichain = graph([f"v{i:02d}" for i in range(n)], loops)
-    calls = 0
-    close, grow = _Masks.close, _Masks.grow
+    assert len(antichain._masks.tails) == n
+    walk = lattice._walk.__code__
+    source, first = inspect.getsourcelines(lattice._walk)
+    (test_line,) = [first + i for i, line in enumerate(source) if "if inside & ~union:" in line]
+    steps = 0
 
-    def counting_close(self, mask):
-        nonlocal calls
-        calls += 1
-        return close(self, mask)
+    def count_tests(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == test_line
+        return count_tests
 
-    def counting_grow(self, closed, i):
-        nonlocal calls
-        calls += 1
-        return grow(self, closed, i)
-
-    monkeypatch.setattr(_Masks, "close", counting_close)
-    monkeypatch.setattr(_Masks, "grow", counting_grow)
-    with pytest.raises(ResourceCapError, match=f"lattice exceeds cap {cap}"):
-        enumerate_HE(antichain, cap=cap)
-    assert 0 < calls <= (cap + 1) * n
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_tests if frame.f_code is walk else None)
+    try:
+        with pytest.raises(ResourceCapError, match=f"lattice exceeds cap {cap}"):
+            enumerate_HE(antichain, cap=cap)
+    finally:
+        sys.settrace(previous)
+    assert 0 < steps <= (cap + 1) * n
 
 
 def test_a_large_lattice_refuses_at_once(tmp_path, capsys):
     """``--cap`` bounds the walk's work: on 1,000 vertices the lattice
-    refuses after at most about cap x |E^0| steps, each growing a closed
-    set by one vertex.  Lifting ``--max-vertices`` alone answers on 200
+    refuses after at most about cap x t mask tests, t the closed tails
+    (47 here).  Lifting ``--max-vertices`` alone answers on 200
     vertices."""
     from lpaideals.cli import main
 
@@ -374,30 +414,23 @@ def test_join_closes_on_the_lattice_masks(lattice_work):
 
 
 @pytest.fixture
-def walk_closures(monkeypatch):
-    """The closures that the lattice walk itself takes: ``_Masks.close``
-    and ``_Masks.grow`` calls made from ``lattice._close_by_one``, which
-    ``enumerate_HE`` or the first read of a lattice's masks runs (a
-    ``breaking_vertices`` check closes its H too, outside the walk)."""
-    calls = []
-    close, grow, walk = _Masks.close, _Masks.grow, lattice._close_by_one.__code__
+def walked_sets(monkeypatch):
+    """The sets that each walk of H_E (``lattice._walk``) returns, which
+    ``enumerate_HE`` or the first read of a lattice's masks runs.  A
+    refused walk returns none."""
+    found = []
+    walk = lattice._walk
 
-    def counted_close(self, mask):
-        if sys._getframe(1).f_code is walk:
-            calls.append(mask)
-        return close(self, mask)
+    def counted_walk(masks, cap):
+        closed = walk(masks, cap)
+        found.extend(closed)
+        return closed
 
-    def counted_grow(self, closed, i):
-        if sys._getframe(1).f_code is walk:
-            calls.append((closed, i))
-        return grow(self, closed, i)
-
-    monkeypatch.setattr(_Masks, "close", counted_close)
-    monkeypatch.setattr(_Masks, "grow", counted_grow)
-    return calls
+    monkeypatch.setattr(lattice, "_walk", counted_walk)
+    return found
 
 
-def test_analyze_walks_H_E_once(walk_closures, tmp_path, capsys):
+def test_analyze_walks_H_E_once(walked_sets, tmp_path, capsys):
     """``analyze`` asks for H_E five times and walks it once, as ``hsets`` does."""
     from lpaideals.cli import main
 
@@ -405,43 +438,56 @@ def test_analyze_walks_H_E_once(walk_closures, tmp_path, capsys):
     path.write_text(serialize_graph(loop_antichain(12)), encoding="utf-8")
     work = {}
     for command in ("hsets", "analyze"):
-        walk_closures.clear()
+        walked_sets.clear()
         assert main([command, str(path), "--json"]) == 0
-        work[command] = len(walk_closures)
+        work[command] = len(walked_sets)
     capsys.readouterr()
     assert work["analyze"] == work["hsets"] >= 4096
 
 
-@pytest.mark.parametrize("command", ["primes", "maximals"])
-@pytest.mark.parametrize("flags", [[], ["--json"]])
-def test_primes_and_maximals_never_walk_H_E(walk_closures, monkeypatch, tmp_path, capsys, command, flags):
-    """On ``A_12`` (12 components, so at most 4,096 sets, within the
-    default cap) the caps are decided at the call, the primes are read
-    off the M(d), and nothing reads the lattice's masks."""
+def _assert_no_walk(walked_sets, monkeypatch, tmp_path, capsys, g, argv):
     from lpaideals import cli
 
     loaded = []
     load = cli._load_graph
     monkeypatch.setattr(cli, "_load_graph", lambda path: loaded.append(load(path)) or loaded[-1])
-    path = tmp_path / "a12.json"
-    path.write_text(serialize_graph(loop_antichain(12)), encoding="utf-8")
-    assert cli.main([command, str(path), *flags]) == 0
+    path = tmp_path / "graph.json"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 0
     capsys.readouterr()
-    assert walk_closures == []
+    assert walked_sets == []
     (g,) = loaded
     assert g._masks.closed_sets is None and g._masks.primes is not None
 
 
-def test_the_coatoms_are_read_off_the_index_with_no_walk(monkeypatch):
+@pytest.mark.parametrize("command", ["primes", "maximals"])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_primes_and_maximals_never_walk_H_E(walked_sets, monkeypatch, tmp_path, capsys, command, flags):
+    """On ``A_12`` (12 closed tails, so at most 4,096 sets, within the
+    default cap) the caps are decided at the call, the primes are read
+    off the M(d), and nothing reads the lattice's masks."""
+    _assert_no_walk(walked_sets, monkeypatch, tmp_path, capsys, loop_antichain(12), [command, *flags])
+
+
+@pytest.mark.parametrize("command", ["primes", "maximals"])
+def test_primes_and_maximals_never_walk_H_E_on_sparse_graph(walked_sets, monkeypatch, tmp_path, capsys, command):
+    """``sparse_graph(200)`` has 21 strongly connected components but 10
+    closed tails, so 2^10 sets bound H_E within the default cap and
+    ``primes`` and ``maximals`` decide it with no walk; a bound of 2^21
+    would pass the cap and walk all 513 sets."""
+    g = sparse_graph(200)
+    assert len(g._masks.tails) == 10
+    argv = [command, "--max-vertices", "1000", "--json"]
+    _assert_no_walk(walked_sets, monkeypatch, tmp_path, capsys, g, argv)
+
+
+def test_the_coatoms_are_read_off_the_index_with_no_walk(walked_sets):
     """``maximal_proper_elements`` reads the least closed tails
     (``_Masks.least_tails``), not the lattice's masks: on A_16 (65,536
-    sets) it takes no ``_Masks.grow`` step and keeps no walk."""
-    steps = []
-    grow = _Masks.grow
-    monkeypatch.setattr(_Masks, "grow", lambda self, closed, i: steps.append(i) or grow(self, closed, i))
+    sets) it makes no walk and keeps none."""
     g = loop_antichain(16)
     coatoms = lattice.maximal_proper_elements(enumerate_HE(g))
-    assert steps == [] and g._masks.closed_sets is None
+    assert walked_sets == [] and g._masks.closed_sets is None
     full = frozenset(g.vertices)
     assert len(coatoms) == 16 and set(coatoms) == {full - {v} for v in full}
 
@@ -453,15 +499,15 @@ def _refusal(call):
     return str(exc.value)
 
 
-def test_a_refused_walk_keeps_nothing(walk_closures):
+def test_a_refused_walk_keeps_nothing(walked_sets):
     g = loop_antichain(4)
     assert _refusal(lambda: enumerate_HE(g, cap=10)) == "lattice exceeds cap 10"
-    walk_closures.clear()
+    assert walked_sets == [] and g._masks.closed_sets is None
     assert len(enumerate_HE(g).sets) == 16
-    assert walk_closures
+    assert len(walked_sets) == 16
 
 
-def test_a_kept_walk_answers_each_cap_as_a_fresh_walk(walk_closures):
+def test_a_kept_walk_answers_each_cap_as_a_fresh_walk(walked_sets):
     fresh = [
         _refusal(lambda: enumerate_HE(loop_antichain(4), cap=15)),
         _refusal(lambda: enumerate_HE(loop_antichain(4), cap=1)),
@@ -470,7 +516,7 @@ def test_a_kept_walk_answers_each_cap_as_a_fresh_walk(walk_closures):
     g = loop_antichain(4)
     lat = enumerate_HE(g)
     assert len(lat.sets) == 16  # walked on first read, and kept
-    walk_closures.clear()
+    walked_sets.clear()
     assert [
         _refusal(lambda: enumerate_HE(g, cap=15)),
         _refusal(lambda: enumerate_HE(g, cap=1)),
@@ -478,7 +524,7 @@ def test_a_kept_walk_answers_each_cap_as_a_fresh_walk(walk_closures):
     ] == fresh
     again = enumerate_HE(g, cap=16)
     assert again is not lat and again.sets == lat.sets
-    assert walk_closures == []
+    assert walked_sets == []
     assert lat.to_json_dict() == enumerate_HE(loop_antichain(4)).to_json_dict()
 
 
@@ -596,6 +642,20 @@ def test_quotient_examples(unique_max, omega):
     q3 = quotient_graph(omega, AdmissiblePair(omega, frozenset({"w"}), frozenset({"v"})))
     assert q3.vertices == ("v",)
     assert [e.id for e in q3.edges] == ["f"]
+
+
+def test_quotient_refuses_primed_ids_that_collide():
+    """The emitter u breaks {w} (a bundle into w, a named edge e out), so
+    the quotient at ({w}, {}) adds u' and the primed copy of each edge
+    into u: a vertex u' or an edge x' already there collides."""
+    vertex = graph(["u", "u'", "w"], [("e", "u", "u'")], [("u", "w")])
+    with pytest.raises(GraphError) as exc:
+        quotient_graph(vertex, AdmissiblePair(vertex, frozenset({"w"})))
+    assert str(exc.value) == """primed vertex ids collide with existing ids: ["u'"]"""
+    edge = graph(["u", "w", "x"], [("e", "u", "x"), ("x", "x", "u"), ("x'", "x", "x")], [("u", "w")])
+    with pytest.raises(GraphError) as exc:
+        quotient_graph(edge, AdmissiblePair(edge, frozenset({"w"})))
+    assert str(exc.value) == """primed edge id "x'" collides with an existing edge"""
 
 
 def test_quotient_bundle_into_unbroken_breaking_vertex():
