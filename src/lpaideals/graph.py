@@ -64,8 +64,8 @@ class DirectedGraph:
     Vertices, edges and bundles are kept in a canonical order (sorted by
     id, respectively by (src, dst)), so equality is independent of the
     order in which the parts were supplied.  What is derived from them
-    (the reachability index, H_E, the primes) is kept on the graph once
-    complete, out of equality and hashing.
+    (the reachability index, H_E, the primes per closed tail) is kept on
+    the graph once complete, out of equality and hashing.
     """
 
     vertices: tuple[str, ...]
@@ -146,7 +146,7 @@ class DirectedGraph:
             raise UnknownVertexError(f"unknown vertex {v!r}")
 
     def require_vertices(self, vs) -> frozenset[str]:
-        vs = frozenset(vs)
+        vs = _vertex_set(vs)
         for v in vs:
             self.require_vertex(v)
         return vs
@@ -193,6 +193,13 @@ class DirectedGraph:
         return self._masks.to_set(self._masks.ancestors[self._masks.index[v]])
 
 
+def _vertex_set(vs) -> frozenset[str]:
+    """A vertex set as a frozenset; one str is refused, not read as its characters."""
+    if isinstance(vs, str):
+        raise GraphError(f"a vertex set is a collection of ids, not the string {vs!r}")
+    return frozenset(vs)
+
+
 class _Masks:
     """A graph's reachability index, with vertex sets as int bitmasks.
     Bit i stands for ``vertices[i]``, the ids in descending order, so that
@@ -210,9 +217,10 @@ class _Masks:
       the call only when its cap is below 2^t; otherwise the first read
       of the lattice's masks walks, and ``primes`` and ``maximals``,
       which read none, never do;
-    - ``primes``: the prime rows, ``(H, S)`` for a graded prime and
-      ``(H, cycle)`` for a family, once ``ideals.enumerate_primes`` has
-      listed them.
+    - ``by_tail``: for each closed tail T, ``(H, B_H, the u in B_H with
+      M(u) = T, the cycle without K based in T or None)``, H being E^0
+      minus T, once ``ideals._by_tail`` has built it; the primes and the
+      maximal ideals are both read off it.
 
     A call that refuses on a cap keeps nothing, and every later call
     passes ``enumerate_HE``, which checks its caps against the kept walk
@@ -231,7 +239,7 @@ class _Masks:
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
         self.tails = self._closed_tails()
         self.closed_sets: frozenset[int] | None = None
-        self.primes: tuple[tuple, ...] | None = None
+        self.by_tail: dict[int, tuple] | None = None
 
     def of(self, subset) -> int:
         out = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, _is_cycle_without_K, cycles_without_K
-from .graph import DEFAULT_CAP, DirectedGraph, GraphError
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError, _vertex_set
 from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
@@ -44,7 +44,7 @@ class NonGradedFamily:
     poly: str = POLY_TOKEN
 
     def __post_init__(self):
-        object.__setattr__(self, "H", frozenset(self.H))
+        object.__setattr__(self, "H", _vertex_set(self.H))
         g = self.graph
         if not _is_hereditary_saturated(g, self.H):
             raise GraphError("H is not hereditary saturated")
@@ -145,64 +145,61 @@ def enumerate_primes(
     (H, B_H), (H, B_H - {u}) for each u in B_H with M(u) = M(d), and a
     family per cycle without K whose base has M(base) = M(d).
 
-    Each such M(d) is a closed tail, read off the index
-    (``_Masks.tails``), not looked up in H_E, and its B_H is the index's
-    rule (``_Masks.breaking``).
-
-    The caps decide only whether a call refuses, never the list, so the
-    first answer is kept in the graph's index (``_Masks.primes``) as rows
-    that name no graph: ``(H, S)`` for a graded prime and ``(H, cycle)``
-    for a family.  Each call passes ``enumerate_HE``, which decides its
-    caps without walking H_E when it cannot refuse, and then builds its
-    own descriptors over g from the rows.
+    Each such M(d) is a closed tail, whose primes are read off the
+    graph's table (``_by_tail``).  Each call passes ``enumerate_HE``,
+    which decides its caps without walking H_E when it cannot refuse.
     """
     enumerate_HE(g, cap, max_vertices)
-    masks = g._masks
-    if masks.primes is None:
-        without_k = cycles_without_K(g)
-        rows: list[tuple] = []
-        for tail in masks.tails:
-            h = masks.full & ~tail
-            hset, b_h = masks.to_set(h), masks.breaking(h)  # each S below lies in B_H: no pair checks again
-            rows.append((hset, b_h))
-            rows += [(hset, b_h - {u}) for u in b_h if masks.ancestors[masks.index[u]] == tail]
-            rows += [(hset, c) for c in without_k if masks.ancestors[masks.index[c.base]] == tail]
-        rows.sort(key=_row_key)
-        masks.primes = tuple(rows)
+    rows: list[tuple] = []
+    for hset, b_h, ends, cycle in _by_tail(g).values():
+        rows.append((hset, b_h))
+        rows += [(hset, b_h - {u}) for u in ends]  # each S lies in B_H: no pair checks again
+        if cycle is not None:
+            rows.append((hset, cycle))
+    rows.sort(key=_row_key)
     return [
         _family(g, hset, rest) if isinstance(rest, Cycle) else GradedIdeal(_pair(g, hset, rest))
-        for hset, rest in masks.primes
+        for hset, rest in rows
     ]
 
 
-def _primes_at_coatoms(g: DirectedGraph, cap: int, max_vertices: int):
-    """The primes (H, B_H) at the coatoms H of H_E, and the prime families
-    (H, c) at them, in ``enumerate_primes`` order.
-
-    The coatoms are the complements of the least closed tails
-    (``_Masks.least_tails``).  The quotient at (H, B_H) adds no primed
-    vertex, so its exitless cycles are the cycles c avoiding H whose exits
-    all land in the hereditary H; such a c is without K, and M(c.base) is
-    E^0 minus H, so (H, c) is a prime family.  Conversely every exit of a
-    prime family's cycle c lands in its H = E^0 minus M(c.base): an exit
-    to a w outside H leaves c and w reaches c.base, so the exit lies
-    inside c's strongly connected component, and for c without K that
-    component holds no bundle and no named edge but c's own
-    (``cycles_without_K``).  So no exit is checked.  The graded prime
-    with the largest S at H is (H, B_H).
-
-    Nothing is kept: each call filters the list that its own
-    ``enumerate_primes`` call returns.
+def _by_tail(g: DirectedGraph) -> dict[int, tuple]:
+    """For each closed tail T (``_Masks.tails``), with H = E^0 minus T:
+    ``(H, B_H, the u in B_H with M(u) = T, the cycle without K based in T
+    or None)``, built once and kept on the index (``_Masks.by_tail``).
+    The ends of T (the d with M(d) = T) form one strongly connected
+    component, and a cycle without K is its whole component, so at most
+    one is based in T, and the cycles are keyed by M(base).
     """
-    primes = enumerate_primes(g, cap, max_vertices)
     masks = g._masks
-    coatoms = {masks.full & ~t for t in masks.least_tails()}
-    at = [d for d in primes if masks.of(d.H if isinstance(d, NonGradedFamily) else d.pair.H) in coatoms]
-    graded: dict[frozenset[str], AdmissiblePair] = {}
-    for d in at:
-        if isinstance(d, GradedIdeal) and len(d.pair.S) >= len(graded.get(d.pair.H, d.pair).S):
-            graded[d.pair.H] = d.pair
-    return list(graded.values()), [d for d in at if isinstance(d, NonGradedFamily)]
+    if masks.by_tail is None:
+        based = {masks.ancestors[masks.index[c.base]]: c for c in cycles_without_K(g)}
+        table = {}
+        for tail in masks.tails:
+            h = masks.full & ~tail
+            b_h = masks.breaking(h)
+            ends = tuple(u for u in b_h if masks.ancestors[masks.index[u]] == tail)
+            table[tail] = (masks.to_set(h), b_h, ends, based.get(tail))
+        masks.by_tail = table
+    return masks.by_tail
+
+
+def _maximal_rows(g: DirectedGraph) -> list[tuple]:
+    """One row per least closed tail T (``_Masks.least_tails``), whose
+    complement H is a coatom of H_E: ``(H, c)`` when a cycle c without K
+    is based in T, else ``(H, B_H)``, in ``_row_key`` order.
+
+    The quotient at (H, B_H) has the vertices T, none primed, and no
+    hereditary saturated set but {} and T, so it is simple exactly when
+    it satisfies (L).  An exitless cycle of it is a cycle without K based
+    in T; conversely each exit of such a c lands in H, as an exit to a w
+    in T would lie in c's strongly connected component (w reaches
+    c.base), which holds no arrow but c's own.  A graded (H, S) with a
+    smaller S lies inside (H, B_H).
+    """
+    table = _by_tail(g)
+    least = [table[tail] for tail in g._masks.least_tails()]
+    return sorted(((hset, b_h if c is None else c) for hset, b_h, _, c in least), key=_row_key)
 
 
 def maximal_graded_ideals(
@@ -211,8 +208,8 @@ def maximal_graded_ideals(
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> list[AdmissiblePair]:
     """Pairs (H, B_H) with H maximal proper whose quotient satisfies (L)."""
-    graded, families = _primes_at_coatoms(g, cap, max_vertices)
-    return [p for p in graded if all(f.H != p.H for f in families)]
+    enumerate_HE(g, cap, max_vertices)
+    return [_pair(g, hset, rest) for hset, rest in _maximal_rows(g) if not isinstance(rest, Cycle)]
 
 
 def maximal_nongraded_families(
@@ -221,7 +218,8 @@ def maximal_nongraded_families(
     max_vertices: int = MAX_EXACT_VERTICES,
 ) -> list[NonGradedFamily]:
     """One family per maximal proper H and exitless cycle of its quotient."""
-    return _primes_at_coatoms(g, cap, max_vertices)[1]
+    enumerate_HE(g, cap, max_vertices)
+    return [_family(g, hset, rest) for hset, rest in _maximal_rows(g) if isinstance(rest, Cycle)]
 
 
 @dataclass(frozen=True)

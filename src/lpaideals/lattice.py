@@ -20,6 +20,7 @@ from .graph import (
     OmegaBundle,
     ResourceCapError,
     _Masks,
+    _vertex_set,
 )
 
 MAX_EXACT_VERTICES = 20
@@ -75,6 +76,8 @@ class HSLattice:
         return self.graph._masks.sorted_sets(self._closed)
 
     def __contains__(self, subset) -> bool:
+        if isinstance(subset, str):
+            return False  # one string is no vertex set (``graph._vertex_set``)
         try:
             return self.graph._masks.of(subset) in self._closed
         except KeyError:  # a vertex of another graph
@@ -190,8 +193,8 @@ class AdmissiblePair:
     S: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "H", frozenset(self.H))
-        object.__setattr__(self, "S", frozenset(self.S))
+        object.__setattr__(self, "H", _vertex_set(self.H))
+        object.__setattr__(self, "S", _vertex_set(self.S))
         bad = self.S - breaking_vertices(self.graph, self.H)
         if bad:
             raise GraphError(f"not breaking vertices of H: {sorted(bad)}")

@@ -36,6 +36,7 @@ from lpaideals import (
     breaking_vertices,
     classify_prime,
     condition_L,
+    cycles_without_K,
     enumerate_HE,
     enumerate_primes,
     existence_report,
@@ -368,9 +369,9 @@ def test_one_cap_bounds_the_cycles_of_enumerate_primes():
 
 
 def test_maximal_nongraded_families_enumerate_the_graph_once(monkeypatch):
-    """The maximals are read off the primes, over the graph itself: no
-    quotient graph, and no cycle enumeration at all, as the cycles
-    without K are read off the strongly connected components."""
+    """The maximals are read off the per-tail table, over the graph
+    itself: no quotient graph, and no cycle enumeration at all, as the
+    cycles without K are read off the strongly connected components."""
     from lpaideals import ideals, lattice
 
     assert not {"quotient_graph", "simple_cycles", "condition_L", "make_cycle"} & set(vars(ideals))
@@ -521,21 +522,20 @@ def test_nongraded_family_enumerates_no_cycles():
     assert family in enumerate_primes(g, cap=100)
 
 
-def _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) -> int:
-    """The ``_Masks.breaking`` calls of ``command --json`` on A_12: the
-    one rule for B_H, which ``breaking_vertices`` reads too."""
+def _a12_calls(monkeypatch, tmp_path, capsys, command, owner, name) -> int:
+    """The calls of ``owner.name`` that ``command --json`` makes on A_12."""
     from lpaideals import serialize_graph
     from lpaideals.cli import main
     from test_golden import loop_antichain
 
     calls = []
-    original = _Masks.breaking
+    original = getattr(owner, name)
 
-    def counted(masks, h):
-        calls.append(h)
-        return original(masks, h)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(_Masks, "breaking", counted)
+    monkeypatch.setattr(owner, name, counted)
     path = tmp_path / "a12.json"
     path.write_text(serialize_graph(loop_antichain(12)))
     assert main([command, str(path), "--json"]) == 0
@@ -543,12 +543,17 @@ def _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) -> int:
     return len(calls)
 
 
+def _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) -> int:
+    """The ``_Masks.breaking`` calls of ``command --json`` on A_12: the
+    one rule for B_H, which ``breaking_vertices`` reads too."""
+    return _a12_calls(monkeypatch, tmp_path, capsys, command, _Masks, "breaking")
+
+
 def test_analyze_computes_B_H_once_per_graph(monkeypatch, tmp_path, capsys):
-    """On A_12 ``analyze`` asks for the primes three times and computes
-    them once, as the first answer is kept on the graph's index; that
-    computation finds B_H once for each of the 12 H: its pairs take S
-    within B_H without checking it again, and the coatom filter takes
-    (H, B_H) from the primes rather than computing B_H again: 12 calls."""
+    """On A_12 ``analyze`` reads the primes and both maximal views off one
+    table per closed tail, built once and kept on the graph's index; that
+    build finds B_H once for each of the 12 H, and its pairs take S within
+    B_H without checking it again: 12 calls."""
     assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, "analyze") == 12
 
 
@@ -557,11 +562,22 @@ def test_each_prime_enumeration_computes_B_H_once_per_H(monkeypatch, tmp_path, c
     assert _breaking_vertex_calls(monkeypatch, tmp_path, capsys, command) == 12
 
 
+@pytest.mark.parametrize("command, pairs", [("analyze", 12 + 12), ("maximals", 12), ("primes", 12)])
+def test_each_command_builds_only_the_pairs_it_returns(monkeypatch, tmp_path, capsys, command, pairs):
+    """On A_12 each of the 12 closed tails gives one graded prime, and each
+    is least, so it gives one graded maximal ideal too: ``enumerate_primes``
+    builds 12 pairs and the report 12, and no descriptor is built to be
+    filtered out."""
+    from lpaideals import ideals
+
+    assert _a12_calls(monkeypatch, tmp_path, capsys, command, ideals, "_pair") == pairs
+
+
 @pytest.mark.parametrize("command, calls", [("analyze", 2), ("maximals", 1), ("primes", 1)])
 def test_the_cycles_without_K_are_read_once_per_fact(monkeypatch, tmp_path, capsys, command, calls):
     """On K_5 plus a loop, ``condition_K`` reads the cycles without K once
-    and the one prime computation once; the coatom filters and the later
-    prime calls read the kept primes."""
+    and the one build of the per-tail table once; the maximal views and
+    the later prime calls read the kept table."""
     from lpaideals import cycles, ideals, serialize_graph
     from lpaideals.cli import main
 
@@ -584,7 +600,7 @@ def test_the_cycles_without_K_are_read_once_per_fact(monkeypatch, tmp_path, caps
 
 
 def test_kept_primes_refuse_each_cap_as_a_fresh_graph():
-    """The prime list is kept on the graph's index, but each later call
+    """The per-tail table is kept on the graph's index, but each later call
     checks its own caps first, so it refuses with the message that a
     fresh graph gives; a refused call keeps nothing."""
     from test_golden import loop_antichain
@@ -601,12 +617,12 @@ def test_kept_primes_refuse_each_cap_as_a_fresh_graph():
     for call in calls:
         g = loop_antichain(12)
         fresh.append(_refusal(lambda: call(g)))
-        assert g._masks.primes is None
+        assert g._masks.by_tail is None
     assert fresh[:3] == ["lattice exceeds cap 1", "lattice exceeds cap 1", "lattice exceeds cap 4095"]
     assert fresh[3] == "exact enumeration limited to 1 vertices, graph has 12"
     g = loop_antichain(12)
     assert len(enumerate_primes(g)) == 12 and len(existence_report(g).graded_maximals) == 12
-    assert g._masks.primes is not None
+    assert g._masks.by_tail is not None
     assert [_refusal(lambda: call(g)) for call in calls] == fresh
     assert len(enumerate_primes(g, cap=4096)) == 12
 
@@ -628,7 +644,7 @@ def test_a_returned_prime_list_is_the_callers_own(mixed_max):
 
 
 def test_an_equal_graph_computes_its_own_primes(monkeypatch):
-    """The kept primes belong to one graph object: an equal but separate
+    """The kept table belongs to one graph object: an equal but separate
     graph computes its own, and each graph then answers from its own."""
     from lpaideals import ideals
 
@@ -639,7 +655,7 @@ def test_an_equal_graph_computes_its_own_primes(monkeypatch):
     assert g == twin and g is not twin
     answer = enumerate_primes(g)
     report = existence_report(g)
-    assert computed == [g] and twin._masks.primes is None
+    assert computed == [g] and twin._masks.by_tail is None
     assert enumerate_primes(twin) == answer and existence_report(twin) == report
     assert len(computed) == 2 and computed[1] is twin
     assert enumerate_primes(g) == enumerate_primes(twin) == answer and len(computed) == 2
@@ -656,7 +672,7 @@ def test_a_graph_that_has_answered_is_freed_by_reference_counting():
         assert len(enumerate_primes(g)) == 3
         assert len(maximal_proper_elements(enumerate_HE(g))) == 2
         assert not existence_report(g).every_maximal_graded
-        assert g._masks.closed_sets is not None and g._masks.primes is not None
+        assert g._masks.closed_sets is not None and g._masks.by_tail is not None
         alive = weakref.ref(g)
         del g
         assert alive() is None
@@ -685,9 +701,27 @@ def test_vertex_sets_with_an_undeclared_vertex_are_refused(name):
             VERTEX_SET_ENTRY_POINTS[name](g, frozenset(subset))
 
 
+@pytest.mark.parametrize("name", VERTEX_SET_ENTRY_POINTS)
+def test_a_vertex_set_given_as_one_string_is_refused(name):
+    """One str is not read as the set of its characters: with vertices v
+    and w, "vw" names no vertex set, and "uvw" names no unknown vertex."""
+    g = unique_maximal_graph()
+    for subset in ("vw", "uvw", "x", ""):
+        with pytest.raises(GraphError, match=f"not the string {subset!r}"):
+            VERTEX_SET_ENTRY_POINTS[name](g, subset)
+
+
+def test_a_string_is_in_no_lattice_and_no_pair():
+    g = unique_maximal_graph()
+    lat = enumerate_HE(g)
+    assert {"v", "w"} in lat and "vw" not in lat
+    with pytest.raises(GraphError, match="not the string 'u'"):
+        AdmissiblePair(g, {"v", "w"}, "u")
+
+
 def _assert_prime_families_exit_into_H(g) -> int:
     """Every exit of a prime family's cycle lands in the family's H, as
-    ``_primes_at_coatoms`` assumes without checking; returns the families."""
+    ``ideals._maximal_rows`` assumes without checking; returns the families."""
     families = [d for d in enumerate_primes(g) if isinstance(d, NonGradedFamily)]
     for f in families:
         on_cycle = set(f.cycle.vertices)
@@ -704,6 +738,29 @@ def test_prime_families_exit_into_their_H(g):
 
 def test_prime_families_exit_into_their_H_on_the_acceptance_corpus():
     assert sum(_assert_prime_families_exit_into_H(g) for g in random_corpus(500)) > 0
+
+
+def _assert_one_cycle_without_K_per_tail(g) -> int:
+    """Each cycle c without K is based in its own closed tail M(c.base),
+    so the table keyed by tail (``ideals._by_tail``) drops no family;
+    returns the cycles."""
+    masks = g._masks
+    without_k = cycles_without_K(g)
+    bases = [masks.ancestors[masks.index[c.base]] for c in without_k]
+    assert len(set(bases)) == len(bases) and set(bases) <= set(masks.tails)
+    families = [d for d in enumerate_primes(g) if isinstance(d, NonGradedFamily)]
+    assert sorted(f.cycle.edges for f in families) == [c.edges for c in without_k]
+    return len(without_k)
+
+
+@given(graphs())
+def test_no_closed_tail_is_the_base_tail_of_two_cycles_without_K(g):
+    _assert_one_cycle_without_K_per_tail(g)
+
+
+def test_no_closed_tail_is_the_base_tail_of_two_cycles_without_K_on_the_acceptance_corpus():
+    counts = [_assert_one_cycle_without_K_per_tail(g) for g in random_corpus(500, seed=20260809)]
+    assert max(counts) >= 2
 
 
 def test_ideals_and_cycles_read_the_index_not_the_set_views(monkeypatch, tmp_path, capsys):

@@ -339,8 +339,8 @@ def lattice_work(monkeypatch):
     "command, expected",
     [
         # the 12 coatoms once, where they are printed, and the 12 M(d)
-        # that the one prime computation reads (later prime calls read the
-        # kept rows); the 4,096 sets print off the masks
+        # that the one build of the per-tail table reads (later calls read
+        # the kept table); the 4,096 sets print off the masks
         ("analyze", {"enumerate_HE": 5, "masks": 1, "to_set": 12 + 12}),
         ("hsets", {"enumerate_HE": 1, "masks": 1, "to_set": 12}),
         ("maximals", {"enumerate_HE": 3, "masks": 1, "to_set": 12}),
@@ -457,7 +457,7 @@ def _assert_no_walk(walked_sets, monkeypatch, tmp_path, capsys, g, argv):
     capsys.readouterr()
     assert walked_sets == []
     (g,) = loaded
-    assert g._masks.closed_sets is None and g._masks.primes is not None
+    assert g._masks.closed_sets is None and g._masks.by_tail is not None
 
 
 @pytest.mark.parametrize("command", ["primes", "maximals"])
