@@ -43,6 +43,8 @@ class PathWord:
 
 def make_path(g: DirectedGraph, source: str, edge_ids=()) -> PathWord:
     g.require_vertex(source)
+    if isinstance(edge_ids, str):  # one str is not read as its characters
+        raise GraphError(f"an edge sequence is a collection of ids, not the string {edge_ids!r}")
     edge_ids = tuple(edge_ids)
     at = source
     for eid in edge_ids:

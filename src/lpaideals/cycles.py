@@ -38,6 +38,8 @@ class Cycle:
 
 def make_cycle(g: DirectedGraph, edge_ids) -> Cycle:
     """Validate edge_ids as a simple cycle of g and canonicalise its rotation."""
+    if isinstance(edge_ids, str):  # one str is not read as its characters
+        raise GraphError(f"an edge sequence is a collection of ids, not the string {edge_ids!r}")
     edge_ids = tuple(edge_ids)
     if not edge_ids:
         raise GraphError("a cycle has at least one edge")
@@ -136,11 +138,10 @@ def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
 
 def _inner_edge(g: DirectedGraph, v: str) -> Edge | None:
     """v's one arrow into its own strongly connected component, read off
-    the index as ``descendants & ancestors``, when that arrow is a named
-    edge; None when v sends no arrow, two arrows or a bundle into it."""
+    the index (``_Masks.components``), when that arrow is a named edge;
+    None when v sends no arrow, two arrows or a bundle into it."""
     masks = g._masks
-    i = masks.index[v]
-    component = masks.descendants[i] & masks.ancestors[i]
+    component = masks.components[masks.ancestors[masks.index[v]]]
     inner = None
     for arrow in g._out_edges[v] + g._out_bundles[v]:
         if component >> masks.index[arrow.dst] & 1:

@@ -185,7 +185,7 @@ class DirectedGraph:
     def descendants(self, v: str) -> frozenset[str]:
         """All vertices reachable from v, including v itself."""
         self.require_vertex(v)
-        return self._masks.to_set(self._masks.descendants[self._masks.index[v]])
+        return self._masks.to_set(self._masks.hereditary(1 << self._masks.index[v]))
 
     def m_of(self, v: str) -> frozenset[str]:
         """All vertices that reach v (v itself included)."""
@@ -204,13 +204,14 @@ class _Masks:
     """A graph's reachability index, with vertex sets as int bitmasks.
     Bit i stands for ``vertices[i]``, the ids in descending order, so that
     of two sets of one size the larger mask has the smaller sorted ids.
-    Vertex i reaches ``descendants[i]`` and is reached from
-    ``ancestors[i]`` (its M(v)); both hold i.  Emitter i sends its bundles
-    to ``bundles[i]``.  The closed tails, the least of them and B_H have
-    one rule each here (``tails``, ``least_tails``, ``breaking``), and the
-    closed tails, which decide all of H_E, are built with the index.  Two
-    facts derived once per graph are kept, each once it is complete, and
-    neither refers back to the graph, so it is freed by reference counting:
+    Vertex i is reached from ``ancestors[i]``, its M(v), which holds i.
+    Vertices with one M(v) reach each other, so ``components`` maps each
+    distinct M(v) to a strongly connected component.  Emitter i sends its
+    bundles to ``bundles[i]``.  The closed tails, the least of them and
+    B_H have one rule each (``tails``, ``least_tails``, ``breaking``); the
+    closed tails, which decide H_E, are built with the index.  Two facts
+    derived once per graph are kept, each once it is complete, and neither
+    refers back to the graph, so it is freed by reference counting:
 
     - ``closed_sets``: the masks of H_E, kept only once walked.  With t
       closed tails |H_E| <= 2^t, so ``lattice.enumerate_HE`` walks at
@@ -234,7 +235,10 @@ class _Masks:
         for arrow in g.edges + g.omega_bundles:
             self.successors[self.index[arrow.src]] |= 1 << self.index[arrow.dst]
             self.predecessors[self.index[arrow.dst]] |= 1 << self.index[arrow.src]
-        self.descendants, self.ancestors = _reach(self.successors), _reach(self.predecessors)
+        self.ancestors = _reach(self.predecessors)
+        self.components: dict[int, int] = {}
+        for d, t in enumerate(self.ancestors):
+            self.components[t] = self.components.get(t, 0) | 1 << d
         self.bundles = {self.index[v]: self.of(b.dst for b in bs) for v, bs in g._out_bundles.items() if bs}
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
         self.tails = self._closed_tails()
@@ -283,12 +287,11 @@ class _Masks:
         closed tails strictly inside M(d) are those with an end in M(d)
         that is not one of its own.  The tails are listed in ascending
         order as masks, so each comes after every closed tail inside it."""
-        regular, ends, every = self.regular, {}, 0
+        every = 0
         for d, t in enumerate(self.ancestors):
-            if self.successors[d] & t or not regular >> d & 1:
-                ends[t] = ends[t] | 1 << d if t in ends else 1 << d
+            if self.successors[d] & t or not self.regular >> d & 1:
                 every |= 1 << d
-        return {t: every & t & ~ends[t] for t in sorted(ends)}
+        return {t: every & t & ~c for t, c in sorted(self.components.items()) if c & every}
 
     def least_tails(self) -> list[int]:
         """The closed tails with none inside, the complements of the
@@ -309,14 +312,9 @@ class _Masks:
         return frozenset(self.vertices[i] for i, b in emitters if not b & ~h and self.successors[i] & ~h)
 
     def hereditary(self, mask: int) -> int:
-        """The hereditary closure: the OR of the descendant masks."""
-        closed = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            closed |= self.descendants[low.bit_length() - 1]
-            rest &= ~closed
-        return closed
+        """The hereditary closure: the vertices whose M(v) meets the mask,
+        the union, here the sum, of the disjoint components they form."""
+        return sum(c for t, c in self.components.items() if t & mask)
 
     def close(self, mask: int) -> int:
         """The hereditary saturated closure of a vertex mask.  A mask is

@@ -103,12 +103,10 @@ def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
         if pair.graph != g:
             raise GraphError("descriptor was built for a different graph")
         tail = masks.full & ~masks.of(pair.H)
-        if not tail:
-            return False
         b_h = breaking_vertices(g, pair.H)
         if pair.S == b_h:
-            # H is hereditary, so a downward-directed complement is an M(d)
-            return tail in masks.ancestors
+            # H is hereditary, so a downward-directed complement is an M(d), never empty
+            return tail in masks.components
         missing = b_h - pair.S
         if len(missing) != 1:
             raise GraphError("graded descriptor needs S = B_H or S = B_H minus one vertex")

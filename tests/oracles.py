@@ -40,6 +40,13 @@ def reach_sets(g):
     return {u: frozenset(v for v in vs if mat[index[u]][index[v]]) for u in vs}
 
 
+def components_brute(g):
+    """The strongly connected components, by mutual reachability in
+    ``reach_sets``: v -> the vertices that v reaches and that reach v."""
+    reach = reach_sets(g)
+    return {v: frozenset(u for u in reach[v] if v in reach[u]) for v in g.vertices}
+
+
 def is_hereditary_brute(g, subset):
     adj = raw_successors(g)
     return all(adj[v] <= set(subset) for v in subset)

@@ -43,6 +43,23 @@ def test_path_validation(unique_max):
         make_path(unique_max, "u", ["e1", "e1"])
 
 
+EDGE_SEQUENCE_ENTRY_POINTS = {
+    "make_path": lambda g, ids: make_path(g, "w", ids),
+    "monomial_element alpha": lambda g, ids: monomial_element(g, "w", ids, "w", ["c"]),
+    "monomial_element beta": lambda g, ids: monomial_element(g, "w", ["c"], "w", ids),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SEQUENCE_ENTRY_POINTS)
+def test_an_edge_sequence_given_as_one_string_is_refused(name, unique_max):
+    """One str is not read as its characters: "cc" would be the loop c
+    twice at w, "" the path of length zero, and "e1" the unknown edge 'e'."""
+    EDGE_SEQUENCE_ENTRY_POINTS[name](unique_max, ["c", "c"])  # as a list, the ids are read
+    for ids in ("cc", "c", "e1", ""):
+        with pytest.raises(GraphError, match=f"not the string {ids!r}"):
+            EDGE_SEQUENCE_ENTRY_POINTS[name](unique_max, ids)
+
+
 def test_monomial_requires_matching_ranges(unique_max):
     alpha = make_path(unique_max, "u", ["e1"])
     beta = make_path(unique_max, "u", [])

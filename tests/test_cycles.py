@@ -160,6 +160,16 @@ def test_cycles_without_K_against_the_bundle_aware_oracle_on_the_acceptance_corp
         _assert_without_K_matches_the_oracle(g)
 
 
+def test_a_cycle_given_as_one_string_is_refused():
+    """One str is not read as its characters: "c" would be the loop c at
+    w, and "loop" the unknown edge 'l'."""
+    g = unique_maximal_graph()
+    assert make_cycle(g, ("c",)).edges == ("c",)
+    for ids in ("c", "loop", "e2", ""):
+        with pytest.raises(GraphError, match=f"not the string {ids!r}"):
+            make_cycle(g, ids)
+
+
 def test_cross_bundle_closing_a_cycle_gives_K():
     # f2: the bundle u -> v closes v -> w -> u -> v, so the loop c is not
     # the only cycle through v

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import chain_graph, graph, graphs, unique_maximal_graph, mixed_maximals_graph, random_corpus, ring
-from oracles import reach_sets
+from oracles import components_brute, reach_sets
 from lpaideals import graph as graph_module
 from lpaideals import (
     DirectedGraph,
@@ -276,10 +276,52 @@ def test_the_reachability_index_reads_each_step_mask_a_bounded_number_of_times(b
     n = len(g.vertices)
     reads = {}
     for name, steps, reach in (
-        ("descendants", masks.successors, masks.descendants),
+        ("descendants", masks.successors, [masks.hereditary(1 << i) for i in range(n)]),
         ("ancestors", masks.predecessors, masks.ancestors),
     ):
         counted = _CountedSteps(steps)
         assert graph_module._reach(counted) == reach
         reads[name] = counted.reads
     assert max(reads.values()) <= 4 * n, reads
+
+
+def test_building_the_index_walks_the_predecessor_masks_once(monkeypatch):
+    """The index runs one reachability pass, for the M(d); what a vertex
+    reaches is read off them."""
+    calls = []
+    reach = graph_module._reach
+
+    def counted(steps):
+        calls.append(list(steps))
+        return reach(steps)
+
+    monkeypatch.setattr(graph_module, "_reach", counted)
+    for g in [unique_maximal_graph(), mixed_maximals_graph(), ring(5), chain_graph(5)]:
+        calls.clear()
+        masks = g._masks
+        assert calls == [masks.predecessors]
+        assert not hasattr(masks, "descendants")
+
+
+def _check_components(g):
+    """Each entry of ``_Masks.components`` is a strongly connected
+    component, keyed by the M(d) of its vertices, and every vertex lies
+    in one."""
+    masks = g._masks
+    reach = reach_sets(g)
+    got = {}
+    for t, component in masks.components.items():
+        for v in masks.to_set(component):
+            assert masks.to_set(t) == {u for u in g.vertices if v in reach[u]}
+            got[v] = masks.to_set(component)
+    assert got == components_brute(g)
+
+
+@given(graphs())
+def test_the_components_are_the_strongly_connected_components(g):
+    _check_components(g)
+
+
+def test_the_components_are_the_strongly_connected_components_on_the_acceptance_corpus():
+    for g in random_corpus(500, seed=20260809) + [ring(7), chain_graph(7), chain_graph(7, reverse=True)]:
+        _check_components(g)

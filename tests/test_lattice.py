@@ -242,7 +242,8 @@ def _check_printed_ids(g):
     order of ``sets``."""
     lat = enumerate_HE(g)
     masks = g._masks
-    for m in lat._closed | set(masks.descendants) | set(masks.ancestors):
+    descendants = {masks.hereditary(1 << i) for i in range(len(g.vertices))}
+    for m in lat._closed | descendants | set(masks.ancestors):
         assert masks.ids(m) == sorted(masks.to_set(m))
     assert lat.sorted_ids() == lat.to_json_dict()["sets"] == [sorted(s) for s in lat.sets]
 
