@@ -218,10 +218,10 @@ class _Masks:
       the call only when its cap is below 2^t; otherwise the first read
       of the lattice's masks walks, and ``primes`` and ``maximals``,
       which read none, never do;
-    - ``by_tail``: for each closed tail T, ``(H, B_H, the u in B_H with
-      M(u) = T, the cycle without K based in T or None)``, H being E^0
-      minus T, once ``ideals._by_tail`` has built it; the primes and the
-      maximal ideals are both read off it.
+    - ``by_tail``: for each closed tail T, ``(H, B_H, the graded S of
+      T's primes, the cycle without K based in T or None)``, H being E^0
+      minus T, once ``ideals._by_tail`` has built it, in the order of the
+      reports; the primes and the maximal ideals are both read off it.
 
     A call that refuses on a cap keeps nothing, and every later call
     passes ``enumerate_HE``, which checks its caps against the kept walk

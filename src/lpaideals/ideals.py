@@ -75,19 +75,13 @@ def _family(g: DirectedGraph, hset: frozenset[str], cycle: Cycle) -> NonGradedFa
 IdealDescriptor = GradedIdeal | NonGradedFamily
 
 
-def descriptor_sort_key(d: IdealDescriptor):
+def descriptor_sort_key(d: IdealDescriptor) -> tuple:
+    """The order of the prime and maximal reports: by H's sorted ids,
+    then graded before families, then by S's sorted ids or by the
+    cycle's edges.  The per-tail table (``_by_tail``) is kept in it."""
     if isinstance(d, GradedIdeal):
-        return _row_key((d.pair.H, d.pair.S))
-    return _row_key((d.H, d.cycle))
-
-
-def _row_key(row: tuple) -> tuple:
-    """The order of the prime rows ``(H, S)`` and ``(H, cycle)``: by H,
-    then graded before families, then by S or by the cycle's edges."""
-    hset, rest = row
-    if isinstance(rest, Cycle):
-        return (sorted(hset), 1, list(rest.edges))
-    return (sorted(hset), 0, sorted(rest))
+        return (sorted(d.pair.H), 0, sorted(d.pair.S))
+    return (sorted(d.H), 1, list(d.cycle.edges))
 
 
 def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
@@ -144,30 +138,30 @@ def enumerate_primes(
     family per cycle without K whose base has M(base) = M(d).
 
     Each such M(d) is a closed tail, whose primes are read off the
-    graph's table (``_by_tail``).  Each call passes ``enumerate_HE``,
-    which decides its caps without walking H_E when it cannot refuse.
+    graph's table (``_by_tail``), in its order.  Each call passes
+    ``enumerate_HE``, which decides its caps without walking H_E when it
+    cannot refuse.
     """
     enumerate_HE(g, cap, max_vertices)
-    rows: list[tuple] = []
-    for hset, b_h, ends, cycle in _by_tail(g).values():
-        rows.append((hset, b_h))
-        rows += [(hset, b_h - {u}) for u in ends]  # each S lies in B_H: no pair checks again
+    out: list[IdealDescriptor] = []
+    for hset, _, graded, cycle in _by_tail(g).values():
+        out += [GradedIdeal(_pair(g, hset, s)) for s in graded]  # each S lies in B_H: no pair checks again
         if cycle is not None:
-            rows.append((hset, cycle))
-    rows.sort(key=_row_key)
-    return [
-        _family(g, hset, rest) if isinstance(rest, Cycle) else GradedIdeal(_pair(g, hset, rest))
-        for hset, rest in rows
-    ]
+            out.append(_family(g, hset, cycle))
+    return out
 
 
 def _by_tail(g: DirectedGraph) -> dict[int, tuple]:
     """For each closed tail T (``_Masks.tails``), with H = E^0 minus T:
-    ``(H, B_H, the u in B_H with M(u) = T, the cycle without K based in T
-    or None)``, built once and kept on the index (``_Masks.by_tail``).
+    ``(H, B_H, the graded S of T's primes, the cycle without K based in
+    T or None)``, built once and kept on the index (``_Masks.by_tail``).
+    The graded S are B_H and B_H - {u} for each u in B_H with M(u) = T.
     The ends of T (the d with M(d) = T) form one strongly connected
     component, and a cycle without K is its whole component, so at most
-    one is based in T, and the cycles are keyed by M(base).
+    one is based in T, and the cycles are keyed by M(base).  Distinct
+    closed tails have distinct H, so the table is sorted once, by H's
+    sorted ids, with each T's S in order of their sorted ids: read in
+    order, it lists the primes in ``descriptor_sort_key`` order.
     """
     masks = g._masks
     if masks.by_tail is None:
@@ -176,16 +170,17 @@ def _by_tail(g: DirectedGraph) -> dict[int, tuple]:
         for tail in masks.tails:
             h = masks.full & ~tail
             b_h = masks.breaking(h)
-            ends = tuple(u for u in b_h if masks.ancestors[masks.index[u]] == tail)
-            table[tail] = (masks.to_set(h), b_h, ends, based.get(tail))
-        masks.by_tail = table
+            graded = [b_h] + [b_h - {u} for u in b_h if masks.ancestors[masks.index[u]] == tail]
+            table[tail] = (masks.to_set(h), b_h, tuple(sorted(graded, key=sorted)), based.get(tail))
+        masks.by_tail = dict(sorted(table.items(), key=lambda item: sorted(item[1][0])))
     return masks.by_tail
 
 
 def _maximal_rows(g: DirectedGraph) -> list[tuple]:
-    """One row per least closed tail T (``_Masks.least_tails``), whose
-    complement H is a coatom of H_E: ``(H, c)`` when a cycle c without K
-    is based in T, else ``(H, B_H)``, in ``_row_key`` order.
+    """The entries of ``_by_tail`` for the least closed tails T
+    (``_Masks.least_tails``), whose complements H are the coatoms of
+    H_E, in table order.  Each gives the maximal ideal (H, B_H), or the
+    family of the cycle c without K based in T when there is one.
 
     The quotient at (H, B_H) has the vertices T, none primed, and no
     hereditary saturated set but {} and T, so it is simple exactly when
@@ -195,9 +190,8 @@ def _maximal_rows(g: DirectedGraph) -> list[tuple]:
     c.base), which holds no arrow but c's own.  A graded (H, S) with a
     smaller S lies inside (H, B_H).
     """
-    table = _by_tail(g)
-    least = [table[tail] for tail in g._masks.least_tails()]
-    return sorted(((hset, b_h if c is None else c) for hset, b_h, _, c in least), key=_row_key)
+    least = set(g._masks.least_tails())
+    return [row for tail, row in _by_tail(g).items() if tail in least]
 
 
 def maximal_graded_ideals(
@@ -207,7 +201,7 @@ def maximal_graded_ideals(
 ) -> list[AdmissiblePair]:
     """Pairs (H, B_H) with H maximal proper whose quotient satisfies (L)."""
     enumerate_HE(g, cap, max_vertices)
-    return [_pair(g, hset, rest) for hset, rest in _maximal_rows(g) if not isinstance(rest, Cycle)]
+    return [_pair(g, hset, b_h) for hset, b_h, _, cycle in _maximal_rows(g) if cycle is None]
 
 
 def maximal_nongraded_families(
@@ -217,7 +211,7 @@ def maximal_nongraded_families(
 ) -> list[NonGradedFamily]:
     """One family per maximal proper H and exitless cycle of its quotient."""
     enumerate_HE(g, cap, max_vertices)
-    return [_family(g, hset, rest) for hset, rest in _maximal_rows(g) if isinstance(rest, Cycle)]
+    return [_family(g, hset, cycle) for hset, _, _, cycle in _maximal_rows(g) if cycle is not None]
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def quotient_graph(g: DirectedGraph, pair: AdmissiblePair) -> DirectedGraph:
     if g != pair.graph:
         raise GraphError("pair was built for a different graph")
     hset = pair.H
-    unbroken = breaking_vertices(g, hset) - pair.S
+    unbroken = g._masks.breaking(g._masks.of(hset)) - pair.S  # a pair's H is hereditary saturated
     primed = {v: v + PRIME_MARK for v in unbroken}
     kept = [v for v in g.vertices if v not in hset]
     if not kept:

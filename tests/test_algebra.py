@@ -31,7 +31,7 @@ from lpaideals import (
     v_H_element,
     vertex_element,
 )
-from lpaideals.algebra import Monomial, _coefficient_text, monomial_element, zero
+from lpaideals.algebra import Monomial, PathWord, _coefficient_text, monomial_element, zero
 
 
 def test_path_validation(unique_max):
@@ -212,6 +212,8 @@ def test_idempotents(unique_max, omega):
     assert v_H_element(omega, {"w"}, "v").is_idempotent()
     assert not edge_element(unique_max, "e1").is_idempotent()
     assert not is_idempotent(unique_max, edge_element(unique_max, "f1"))
+    with pytest.raises(GraphError, match="element lives over a different graph"):
+        is_idempotent(unique_max, vertex_element(omega, "v"))
 
 
 def test_parse_and_render(unique_max):
@@ -578,3 +580,18 @@ def test_elements_combine_only_with_elements_over_their_graph():
         with pytest.raises(TypeError) as exc:
             combine(u, 1)
         assert str(exc.value) == "cannot combine with int"
+
+
+def test_an_integer_coefficient_is_kept_as_a_fraction():
+    p = make_path(unique_maximal_graph(), "u")
+    m = Monomial(2, p, p)
+    assert type(m.coeff) is Fraction and m.coeff == 2
+
+
+def test_a_path_whose_target_disagrees_with_its_edges_is_refused():
+    """e1 runs u -> v, so a path (u, e1) that claims to end at w belongs to
+    no graph, although its range matches the w of the other path."""
+    g = unique_maximal_graph()
+    wrong = PathWord("u", ("e1",), "w")
+    with pytest.raises(GraphError, match="monomial uses paths foreign to this graph"):
+        AlgebraElement(g, (Monomial(Fraction(1), wrong, make_path(g, "w")),))

@@ -104,6 +104,8 @@ def test_analyze_invalid_graph_exits_1(run, tmp_path):
     assert "error" in err
     code, _, err = run("analyze", str(tmp_path / "missing.json"))
     assert code == 1
+    bad.write_text('{"vertices": ["v"], "edges": [], "omega_bundles": [{"src": "v", "dst": "z"}]}')
+    assert run("analyze", str(bad)) == (1, "", "error: omega bundle uses undeclared vertex 'z'\n")
 
 
 @pytest.mark.parametrize(
@@ -132,6 +134,8 @@ def test_bad_usage_exits_2(run, tmp_path):
     assert (code, err) == (2, "error: quotient at the full vertex set would be the empty graph\n")
     code, _, err = run("mul", path, "--lhs", "zzz", "--rhs", "u")
     assert code == 2
+    expected = (2, "", "error: bad element expression: empty id in element expression\n")
+    assert run("mul", path, "--lhs", "*", "--rhs", "u") == expected
     # the emitter u breaks {w}, and its primed copy u' is taken
     taken = write_graph(tmp_path, graph(["u", "u'", "w"], [("e", "u", "u'")], [("u", "w")]), "taken.json")
     code, _, err = run("quotient", taken, "--H", "w")

@@ -91,7 +91,7 @@ def test_cycle_type_invariants():
         for found in (cycles_without_K(g), cycles._exitless_cycles(g)):
             assert len({c.edges for c in found}) == len(found)
             for c in found:
-                assert len(c.edges) == len(c.vertices)
+                assert len(c) == len(c.edges) == len(c.vertices)
                 assert len(set(c.vertices)) == len(c.vertices)
                 assert c.base == min(c.vertices)
                 assert make_cycle(g, c.edges) == c
@@ -257,6 +257,8 @@ def test_is_maximal_tail_examples(unique_max):
     assert not is_maximal_tail(unique_max, {"v"})
     single_loop = graph(["v"], [("l", "v", "v")])
     assert is_maximal_tail(single_loop, {"v"})
+    with pytest.raises(GraphError, match="maximal tails are non-empty"):
+        is_maximal_tail(unique_max, [])
 
 
 def test_maximal_tail_needs_mt2():
@@ -545,3 +547,12 @@ def test_make_cycle_names_what_is_wrong(edge_ids, message):
     with pytest.raises(GraphError) as exc:
         make_cycle(g, edge_ids)
     assert str(exc.value) == message
+
+
+def test_a_condition_report_has_a_witness_exactly_when_the_condition_fails():
+    witness = make_cycle(unique_maximal_graph(), ["c"])
+    for holds, cycle in ((True, witness), (False, None)):
+        with pytest.raises(ValueError, match="witness must be present exactly when the condition fails"):
+            cycles.ConditionReport(holds, cycle)
+    assert cycles.ConditionReport(True).witness is None
+    assert cycles.ConditionReport(False, witness).witness == witness

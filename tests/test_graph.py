@@ -245,6 +245,11 @@ def test_direct_construction_validates():
         graph(["v"], [("e", "v", "x")])
     with pytest.raises(GraphError):
         graph(["v"], bundles=[("v", "v"), ("v", "v")])
+    with pytest.raises(GraphError, match="edge id must be a non-empty string, got ''"):
+        graph(["v"], [("", "v", "v")])
+    for bundle in (("v", "z"), ("z", "v")):
+        with pytest.raises(GraphError, match="omega bundle uses undeclared vertex 'z'"):
+            graph(["v"], bundles=[bundle])
 
 
 class _CountedSteps(list):

@@ -96,6 +96,9 @@ def test_classify_prime_rejects_malformed(mixed_max, omega):
         classify_prime(two_bundles, graded(two_bundles, {"h"}))
     with pytest.raises(GraphError):
         classify_prime(mixed_max, GradedIdeal(pair(omega, set())))
+    (family,) = maximal_nongraded_families(mixed_max)
+    with pytest.raises(GraphError, match="descriptor was built for a different graph"):
+        classify_prime(unique_maximal_graph(), family)
 
 
 def test_a_non_descriptor_is_named(unique_max):
@@ -121,6 +124,9 @@ def test_nongraded_family_validation(unique_max):
     with pytest.raises(GraphError):
         # the witness cycle may not meet H
         NonGradedFamily(unique_max, frozenset({"v", "w"}), make_cycle(unique_max, ["c"]))
+    with pytest.raises(GraphError, match="H is not hereditary saturated"):
+        # u -> v, so {u} is not hereditary, though the cycle c misses it
+        NonGradedFamily(unique_max, frozenset({"u"}), make_cycle(unique_max, ["c"]))
 
 
 def test_enumerate_primes_unique_maximal_fixture(unique_max):
@@ -310,10 +316,41 @@ def test_every_prime_complement_is_some_m_of(g):
         assert full - gr_of(d).H in tails
 
 
+def _assert_reports_in_descriptor_order(g):
+    """The prime list, both maximal views and both lists of the report
+    are in strictly increasing ``descriptor_sort_key`` order."""
+    report = existence_report(g)
+    listings = [
+        enumerate_primes(g),
+        [GradedIdeal(p) for p in maximal_graded_ideals(g)],
+        maximal_nongraded_families(g),
+        [GradedIdeal(p) for p in report.graded_maximals],
+        report.nongraded_maximal_families,
+    ]
+    for listing in listings:
+        keys = [descriptor_sort_key(d) for d in listing]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 @given(graphs())
-def test_enumerate_primes_is_in_descriptor_order(g):
-    keys = [descriptor_sort_key(d) for d in enumerate_primes(g)]
-    assert keys == sorted(keys)
+def test_the_reports_are_in_descriptor_order(g):
+    _assert_reports_in_descriptor_order(g)
+
+
+def test_the_reports_are_in_descriptor_order_on_the_acceptance_corpus():
+    for g in random_corpus(500):
+        _assert_reports_in_descriptor_order(g)
+
+
+def test_the_per_tail_table_is_in_order_of_H():
+    """``_by_tail`` is sorted once, by H's sorted ids, which differ from
+    tail to tail; in mask order the empty H of the whole-graph tail, the
+    largest mask, would come last."""
+    from lpaideals.ideals import _by_tail
+
+    for g in [unique_maximal_graph(), breaking_emitters(2), breaker_below_coatom()] + random_corpus(500):
+        hs = [sorted(hset) for hset, *_ in _by_tail(g).values()]
+        assert all(a < b for a, b in zip(hs, hs[1:]))
 
 
 def _assert_one_mask_decides_each_complement(g):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    breaker_below_coatom,
     chain_graph,
     clique_with_loop,
     graph,
@@ -643,6 +644,34 @@ def test_quotient_examples(unique_max, omega):
     q3 = quotient_graph(omega, AdmissiblePair(omega, frozenset({"w"}), frozenset({"v"})))
     assert q3.vertices == ("v",)
     assert [e.id for e in q3.edges] == ["f"]
+
+    with pytest.raises(GraphError, match="pair was built for a different graph"):
+        quotient_graph(unique_max, AdmissiblePair(omega, frozenset({"w"})))
+
+
+@pytest.mark.parametrize("flags", [["--H", "b"], ["--H", "b", "--S", "a"], ["--H", "b,c"]])
+def test_quotient_checks_H_once(monkeypatch, tmp_path, capsys, flags):
+    """On f1 (the edge a -> c and a bundle a -> b) ``AdmissiblePair``
+    checks that H is hereditary saturated and checks S against B_H
+    (``breaking_vertices``); ``quotient_graph`` reads B_H off the index
+    for the pair's H, which it does not check again: one ``_Masks.close``
+    and one ``breaking_vertices`` per command."""
+    from lpaideals.cli import main
+
+    calls = Counter()
+    for owner, name in ((_Masks, "close"), (lattice, "breaking_vertices")):
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    path = tmp_path / "f1.json"
+    path.write_text(serialize_graph(breaker_below_coatom()), encoding="utf-8")
+    assert main(["quotient", str(path), *flags]) == 0
+    capsys.readouterr()
+    assert calls == {"close": 1, "breaking_vertices": 1}
 
 
 def test_quotient_refuses_primed_ids_that_collide():
