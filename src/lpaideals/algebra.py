@@ -19,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
-from .graph import DirectedGraph, GraphError
+from .graph import DirectedGraph, GraphError, _trusted
 from .lattice import breaking_vertices
 
 _COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
@@ -80,6 +80,9 @@ class Monomial:
         return len(self.alpha) - len(self.beta)
 
 
+# Written out, not ``graph._trusted``: it runs once per product term (7,182
+# times on the benchmark's first product), and ``_trusted`` costs 0.90 us a
+# call against 0.55 us here (Python 3.11, min of 7 x 200,000 calls).
 def _monomial(coeff: Fraction, alpha: PathWord, beta: PathWord) -> Monomial:
     """A monomial that is valid by construction, not checked again."""
     m = object.__new__(Monomial)
@@ -163,7 +166,7 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._same_algebra(other)
-        return _element(self.graph, _merged(self.terms + other.terms))
+        return _trusted(AlgebraElement, graph=self.graph, terms=_merged(self.terms + other.terms))
 
     def __neg__(self) -> "AlgebraElement":
         return self.scale(-1)
@@ -173,10 +176,9 @@ class AlgebraElement:
 
     def scale(self, k) -> "AlgebraElement":
         k = Fraction(k)
-        if k == 0:
-            return _element(self.graph, ())
         # a non-zero multiple keeps the terms distinct, non-zero and sorted
-        return _element(self.graph, tuple(Monomial(k * m.coeff, m.alpha, m.beta) for m in self.terms))
+        terms = tuple(Monomial(k * m.coeff, m.alpha, m.beta) for m in self.terms) if k else ()
+        return _trusted(AlgebraElement, graph=self.graph, terms=terms)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """The product by the prefix rule: (a b*)(c d*) is non-zero only when
@@ -225,7 +227,7 @@ class AlgebraElement:
                     if path is None:
                         path = paths[key] = PathWord(delta.source, key[1], beta.target)
                     _add_row(merged, num * num2, den * den2, alpha, path)
-        return _element(self.graph, _canonical_terms(merged, paths.values()))
+        return _trusted(AlgebraElement, graph=self.graph, terms=_canonical_terms(merged, paths.values()))
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -236,14 +238,6 @@ class AlgebraElement:
         if len(degrees) == 1:
             return degrees.pop()
         return None
-
-
-def _element(g: DirectedGraph, terms: tuple[Monomial, ...]) -> AlgebraElement:
-    """An element over terms that are canonical and valid by construction."""
-    x = object.__new__(AlgebraElement)
-    object.__setattr__(x, "graph", g)
-    object.__setattr__(x, "terms", terms)
-    return x
 
 
 def _check_paths(g: DirectedGraph, m: Monomial) -> None:
@@ -346,7 +340,7 @@ def parse_element(g: DirectedGraph, text: str) -> AlgebraElement:
         else:
             current.append(tok)
     reader.read(current, sign)
-    return _element(g, _canonical_terms(reader.merged, reader.paths.values()))
+    return _trusted(AlgebraElement, graph=g, terms=_canonical_terms(reader.merged, reader.paths.values()))
 
 
 class _TermReader:

@@ -439,12 +439,27 @@ def serialize_graph(g: DirectedGraph) -> str:
     """
     s = encode_basestring_ascii
     return '{\n  "vertices": %s,\n  "edges": %s,\n  "omega_bundles": %s\n}\n' % (
-        _json_list([s(v) for v in g.vertices]),
-        _json_list([_EDGE_JSON % (s(e.id), s(e.src), s(e.dst)) for e in g.edges]),
-        _json_list([_BUNDLE_JSON % (s(b.src), s(b.dst)) for b in g.omega_bundles]),
+        _json_block([s(v) for v in g.vertices], "\n  ", "[]"),
+        _json_block([_EDGE_JSON % (s(e.id), s(e.src), s(e.dst)) for e in g.edges], "\n  ", "[]"),
+        _json_block([_BUNDLE_JSON % (s(b.src), s(b.dst)) for b in g.omega_bundles], "\n  ", "[]"),
     )
 
 
-def _json_list(items: list[str]) -> str:
-    """A JSON list of written items, as the value of a top-level key."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+def _json_block(items: list[str], newline: str, brackets: str) -> str:
+    """Written JSON items framed as a list (``brackets`` is "[]") or an
+    object ("{}") that starts on a line whose break and indentation are
+    ``newline``, laid out as ``json.dumps`` with an indent of 2 does."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return "".join((brackets[0], inner, ("," + inner).join(items), newline, brackets[1]))
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` from fields that are
+    valid by construction, each set as given: its ``__post_init__`` does
+    not check them again.  Every field is named, defaults included."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

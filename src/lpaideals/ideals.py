@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, _is_cycle_without_K, cycles_without_K
-from .graph import DEFAULT_CAP, DirectedGraph, GraphError, _vertex_set
+from .graph import DEFAULT_CAP, DirectedGraph, GraphError, _trusted, _vertex_set
 from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
     _is_hereditary_saturated,
-    _pair,
     breaking_vertices,
     enumerate_HE,
 )
@@ -60,16 +59,6 @@ class NonGradedFamily:
             "cycle": list(self.cycle.edges),
             "poly": self.poly,
         }
-
-
-def _family(g: DirectedGraph, hset: frozenset[str], cycle: Cycle) -> NonGradedFamily:
-    """A family whose H and cycle are known to fit, not checked again."""
-    family = object.__new__(NonGradedFamily)
-    object.__setattr__(family, "graph", g)
-    object.__setattr__(family, "H", hset)
-    object.__setattr__(family, "cycle", cycle)
-    object.__setattr__(family, "poly", POLY_TOKEN)
-    return family
 
 
 IdealDescriptor = GradedIdeal | NonGradedFamily
@@ -118,7 +107,7 @@ def gr_of(d: IdealDescriptor) -> AdmissiblePair:
     if isinstance(d, GradedIdeal):
         return d.pair
     if isinstance(d, NonGradedFamily):
-        return _pair(d.graph, d.H, breaking_vertices(d.graph, d.H))
+        return _trusted(AdmissiblePair, graph=d.graph, H=d.H, S=breaking_vertices(d.graph, d.H))
     raise GraphError(f"not an ideal descriptor: {d!r}")
 
 
@@ -145,9 +134,9 @@ def enumerate_primes(
     enumerate_HE(g, cap, max_vertices)
     out: list[IdealDescriptor] = []
     for hset, _, graded, cycle in _by_tail(g).values():
-        out += [GradedIdeal(_pair(g, hset, s)) for s in graded]  # each S lies in B_H: no pair checks again
+        out += [GradedIdeal(_trusted(AdmissiblePair, graph=g, H=hset, S=s)) for s in graded]  # S within B_H
         if cycle is not None:
-            out.append(_family(g, hset, cycle))
+            out.append(_trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle, poly=POLY_TOKEN))
     return out
 
 
@@ -201,7 +190,8 @@ def maximal_graded_ideals(
 ) -> list[AdmissiblePair]:
     """Pairs (H, B_H) with H maximal proper whose quotient satisfies (L)."""
     enumerate_HE(g, cap, max_vertices)
-    return [_pair(g, hset, b_h) for hset, b_h, _, cycle in _maximal_rows(g) if cycle is None]
+    rows = _maximal_rows(g)
+    return [_trusted(AdmissiblePair, graph=g, H=hset, S=b_h) for hset, b_h, _, cycle in rows if cycle is None]
 
 
 def maximal_nongraded_families(
@@ -211,7 +201,11 @@ def maximal_nongraded_families(
 ) -> list[NonGradedFamily]:
     """One family per maximal proper H and exitless cycle of its quotient."""
     enumerate_HE(g, cap, max_vertices)
-    return [_family(g, hset, cycle) for hset, _, _, cycle in _maximal_rows(g) if cycle is not None]
+    return [
+        _trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle, poly=POLY_TOKEN)
+        for hset, _, _, cycle in _maximal_rows(g)
+        if cycle is not None
+    ]
 
 
 @dataclass(frozen=True)

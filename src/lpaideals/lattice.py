@@ -185,7 +185,8 @@ def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:
 class AdmissiblePair:
     """(H, S) with H hereditary saturated and S a set of breaking
     vertices of H; stands for the graded ideal generated by H and the
-    elements v^H, v in S.
+    elements v^H, v in S.  The check of S reads B_H, which the pair
+    keeps (``_b_h``) out of equality, hashing and ``repr``.
     """
 
     graph: DirectedGraph = field(repr=False)
@@ -195,21 +196,20 @@ class AdmissiblePair:
     def __post_init__(self):
         object.__setattr__(self, "H", _vertex_set(self.H))
         object.__setattr__(self, "S", _vertex_set(self.S))
-        bad = self.S - breaking_vertices(self.graph, self.H)
+        object.__setattr__(self, "_b_h", breaking_vertices(self.graph, self.H))
+        bad = self.S - self._b_h
         if bad:
             raise GraphError(f"not breaking vertices of H: {sorted(bad)}")
 
+    @cached_property
+    def _b_h(self) -> frozenset[str]:
+        """B_H, kept by the check of S; a pair built by ``graph._trusted``
+        reads it off the index on first use, as its H is hereditary saturated."""
+        masks = self.graph._masks
+        return masks.breaking(masks.of(self.H))
+
     def to_json_dict(self) -> dict:
         return {"H": sorted(self.H), "S": sorted(self.S)}
-
-
-def _pair(g: DirectedGraph, hset: frozenset[str], sset: frozenset[str]) -> AdmissiblePair:
-    """A pair whose S is known to lie in B_H, not checked again."""
-    pair = object.__new__(AdmissiblePair)
-    object.__setattr__(pair, "graph", g)
-    object.__setattr__(pair, "H", hset)
-    object.__setattr__(pair, "S", sset)
-    return pair
 
 
 def leq_prime(p1: AdmissiblePair, p2: AdmissiblePair) -> bool:
@@ -230,7 +230,7 @@ def quotient_graph(g: DirectedGraph, pair: AdmissiblePair) -> DirectedGraph:
     if g != pair.graph:
         raise GraphError("pair was built for a different graph")
     hset = pair.H
-    unbroken = g._masks.breaking(g._masks.of(hset)) - pair.S  # a pair's H is hereditary saturated
+    unbroken = pair._b_h - pair.S
     primed = {v: v + PRIME_MARK for v in unbroken}
     kept = [v for v in g.vertices if v not in hset]
     if not kept:

@@ -590,9 +590,9 @@ def assert_lattice_json(g):
     lat = enumerate_HE(g)
     doc = lat.to_json_dict()
     assert cli._lattice_json(lat, "\n") == json.dumps(doc, sort_keys=True, indent=2)
-    written = cli._Written(cli._lattice_json(lat, "\n  "))
+    sections = ['"hereditary_saturated": ' + cli._lattice_json(lat, "\n  "), '"x": ' + cli._json_text([1], "\n  ")]
     nested = json.dumps({"hereditary_saturated": doc, "x": [1]}, sort_keys=True, indent=2)
-    assert cli._json_text({"hereditary_saturated": written, "x": [1]}, "\n") == nested
+    assert cli._json_block(sections, "\n", "{}") == nested
 
 
 @given(graphs())

@@ -1,7 +1,8 @@
-"""Golden ``--json`` outputs: the CLI's exact bytes on fixed graphs.
+"""Golden outputs: the CLI's exact bytes on fixed graphs.
 
 Each file under ``tests/golden/`` is the stdout of one command, named
-``<graph>.<command>.json``.  The test compares bytes, so any change to
+``<graph>.<command>.json``: ``--json`` output, and the graph JSON that
+``quotient`` prints.  The test compares bytes, so any change to
 an answer, to key order, to indentation or to string escaping shows up
 here.  A change that must alter a golden file lists the diff in
 ``CHANGES.md``.
@@ -105,14 +106,27 @@ def mul_args(g, count):
 CASES = [(name, cmd, COMMANDS[cmd]) for name in GRAPHS if name != "cross_bundle" for cmd in COMMANDS]
 CASES += [("cross_bundle", cmd, COMMANDS[cmd]) for cmd in ("analyze", "primes", "checkK")]
 MUL_CASES = [("unique_max", "mul40", 40), ("escaped", "mul6", 6)]
+# ``quotient`` prints ``serialize_graph`` and takes no ``--json``: the
+# primed sink v' (omega), two unbroken breakers (breakers3), a primed id
+# that needs escaping (escaped), and the zero ideal (k4_loop).
+QUOTIENT_CASES = [
+    ("omega", ["--H", "w"]),
+    ("breakers3", ["--H", "w", "--S", "b1"]),
+    ("escaped", ["--H", "日本"]),
+    ("k4_loop", []),
+]
+
+
+def _run(tmp_path, capsys, name, argv):
+    path = tmp_path / f"{name}.graph.json"
+    path.write_text(serialize_graph(GRAPHS[name]()), encoding="utf-8")
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def _run_json(tmp_path, capsys, name, argv):
-    path = tmp_path / f"{name}.graph.json"
-    path.write_text(serialize_graph(GRAPHS[name]()), encoding="utf-8")
-    code = main([argv[0], str(path), *argv[1:], "--json"])
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return _run(tmp_path, capsys, name, [*argv, "--json"])
 
 
 @pytest.mark.parametrize("name,cmd,argv", CASES, ids=[f"{n}.{c}" for n, c, _ in CASES])
@@ -128,3 +142,10 @@ def test_golden_mul_json(tmp_path, capsys, name, cmd, count):
     code, out, err = _run_json(tmp_path, capsys, name, argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{cmd}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name,flags", QUOTIENT_CASES, ids=[n for n, _ in QUOTIENT_CASES])
+def test_golden_quotient(tmp_path, capsys, name, flags):
+    code, out, err = _run(tmp_path, capsys, name, ["quotient", *flags])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.quotient.json").read_bytes()

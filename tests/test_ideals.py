@@ -559,8 +559,9 @@ def test_nongraded_family_enumerates_no_cycles():
     assert family in enumerate_primes(g, cap=100)
 
 
-def _a12_calls(monkeypatch, tmp_path, capsys, command, owner, name) -> int:
-    """The calls of ``owner.name`` that ``command --json`` makes on A_12."""
+def _a12_calls(monkeypatch, tmp_path, capsys, command, owner, name, counts=lambda *args: True) -> int:
+    """The calls of ``owner.name`` that ``command --json`` makes on A_12,
+    those whose positional arguments ``counts`` accepts."""
     from lpaideals import serialize_graph
     from lpaideals.cli import main
     from test_golden import loop_antichain
@@ -568,9 +569,10 @@ def _a12_calls(monkeypatch, tmp_path, capsys, command, owner, name) -> int:
     calls = []
     original = getattr(owner, name)
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(*args, **kwargs):
+        if counts(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     path = tmp_path / "a12.json"
@@ -604,10 +606,13 @@ def test_each_command_builds_only_the_pairs_it_returns(monkeypatch, tmp_path, ca
     """On A_12 each of the 12 closed tails gives one graded prime, and each
     is least, so it gives one graded maximal ideal too: ``enumerate_primes``
     builds 12 pairs and the report 12, and no descriptor is built to be
-    filtered out."""
+    filtered out.  The pairs are built unchecked, by ``graph._trusted``."""
     from lpaideals import ideals
 
-    assert _a12_calls(monkeypatch, tmp_path, capsys, command, ideals, "_pair") == pairs
+    def is_pair(cls):
+        return cls is AdmissiblePair
+
+    assert _a12_calls(monkeypatch, tmp_path, capsys, command, ideals, "_trusted", is_pair) == pairs
 
 
 @pytest.mark.parametrize("command, calls", [("analyze", 2), ("maximals", 1), ("primes", 1)])

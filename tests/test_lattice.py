@@ -653,13 +653,13 @@ def test_quotient_examples(unique_max, omega):
 def test_quotient_checks_H_once(monkeypatch, tmp_path, capsys, flags):
     """On f1 (the edge a -> c and a bundle a -> b) ``AdmissiblePair``
     checks that H is hereditary saturated and checks S against B_H
-    (``breaking_vertices``); ``quotient_graph`` reads B_H off the index
-    for the pair's H, which it does not check again: one ``_Masks.close``
-    and one ``breaking_vertices`` per command."""
+    (``breaking_vertices``), which it keeps; ``quotient_graph`` reads the
+    pair's B_H and checks nothing again: one ``_Masks.close``, one
+    ``breaking_vertices`` and one ``_Masks.breaking`` per command."""
     from lpaideals.cli import main
 
     calls = Counter()
-    for owner, name in ((_Masks, "close"), (lattice, "breaking_vertices")):
+    for owner, name in ((_Masks, "close"), (lattice, "breaking_vertices"), (_Masks, "breaking")):
         original = getattr(owner, name)
 
         def counted(*args, name=name, original=original):
@@ -671,7 +671,7 @@ def test_quotient_checks_H_once(monkeypatch, tmp_path, capsys, flags):
     path.write_text(serialize_graph(breaker_below_coatom()), encoding="utf-8")
     assert main(["quotient", str(path), *flags]) == 0
     capsys.readouterr()
-    assert calls == {"close": 1, "breaking_vertices": 1}
+    assert calls == {"close": 1, "breaking_vertices": 1, "breaking": 1}
 
 
 def test_quotient_refuses_primed_ids_that_collide():
