@@ -81,12 +81,13 @@ def has_exit(g: DirectedGraph, c: Cycle) -> bool:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    holds: bool
-    witness: Cycle | None = None
+    """A condition's verdict: it holds exactly when no cycle witnesses its failure."""
 
-    def __post_init__(self):
-        if self.holds == (self.witness is not None):
-            raise ValueError("witness must be present exactly when the condition fails")
+    witness: Cycle | None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,9 +99,7 @@ class ConditionReport:
 def condition_L(g: DirectedGraph) -> ConditionReport:
     """Every cycle has an exit; witness is the first exitless cycle otherwise."""
     exitless = _exitless_cycles(g)
-    if exitless:
-        return ConditionReport(False, exitless[0])
-    return ConditionReport(True)
+    return ConditionReport(exitless[0] if exitless else None)
 
 
 def _exitless_cycles(g: DirectedGraph) -> list[Cycle]:
@@ -175,9 +174,7 @@ def _cycles_of(step: dict) -> list[Cycle]:
 def condition_K(g: DirectedGraph) -> ConditionReport:
     """Holds iff the graph has no cycle without K."""
     bad = cycles_without_K(g)
-    if bad:
-        return ConditionReport(False, bad[0])
-    return ConditionReport(True)
+    return ConditionReport(bad[0] if bad else None)
 
 
 def is_downward_directed(g: DirectedGraph, subset) -> bool:

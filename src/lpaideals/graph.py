@@ -87,32 +87,32 @@ class DirectedGraph:
         vertices = tuple(sorted(self.vertices))
         edges = tuple(sorted(self.edges, key=lambda e: e.id))
         bundles = tuple(sorted(self.omega_bundles, key=lambda b: (b.src, b.dst)))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "omega_bundles", bundles)
-        self._validate()
+        self._validate(vertices, edges, bundles)
         out_edges: dict[str, list[Edge]] = {v: [] for v in vertices}
         out_bundles: dict[str, list[OmegaBundle]] = {v: [] for v in vertices}
         for e in edges:
             out_edges[e.src].append(e)
         for b in bundles:
             out_bundles[b.src].append(b)
-        object.__setattr__(self, "_out_edges", {v: tuple(es) for v, es in out_edges.items()})
-        object.__setattr__(self, "_out_bundles", {v: tuple(bs) for v, bs in out_bundles.items()})
-        object.__setattr__(self, "_edge_by_id", {e.id: e for e in edges})
+        vars(self).update(
+            vertices=vertices, edges=edges, omega_bundles=bundles, _edge_by_id={e.id: e for e in edges},
+            _out_edges={v: tuple(es) for v, es in out_edges.items()},
+            _out_bundles={v: tuple(bs) for v, bs in out_bundles.items()},
+        )
 
-    def _validate(self):
-        if not self.vertices:
+    @staticmethod
+    def _validate(vertices, edges, bundles):
+        if not vertices:
             raise GraphError("graph must declare at least one vertex")
         seen_v: set[str] = set()
-        for v in self.vertices:
+        for v in vertices:
             if not v:
                 raise GraphError(f"vertex id must be a non-empty string, got {v!r}")
             if v in seen_v:
                 raise GraphError(f"duplicate vertex id {v!r}")
             seen_v.add(v)
         seen_e: set[str] = set()
-        for e in self.edges:
+        for e in edges:
             if not e.id:
                 raise GraphError(f"edge id must be a non-empty string, got {e.id!r}")
             if e.id in seen_e:
@@ -122,7 +122,7 @@ class DirectedGraph:
                 if not isinstance(endpoint, str) or endpoint not in seen_v:
                     raise GraphError(f"edge {e.id!r} uses undeclared vertex {endpoint!r}")
         seen_b: set[tuple[str, str]] = set()
-        for b in self.omega_bundles:
+        for b in bundles:
             for endpoint in (b.src, b.dst):
                 if endpoint not in seen_v:
                     raise GraphError(f"omega bundle uses undeclared vertex {endpoint!r}")
@@ -456,10 +456,11 @@ def _json_block(items: list[str], newline: str, brackets: str) -> str:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` from fields that are
-    valid by construction, each set as given: its ``__post_init__`` does
-    not check them again.  Every field is named, defaults included."""
+    """An instance of the frozen dataclass ``cls`` from values that are
+    valid by construction, set as given in one write, as each checked
+    ``__post_init__`` writes its own: they are not checked again.  Every
+    field is named, defaults included, and so is each private value that
+    the checked constructor keeps (an ``AdmissiblePair``'s ``_b_h``)."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    vars(obj).update(fields)
     return obj

@@ -35,15 +35,16 @@ class GradedIdeal:
 
 @dataclass(frozen=True)
 class NonGradedFamily:
-    """All ideals I(H, B_H) + <f(c)>, one per irreducible polynomial f."""
+    """All ideals I(H, B_H) + <f(c)>, one per irreducible polynomial f,
+    which every family names by the one token ``poly``."""
 
     graph: DirectedGraph = field(repr=False)
     H: frozenset[str]
     cycle: Cycle
-    poly: str = POLY_TOKEN
+    poly = POLY_TOKEN
 
     def __post_init__(self):
-        object.__setattr__(self, "H", _vertex_set(self.H))
+        vars(self).update(H=_vertex_set(self.H))
         g = self.graph
         if not _is_hereditary_saturated(g, self.H):
             raise GraphError("H is not hereditary saturated")
@@ -107,7 +108,8 @@ def gr_of(d: IdealDescriptor) -> AdmissiblePair:
     if isinstance(d, GradedIdeal):
         return d.pair
     if isinstance(d, NonGradedFamily):
-        return _trusted(AdmissiblePair, graph=d.graph, H=d.H, S=breaking_vertices(d.graph, d.H))
+        b_h = breaking_vertices(d.graph, d.H)
+        return _trusted(AdmissiblePair, graph=d.graph, H=d.H, S=b_h, _b_h=b_h)
     raise GraphError(f"not an ideal descriptor: {d!r}")
 
 
@@ -133,10 +135,11 @@ def enumerate_primes(
     """
     enumerate_HE(g, cap, max_vertices)
     out: list[IdealDescriptor] = []
-    for hset, _, graded, cycle in _by_tail(g).values():
-        out += [GradedIdeal(_trusted(AdmissiblePair, graph=g, H=hset, S=s)) for s in graded]  # S within B_H
+    for hset, b_h, graded, cycle in _by_tail(g).values():
+        # each S lies within B_H
+        out += [GradedIdeal(_trusted(AdmissiblePair, graph=g, H=hset, S=s, _b_h=b_h)) for s in graded]
         if cycle is not None:
-            out.append(_trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle, poly=POLY_TOKEN))
+            out.append(_trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle))
     return out
 
 
@@ -190,8 +193,11 @@ def maximal_graded_ideals(
 ) -> list[AdmissiblePair]:
     """Pairs (H, B_H) with H maximal proper whose quotient satisfies (L)."""
     enumerate_HE(g, cap, max_vertices)
-    rows = _maximal_rows(g)
-    return [_trusted(AdmissiblePair, graph=g, H=hset, S=b_h) for hset, b_h, _, cycle in rows if cycle is None]
+    return [
+        _trusted(AdmissiblePair, graph=g, H=hset, S=b_h, _b_h=b_h)
+        for hset, b_h, _, cycle in _maximal_rows(g)
+        if cycle is None
+    ]
 
 
 def maximal_nongraded_families(
@@ -202,7 +208,7 @@ def maximal_nongraded_families(
     """One family per maximal proper H and exitless cycle of its quotient."""
     enumerate_HE(g, cap, max_vertices)
     return [
-        _trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle, poly=POLY_TOKEN)
+        _trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle)
         for hset, _, _, cycle in _maximal_rows(g)
         if cycle is not None
     ]
@@ -210,12 +216,25 @@ def maximal_nongraded_families(
 
 @dataclass(frozen=True)
 class MaximalityReport:
+    """The maximal ideals found, graded and in families.  A graph has a
+    vertex, so L_K(E) is unital: a maximal ideal exists and every proper
+    ideal lies in one, true of every report by theorem."""
+
     graded_maximals: tuple[AdmissiblePair, ...]
     nongraded_maximal_families: tuple[NonGradedFamily, ...]
-    exists_maximal: bool
-    every_ideal_below_maximal: bool
-    every_maximal_graded: bool
-    unique_maximal: GradedIdeal | None
+    exists_maximal = True
+    every_ideal_below_maximal = True
+
+    @property
+    def every_maximal_graded(self) -> bool:
+        return not self.nongraded_maximal_families
+
+    @property
+    def unique_maximal(self) -> GradedIdeal | None:
+        """The maximal ideal if it is unique: graded, as a family holds infinitely many."""
+        if len(self.graded_maximals) == 1 and not self.nongraded_maximal_families:
+            return GradedIdeal(self.graded_maximals[0])
+        return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -241,24 +260,14 @@ def existence_report(
     """Aggregate maximal-ideal structure of the graph's algebra.
 
     Both existence predicates hold by theorem, so nothing is scanned for
-    them: a graph has a vertex, so L_K(E) is unital and every proper
-    ideal lies in a maximal one; in lattice terms H_E is finite and holds
+    them (``MaximalityReport``); in lattice terms H_E is finite and holds
     the proper set {}, so it has a coatom and every proper element lies
     below one.  The first step asks for H_E as the call's cap gate (one
     of the five ``enumerate_HE`` calls of ``analyze`` that
     ``perfbench/test_perfbench.py`` pins).
     """
     enumerate_HE(g, cap, max_vertices)
-    graded = tuple(maximal_graded_ideals(g, cap, max_vertices))
-    families = tuple(maximal_nongraded_families(g, cap, max_vertices))
-    unique = None
-    if len(graded) == 1 and not families:
-        unique = GradedIdeal(graded[0])
     return MaximalityReport(
-        graded_maximals=graded,
-        nongraded_maximal_families=families,
-        exists_maximal=True,
-        every_ideal_below_maximal=True,
-        every_maximal_graded=not families,
-        unique_maximal=unique,
+        tuple(maximal_graded_ideals(g, cap, max_vertices)),
+        tuple(maximal_nongraded_families(g, cap, max_vertices)),
     )

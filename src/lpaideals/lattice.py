@@ -185,8 +185,10 @@ def breaking_vertices(g: DirectedGraph, subset) -> frozenset[str]:
 class AdmissiblePair:
     """(H, S) with H hereditary saturated and S a set of breaking
     vertices of H; stands for the graded ideal generated by H and the
-    elements v^H, v in S.  The check of S reads B_H, which the pair
-    keeps (``_b_h``) out of equality, hashing and ``repr``.
+    elements v^H, v in S.  Every pair keeps B_H (``_b_h``) out of
+    equality, hashing and ``repr``: the check of S reads it, and each
+    pair the library builds by ``graph._trusted`` is given the B_H it
+    was built from.
     """
 
     graph: DirectedGraph = field(repr=False)
@@ -194,19 +196,11 @@ class AdmissiblePair:
     S: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "H", _vertex_set(self.H))
-        object.__setattr__(self, "S", _vertex_set(self.S))
-        object.__setattr__(self, "_b_h", breaking_vertices(self.graph, self.H))
+        hset = _vertex_set(self.H)
+        vars(self).update(H=hset, S=_vertex_set(self.S), _b_h=breaking_vertices(self.graph, hset))
         bad = self.S - self._b_h
         if bad:
             raise GraphError(f"not breaking vertices of H: {sorted(bad)}")
-
-    @cached_property
-    def _b_h(self) -> frozenset[str]:
-        """B_H, kept by the check of S; a pair built by ``graph._trusted``
-        reads it off the index on first use, as its H is hereditary saturated."""
-        masks = self.graph._masks
-        return masks.breaking(masks.of(self.H))
 
     def to_json_dict(self) -> dict:
         return {"H": sorted(self.H), "S": sorted(self.S)}

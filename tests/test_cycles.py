@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import random
@@ -550,9 +551,18 @@ def test_make_cycle_names_what_is_wrong(edge_ids, message):
 
 
 def test_a_condition_report_has_a_witness_exactly_when_the_condition_fails():
+    """A report stores only its witness, and holds exactly when it has
+    none: the constructor takes no verdict that could contradict it."""
     witness = make_cycle(unique_maximal_graph(), ["c"])
-    for holds, cycle in ((True, witness), (False, None)):
-        with pytest.raises(ValueError, match="witness must be present exactly when the condition fails"):
-            cycles.ConditionReport(holds, cycle)
-    assert cycles.ConditionReport(True).witness is None
-    assert cycles.ConditionReport(False, witness).witness == witness
+    assert [f.name for f in dataclasses.fields(cycles.ConditionReport)] == ["witness"]
+    for call in (
+        lambda: cycles.ConditionReport(True, witness),
+        lambda: cycles.ConditionReport(False, None),
+        lambda: cycles.ConditionReport(holds=True),
+        lambda: cycles.ConditionReport(None, holds=True),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert cycles.ConditionReport(None).holds is True
+    assert cycles.ConditionReport(witness).holds is False
+    assert cycles.ConditionReport(witness).witness == witness

@@ -1,7 +1,8 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_graph, graph, graphs, unique_maximal_graph, mixed_maximals_graph, random_corpus, ring
 from oracles import components_brute, reach_sets
@@ -330,3 +331,50 @@ def test_the_components_are_the_strongly_connected_components(g):
 def test_the_components_are_the_strongly_connected_components_on_the_acceptance_corpus():
     for g in random_corpus(500, seed=20260809) + [ring(7), chain_graph(7), chain_graph(7, reverse=True)]:
         _check_components(g)
+
+
+_ARRAYS = ((("id", "src", "dst"), "edge"), (("src", "dst"), "omega bundle"))
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2), st.floats(allow_nan=False), st.text(max_size=2),
+    st.lists(st.text(max_size=1), max_size=2),
+)
+_JSON_ITEMS = st.one_of(
+    *(st.fixed_dictionaries({key: st.text(max_size=2) for key in keys}) for keys, _ in _ARRAYS),
+    *(st.fixed_dictionaries({key: _JSON_VALUES for key in keys}) for keys, _ in _ARRAYS),
+    st.dictionaries(st.sampled_from(["id", "src", "dst", "x", ""]), _JSON_VALUES, max_size=5),
+    _JSON_VALUES,
+)
+
+
+def _strict_outcomes(items, keys, what):
+    """What the bulk check and the check of each item in turn give: the
+    rows, or the message of the GraphFormatError raised."""
+    outcomes = []
+    for check in (
+        lambda: graph_module._strict_objects(items, keys, what),
+        lambda: [graph_module._strict_object(item, keys, what) for item in items],
+    ):
+        try:
+            outcomes.append(check())
+        except GraphFormatError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@settings(max_examples=300)
+@given(st.lists(_JSON_ITEMS, max_size=4))
+def test_the_bulk_check_of_edges_and_bundles_agrees_with_the_check_of_each(items):
+    """``_strict_objects`` checks a list of edges or bundles in bulk and
+    falls back to ``_strict_object`` per item: both give the same rows or
+    the same error, on JSON values of every kind."""
+    for keys, what in _ARRAYS:
+        bulk, each = _strict_outcomes(items, keys, what)
+        assert bulk == each
+
+
+def test_the_bulk_check_agrees_with_the_check_of_each_on_the_acceptance_corpus():
+    for g in random_corpus(500, seed=20260809):
+        doc = json.loads(serialize_graph(g))
+        for (keys, what), items in zip(_ARRAYS, (doc["edges"], doc["omega_bundles"])):
+            bulk, each = _strict_outcomes(items, keys, what)
+            assert bulk == each == [tuple(item[key] for key in keys) for item in items]

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from itertools import combinations
@@ -31,6 +32,7 @@ from lpaideals import (
     AdmissiblePair,
     GradedIdeal,
     GraphError,
+    MaximalityReport,
     NonGradedFamily,
     UnknownVertexError,
     breaking_vertices,
@@ -229,6 +231,26 @@ def test_report_serialization_shape(unique_max):
     }
     assert doc["graded_maximals"] == [{"H": ["v", "w"], "S": []}]
     assert doc["unique_maximal"] == {"kind": "graded", "H": ["v", "w"], "S": []}
+
+
+def test_the_reports_store_only_what_they_found(unique_max, mixed_max):
+    """A maximality report stores its two lists and a family its H and
+    cycle; the rest is read off them or holds by theorem, and no
+    constructor takes it."""
+    stored = ["graded_maximals", "nongraded_maximal_families"]
+    assert [f.name for f in dataclasses.fields(MaximalityReport)] == stored
+    assert [f.name for f in dataclasses.fields(NonGradedFamily)] == ["graph", "H", "cycle"]
+    for g in (unique_max, mixed_max):
+        rep = existence_report(g)
+        assert MaximalityReport(rep.graded_maximals, rep.nongraded_maximal_families) == rep
+        assert rep.exists_maximal is rep.every_ideal_below_maximal is True
+        primes = [d for d in enumerate_primes(g) if isinstance(d, NonGradedFamily)]
+        for family in list(rep.nongraded_maximal_families) + primes:
+            assert family.poly == "irreducible f in K[x,x^-1]"
+    with pytest.raises(TypeError):
+        MaximalityReport((), (), exists_maximal=False)
+    with pytest.raises(TypeError):
+        NonGradedFamily(mixed_max, {"u"}, make_cycle(mixed_max, ["c"]), "f")
 
 
 def _check_theorem_invariants(g):

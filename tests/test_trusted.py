@@ -1,14 +1,14 @@
 """The values the library builds unchecked equal the checked ones.
 
-``graph._trusted`` builds the admissible pairs, the non-graded families
-and the algebra elements that the library has already checked, and
-``algebra._monomial`` the product terms, each with no ``__post_init__``.
-Each such value must equal what the checked constructor builds from its
-fields, on ``==``, ``hash`` and ``repr``, and hold exactly the dataclass
-fields: a field name misspelled in a ``_trusted`` call would leave the
-field at its class default (``S`` at ``frozenset()``, ``poly`` at the
-token) with no error.  A checked pair also keeps the B_H its check read
-(``_b_h``), out of equality, hashing and ``repr``.
+``graph._trusted`` builds the admissible pairs, the non-graded families,
+the algebra elements and their terms that the library has already
+checked, each with no ``__post_init__``.  Each such value must equal what
+the checked constructor builds from its fields, on ``==``, ``hash`` and
+``repr``, and hold exactly what the checked one holds: a field name
+misspelled in a ``_trusted`` call would leave the field at its class
+default (``S`` at ``frozenset()``) with no error.  Every pair, checked or
+not, holds the B_H (``_b_h``) it was built with from its build on, out
+of equality, hashing and ``repr``.
 """
 
 import dataclasses
@@ -40,22 +40,21 @@ def _graphs():
 
 
 def assert_same(trusted, checked, kept=frozenset()):
-    """``trusted`` equals ``checked``, field by field, and holds exactly
-    its dataclass fields plus the kept ``kept`` that ``checked`` holds."""
+    """``trusted`` equals ``checked``, field by field, and both hold
+    exactly their dataclass fields plus the private values ``kept``."""
     assert type(trusted) is type(checked)
     assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
     fields = {f.name for f in dataclasses.fields(checked)}
-    assert set(vars(trusted)) == fields
-    assert set(vars(checked)) == fields | kept
+    assert set(vars(trusted)) == set(vars(checked)) == fields | kept
     assert {name: vars(trusted)[name] for name in fields} == {name: vars(checked)[name] for name in fields}
 
 
 def assert_same_pair(pair):
+    """Checked before anything reads ``pair._b_h``: B_H is held from the build."""
     g = pair.graph
     checked = AdmissiblePair(g, pair.H, pair.S)
     assert_same(pair, checked, {"_b_h"})
-    assert pair._b_h == checked._b_h == breaking_vertices(g, pair.H)
-    assert set(vars(pair)) == set(vars(checked))  # read now, B_H is kept on it too
+    assert vars(pair)["_b_h"] == vars(checked)["_b_h"] == breaking_vertices(g, pair.H)
 
 
 def assert_same_family(family):

@@ -10,7 +10,11 @@ Graphs: the 500-graph acceptance corpus (``random_corpus(500)``), the
 golden fixtures (``test_golden.GRAPHS``), f1 and f3.  Families:
 
 - ``analyze``, ``hsets``, ``primes``, ``maximals``: each plain,
-  ``--json``, ``--cap 2`` and ``--max-vertices n-1``;
+  ``--json``, ``--cap 2``, ``--cap |H_E|-1``, ``--cap |H_E|`` and
+  ``--max-vertices n-1``.  At the exact cap, ``|H_E|-1`` refuses after
+  the walk that the call makes (``enumerate_HE``), and ``|H_E|`` answers;
+  it walks at the call and keeps the walk whenever ``|H_E| < 2^t``, t
+  the number of closed tails;
 - ``check``: ``--condition L`` and ``K``, each plain and ``--json``;
 - ``quotient``: at every H in H_E, with S = {}, B_H, and B_H minus its
   last vertex (each distinct S once);
@@ -52,8 +56,10 @@ def graphs() -> dict:
 
 def families(name: str, g) -> dict[str, list[list[str]]]:
     """Each family's runs, as the command and the arguments after the graph path."""
+    size = len(enumerate_HE(g).sets)
     runs = {
         command: [[command], [command, "--json"], [command, "--cap", "2"],
+                  [command, "--cap", str(size - 1)], [command, "--cap", str(size)],
                   [command, "--max-vertices", str(len(g.vertices) - 1)]]
         for command in REPORTS
     }
