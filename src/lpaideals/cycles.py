@@ -62,16 +62,13 @@ def _rotated(edge_ids, sources) -> Cycle:
     return Cycle(tuple(edge_ids[k:] + edge_ids[:k]), tuple(sources[k:] + sources[:k]))
 
 
-def _cycle_in_graph(g: DirectedGraph, c: Cycle) -> bool:
-    try:
-        return make_cycle(g, c.edges) == c
-    except GraphError:
-        return False
-
-
 def has_exit(g: DirectedGraph, c: Cycle) -> bool:
     """True iff some vertex of c emits a named edge not on c, or any bundle."""
-    if not _cycle_in_graph(g, c):
+    try:
+        in_graph = make_cycle(g, c.edges) == c
+    except GraphError:
+        in_graph = False
+    if not in_graph:
         raise GraphError("cycle does not belong to this graph")
     for eid, v in zip(c.edges, c.vertices):
         if g.out_bundles(v) or any(e.id != eid for e in g.out_edges(v)):
@@ -126,13 +123,6 @@ def cycles_without_K(g: DirectedGraph) -> list[Cycle]:
     inner edge, so every exitless cycle is without K: (K) implies (L).
     """
     return _cycles_of({v: e for v in g.vertices if (e := _inner_edge(g, v)) is not None})
-
-
-def _is_cycle_without_K(g: DirectedGraph, c: Cycle) -> bool:
-    """``c in cycles_without_K(g)``, decided on the vertices of c alone:
-    a cycle of g whose vertices all have an inner edge is a cycle of the
-    inner-edge map, since each of its edges is one."""
-    return _cycle_in_graph(g, c) and all(_inner_edge(g, v) is not None for v in c.vertices)
 
 
 def _inner_edge(g: DirectedGraph, v: str) -> Edge | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -44,17 +45,9 @@ class VertexKind(Enum):
     INFINITE_EMITTER = "infinite_emitter"
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    dst: str
-
-
-@dataclass(frozen=True)
-class OmegaBundle:
-    src: str
-    dst: str
+# Plain records: DirectedGraph checks them.  Each equals the tuple of its fields.
+Edge = namedtuple("Edge", "id src dst")
+OmegaBundle = namedtuple("OmegaBundle", "src dst")
 
 
 @dataclass(frozen=True)
@@ -380,15 +373,15 @@ def parse_graph(text: str) -> DirectedGraph:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise GraphFormatError('"edges" must be a list')
-    edges = [Edge(*row) for row in _strict_objects(raw_edges, ("id", "src", "dst"), "edge")]
+    edges = tuple(map(Edge._make, _strict_objects(raw_edges, Edge._fields, "edge")))
 
     raw_bundles = doc.get("omega_bundles", [])
     if not isinstance(raw_bundles, list):
         raise GraphFormatError('"omega_bundles" must be a list')
-    bundles = [OmegaBundle(*row) for row in _strict_objects(raw_bundles, ("src", "dst"), "omega bundle")]
+    bundles = tuple(map(OmegaBundle._make, _strict_objects(raw_bundles, OmegaBundle._fields, "omega bundle")))
 
     try:
-        return DirectedGraph(tuple(vertices), tuple(edges), tuple(bundles))
+        return DirectedGraph(tuple(vertices), edges, bundles)
     except GraphError as exc:
         raise GraphFormatError(str(exc)) from None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cycles import Cycle, _is_cycle_without_K, cycles_without_K
+from .cycles import Cycle, cycles_without_K
 from .graph import DEFAULT_CAP, DirectedGraph, GraphError, _trusted, _vertex_set
 from .lattice import (
     MAX_EXACT_VERTICES,
@@ -36,7 +36,8 @@ class GradedIdeal:
 @dataclass(frozen=True)
 class NonGradedFamily:
     """All ideals I(H, B_H) + <f(c)>, one per irreducible polynomial f,
-    which every family names by the one token ``poly``."""
+    which every family names by the one token ``poly``.  H must be
+    hereditary saturated, and c one of ``cycles_without_K`` that misses H."""
 
     graph: DirectedGraph = field(repr=False)
     H: frozenset[str]
@@ -48,7 +49,7 @@ class NonGradedFamily:
         g = self.graph
         if not _is_hereditary_saturated(g, self.H):
             raise GraphError("H is not hereditary saturated")
-        if not _is_cycle_without_K(g, self.cycle):
+        if self.cycle not in cycles_without_K(g):
             raise GraphError("cycle is not a cycle without K of this graph")
         if set(self.cycle.vertices) & self.H:
             raise GraphError("cycle meets H")
@@ -78,8 +79,8 @@ def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
     """Decide primeness by the trichotomy over (H, S) shape and cycles.
 
     Graded descriptors must come with S = B_H or S = B_H minus one
-    vertex; anything else is rejected as malformed.  The improper pair
-    (E^0, empty) is not a prime ideal.
+    vertex, B_H being the one the pair holds; anything else is rejected
+    as malformed.  The improper pair (E^0, empty) is not a prime ideal.
     """
     masks = g._masks
     if isinstance(d, GradedIdeal):
@@ -87,11 +88,10 @@ def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
         if pair.graph != g:
             raise GraphError("descriptor was built for a different graph")
         tail = masks.full & ~masks.of(pair.H)
-        b_h = breaking_vertices(g, pair.H)
-        if pair.S == b_h:
+        if pair.S == pair._b_h:
             # H is hereditary, so a downward-directed complement is an M(d), never empty
             return tail in masks.components
-        missing = b_h - pair.S
+        missing = pair._b_h - pair.S
         if len(missing) != 1:
             raise GraphError("graded descriptor needs S = B_H or S = B_H minus one vertex")
         (u,) = missing

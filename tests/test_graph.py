@@ -9,8 +9,10 @@ from oracles import components_brute, reach_sets
 from lpaideals import graph as graph_module
 from lpaideals import (
     DirectedGraph,
+    Edge,
     GraphError,
     GraphFormatError,
+    OmegaBundle,
     UnknownVertexError,
     VertexKind,
     parse_graph,
@@ -237,6 +239,27 @@ def test_canonical_ordering_is_input_order_independent():
     )
     assert g1 == g2
     assert serialize_graph(g1) == serialize_graph(g2)
+
+
+def test_the_records_of_edges_and_bundles():
+    """What a caller may rely on of ``Edge`` and ``OmegaBundle``: their
+    text, their hash, that they are immutable and never equal to each
+    other, and the canonical order in which a graph holds them."""
+    e, b = Edge("a", "u", "v"), OmegaBundle("u", "v")
+    assert repr(e) == "Edge(id='a', src='u', dst='v')" and repr(b) == "OmegaBundle(src='u', dst='v')"
+    assert hash(e) == hash(("a", "u", "v")) and hash(b) == hash(("u", "v"))
+    assert e != b
+    for record, name in ((e, "id"), (e, "dst"), (b, "src")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, "w")
+    # a record equals the plain tuple of its fields
+    assert e == ("a", "u", "v") and b == ("u", "v")
+    for g in random_corpus(500):
+        assert all(type(x) is Edge for x in g.edges) and all(type(x) is OmegaBundle for x in g.omega_bundles)
+        ids = [x.id for x in g.edges]
+        ends = [(x.src, x.dst) for x in g.omega_bundles]
+        assert ids == sorted(set(ids)) and ends == sorted(set(ends))
+        assert parse_graph(serialize_graph(g)) == g
 
 
 def test_direct_construction_validates():

@@ -27,6 +27,7 @@ from oracles import (
     is_saturated_brute,
     maximals_brute,
 )
+from test_golden import GRAPHS
 from test_lattice import _refusal, all_admissible_pairs
 from lpaideals import (
     AdmissiblePair,
@@ -414,6 +415,30 @@ def test_the_primes_and_the_maximal_tails_close_no_set(monkeypatch):
             for subset in combinations(g.vertices, r):
                 is_maximal_tail(g, subset)
     assert closed == []
+
+
+def test_classify_prime_reads_the_B_H_its_pair_holds(monkeypatch):
+    """Every pair holds the B_H its build read (``AdmissiblePair._b_h``),
+    so classifying a graded prime neither closes H again nor scans the
+    emitters: no ``_Masks.close`` and no ``_Masks.breaking`` call, for
+    the pairs the library builds and for their checked copies."""
+    fixtures = [make() for make in GRAPHS.values()] + [breaker_below_coatom(), breaker_below_coatom_with_loop()]
+    primes = []
+    for g in fixtures:
+        for d in enumerate_primes(g):
+            if isinstance(d, GradedIdeal):
+                primes += [(g, d), (g, graded(g, d.pair.H, d.pair.S))]
+    assert any(p.pair.S != p.pair._b_h for _, p in primes)  # a B_H - {u} clause is classified too
+    calls = []
+
+    def counted(name):
+        original = getattr(_Masks, name)
+        return lambda self, mask: calls.append(name) or original(self, mask)
+
+    for name in ("close", "breaking"):
+        monkeypatch.setattr(_Masks, name, counted(name))
+    assert all(classify_prime(g, d) for g, d in primes)
+    assert calls == []
 
 
 def test_one_cap_bounds_the_cycles_of_enumerate_primes():
