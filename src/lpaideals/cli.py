@@ -16,7 +16,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from . import algebra
+from . import algebra, lattice
 from .cycles import condition_K, condition_L
 from .graph import (
     DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError, _json_block, parse_graph, serialize_graph
@@ -167,28 +167,32 @@ def _json_text(doc, newline: str) -> str:
 def _lattice_json(lat, newline: str) -> str:
     """The JSON of ``lat.to_json_dict()`` on a line that starts at
     ``newline``, byte for byte what ``_json_text`` gives: each vertex id
-    is encoded once, and each set's text is one join of those, framed
-    inline (a ``_json_block`` call per set added 0.8 ms to the 6.2 ms of
-    ``hsets --json`` on the 4,096 sets of A_12)."""
+    is encoded once, each set's text is joined from the texts of its
+    mask's halves (``_set_texts``), and each set is framed inline.  The
+    coatoms are read through ``lattice.maximal_proper_elements``, the
+    name that ``to_json_dict`` reads."""
     encoded = {v: _encode_str(v) for v in lat.graph.vertices}.__getitem__
     item, member = newline + "    ", newline + "      "
     opened, between, closed = "[" + member, "," + member, item + "]"
 
-    def listed(sets) -> str:
-        texts = [opened + between.join(map(encoded, ids)) + closed if ids else "[]" for ids in sets]
-        return _json_block(texts, newline + "  ", "[]")
+    def listed(texts) -> str:
+        return _json_block([opened + t + closed if t else "[]" for t in texts], newline + "  ", "[]")
 
-    doc = lat.to_json_dict()
-    sections = ['"maximal_proper": ' + listed(doc["maximal_proper"]), '"sets": ' + listed(doc["sets"])]
+    coatoms = [between.join(map(encoded, sorted(s))) for s in lattice.maximal_proper_elements(lat)]
+    sections = ['"maximal_proper": ' + listed(coatoms), '"sets": ' + listed(_set_texts(lat, encoded, between))]
     return _json_block(sections, newline, "{}")
 
 
-def _fmt_ids(ids) -> str:
-    return "{" + ",".join(ids) + "}"
+def _set_texts(lat, word, sep: str) -> list[str]:
+    """Each set of ``lat`` in the order of ``lat.sets``, its sorted ids
+    written by ``word`` and joined by ``sep``, read off the masks
+    (``_Masks.texts``) with no id list per set."""
+    masks = lat.graph._masks
+    return masks.texts(masks.in_order(lat._closed), word, sep)
 
 
 def _fmt_set(vs) -> str:
-    return _fmt_ids(sorted(vs))
+    return "{" + ",".join(sorted(vs)) + "}"
 
 
 def _fmt_pair(pair: AdmissiblePair) -> str:
@@ -237,8 +241,8 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
     )
     print(_fmt_condition("L", cond_l))
     print(_fmt_condition("K", cond_k))
-    sets = lat.sorted_ids()
-    print(f"hereditary saturated sets ({len(sets)}): {', '.join(map(_fmt_ids, sets))}")
+    sets = _set_texts(lat, str, ",")
+    print(f"hereditary saturated sets ({len(sets)}): {', '.join('{' + t + '}' for t in sets)}")
     print(
         "maximal proper: "
         + (", ".join(_fmt_set(s) for s in maximal_proper_elements(lat)) or "none")
@@ -275,10 +279,9 @@ def cmd_hsets(g: DirectedGraph, args) -> None:
     if args.json:
         print(_lattice_json(lat, "\n"))
         return
-    sets = lat.sorted_ids()
+    sets = _set_texts(lat, str, ",")
     print(f"hereditary saturated sets ({len(sets)}):")
-    for ids in sets:
-        print(f"  {_fmt_ids(ids)}")
+    sys.stdout.write("".join(f"  {{{t}}}\n" for t in sets))
     print(
         "maximal proper: "
         + (", ".join(_fmt_set(s) for s in maximal_proper_elements(lat)) or "none")
@@ -382,8 +385,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     # The cyclic garbage collector stays off for the command: it builds
-    # thousands of acyclic containers (an id list per set of H_E, the
-    # admissible pairs), all freed by reference counting, so a
+    # thousands of acyclic containers (the admissible pairs and their
+    # vertex sets), all freed by reference counting, so a
     # collection during the command frees next to nothing and only
     # rescans the young ones.
     enabled = gc.isenabled()

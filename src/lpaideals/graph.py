@@ -254,6 +254,27 @@ class _Masks:
             mask ^= 1 << i
         return out
 
+    def texts(self, masks, word, sep: str) -> list[str]:
+        """Each mask's ids in ascending order, each written by ``word`` and
+        joined by ``sep``.  A mask is read as a high and a low half of
+        ceil(n / 2) bits or fewer; the high half holds the smaller ids, so
+        its text comes first.  Each distinct half is written once: the
+        4,096 sets of A_12 have 64 halves a side."""
+        h = (len(self.vertices) + 1) // 2
+        low = (1 << h) - 1
+        highs: dict[int, str] = {0: ""}
+        lows: dict[int, str] = {0: ""}
+        out = []
+        for m in masks:
+            a, b = m >> h, m & low
+            if a not in highs:
+                highs[a] = sep.join(map(word, self.ids(a << h)))
+            if b not in lows:
+                lows[b] = sep.join(map(word, self.ids(b)))
+            a, b = highs[a], lows[b]
+            out.append(a + sep + b if a and b else a or b)
+        return out
+
     def to_set(self, mask: int) -> frozenset[str]:
         return frozenset(self.ids(mask))
 

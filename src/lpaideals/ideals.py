@@ -18,7 +18,6 @@ from .lattice import (
     MAX_EXACT_VERTICES,
     AdmissiblePair,
     _is_hereditary_saturated,
-    breaking_vertices,
     enumerate_HE,
 )
 
@@ -104,11 +103,14 @@ def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
 
 
 def gr_of(d: IdealDescriptor) -> AdmissiblePair:
-    """The largest graded ideal inside the described ideal."""
+    """The largest graded ideal inside the described ideal.  A family's
+    H was checked hereditary saturated when it was built, so its B_H is
+    read off the index with no closure."""
     if isinstance(d, GradedIdeal):
         return d.pair
     if isinstance(d, NonGradedFamily):
-        b_h = breaking_vertices(d.graph, d.H)
+        masks = d.graph._masks
+        b_h = masks.breaking(masks.of(d.H))
         return _trusted(AdmissiblePair, graph=d.graph, H=d.H, S=b_h, _b_h=b_h)
     raise GraphError(f"not an ideal descriptor: {d!r}")
 

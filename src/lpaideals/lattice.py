@@ -59,8 +59,10 @@ class HSLattice:
     ``enumerate_HE`` has decided the caps, so reading the masks cannot
     refuse: the first read walks H_E (``_walk``), unless a call
     already has, and keeps the walk in the graph's index.  ``sets`` lists
-    them as vertex sets, in canonical order, built on first use.
-    Printing reads the masks (``sorted_ids``) and builds no vertex set."""
+    them as vertex sets, in canonical order, built on first use, and
+    ``sorted_ids`` as id lists in that order.  The commands print the
+    sets off the masks, each from the texts of its two halves
+    (``_Masks.texts``), and build neither."""
 
     graph: DirectedGraph
 

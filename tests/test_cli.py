@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -23,6 +25,7 @@ from conftest import (
     omega_graph,
     random_corpus,
     ring,
+    sparse_graph,
     unique_maximal_graph,
 )
 from oracles import hereditary_saturated_sets_brute, reach_sets
@@ -584,33 +587,69 @@ def test_product_json_with_escaped_ids():
     assert_product_json(product)
 
 
-def assert_lattice_json(g):
+def _printed(g, command, *flags):
+    """What ``command`` prints for the parsed graph ``g``."""
+    args = cli._parser().parse_args([command, "graph.json", "--max-vertices", "1000", *flags])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._COMMANDS[command](g, args)
+    return out.getvalue()
+
+
+def assert_lattice_printed(g):
     """The lattice writer gives the stdlib's text at the top level and
-    nested one level down, as ``analyze --json`` holds it."""
-    lat = enumerate_HE(g)
+    nested one level down, as ``analyze --json`` holds it; ``hsets`` and
+    ``analyze`` print each set of H_E as the writers that take its id
+    list (``lat.sorted_ids()``) do."""
+    lat = enumerate_HE(g, max_vertices=1000)
     doc = lat.to_json_dict()
     assert cli._lattice_json(lat, "\n") == json.dumps(doc, sort_keys=True, indent=2)
     sections = ['"hereditary_saturated": ' + cli._lattice_json(lat, "\n  "), '"x": ' + cli._json_text([1], "\n  ")]
     nested = json.dumps({"hereditary_saturated": doc, "x": [1]}, sort_keys=True, indent=2)
     assert cli._json_block(sections, "\n", "{}") == nested
+    assert _printed(g, "hsets", "--json") == cli._json_text(doc, "\n") + "\n"
+    sets = ["{" + ",".join(ids) + "}" for ids in lat.sorted_ids()]
+    hsets = _printed(g, "hsets").splitlines()
+    assert hsets[:-1] == [f"hereditary saturated sets ({len(sets)}):"] + ["  " + s for s in sets]
+    assert hsets[-1].startswith("maximal proper: ")
+    assert _printed(g, "analyze").splitlines()[3] == f"hereditary saturated sets ({len(sets)}): " + ", ".join(sets)
+
+
+def two_chains(n):
+    """n vertices v01, v02, ..., each with a loop: the first ceil(n / 2)
+    on a path down to v01, the rest on a path up to the last.  The sets
+    of H_E are the unions of a tail of each path, so those on one path
+    alone lie in one half of the index's masks (``_Masks.texts``)."""
+    h = (n + 1) // 2
+    vs = [f"v{i:02}" for i in range(1, n + 1)]
+    loops = [(f"l{i}", v, v) for i, v in enumerate(vs)]
+    down = [(f"d{i}", vs[i], vs[i - 1]) for i in range(1, h)]
+    up = [(f"u{i}", vs[i], vs[i + 1]) for i in range(h, n - 1)]
+    return graph(vs, loops + down + up)
 
 
 @given(graphs())
 def test_lattice_json_matches_the_document(g):
-    assert_lattice_json(g)
+    assert_lattice_printed(g)
 
 
 def test_lattice_json_on_fixed_graphs():
-    for g in random_corpus(500, seed=20260809) + [escaped_ids(), omega_graph()]:
-        assert_lattice_json(g)
-    for n in range(1, 15):
-        assert_lattice_json(loop_antichain(n))
+    """Also both parities of mask width, the empty high half of one
+    vertex, sets in one half only, and wide masks."""
+    for g in random_corpus(500, seed=20260809) + [escaped_ids(), omega_graph(), sparse_graph(200)]:
+        assert_lattice_printed(g)
+    for n in range(1, 17):
+        assert_lattice_printed(loop_antichain(n))
+    for n in range(17, 21):
+        assert_lattice_printed(two_chains(n))
+    masks = two_chains(18)._masks
+    assert masks.texts([masks.of({"v01", "v02"}), masks.of({"v18"}), 0], str, ",") == ["v01,v02", "v18", ""]
     # only {} and E^0: the empty set is the one maximal proper element
     single = parse_graph('{"vertices": ["v"], "edges": []}')
     assert cli._lattice_json(enumerate_HE(single), "\n") == (
         '{\n  "maximal_proper": [\n    []\n  ],\n  "sets": [\n    [],\n    [\n      "v"\n    ]\n  ]\n}'
     )
-    assert_lattice_json(single)
+    assert_lattice_printed(single)
 
 
 def test_closed_stdout_exits_141_quietly(tmp_path):

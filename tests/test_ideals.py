@@ -441,6 +441,24 @@ def test_classify_prime_reads_the_B_H_its_pair_holds(monkeypatch):
     assert calls == []
 
 
+def test_gr_of_a_family_reads_B_H_off_the_index(monkeypatch):
+    """A family's H was checked hereditary saturated when the family was
+    built, so ``gr_of`` closes no set: it reads B_H with one emitter scan."""
+    g = mixed_maximals_graph()
+    (family,) = maximal_nongraded_families(g)
+    expected = pair(g, {"u"})
+    calls = []
+
+    def counted(name):
+        original = getattr(_Masks, name)
+        return lambda self, mask: calls.append(name) or original(self, mask)
+
+    for name in ("close", "breaking"):
+        monkeypatch.setattr(_Masks, name, counted(name))
+    assert gr_of(family) == expected
+    assert calls == ["breaking"]
+
+
 def test_one_cap_bounds_the_cycles_of_enumerate_primes():
     """The cap bounds H_E alone: the 85 simple cycles against a lattice of
     4 sets are never enumerated, so a cap of 4 answers and 3 refuses."""
