@@ -8,64 +8,78 @@ maximal ideals.  A small exact-arithmetic model of the algebra's
 monomials backs the structural results as an independent oracle.
 """
 
-from .graph import (
-    DirectedGraph,
-    Edge,
-    GraphError,
-    GraphFormatError,
-    OmegaBundle,
-    ResourceCapError,
-    UnknownVertexError,
-    VertexKind,
-    parse_graph,
-    serialize_graph,
-)
-from .cycles import (
-    ConditionReport,
-    Cycle,
-    condition_K,
-    condition_L,
-    cycles_without_K,
-    has_exit,
-    is_downward_directed,
-    is_maximal_tail,
-    make_cycle,
-)
-from .lattice import (
-    AdmissiblePair,
-    HSLattice,
-    breaking_vertices,
-    enumerate_HE,
-    hs_closure,
-    is_hereditary,
-    is_saturated,
-    leq_prime,
-    maximal_proper_elements,
-    quotient_graph,
-)
-from .ideals import (
-    GradedIdeal,
-    MaximalityReport,
-    NonGradedFamily,
-    classify_prime,
-    enumerate_primes,
-    existence_report,
-    gr_of,
-    maximal_graded_ideals,
-    maximal_nongraded_families,
-)
-from .algebra import (
-    AlgebraElement,
-    Monomial,
-    PathWord,
-    edge_element,
-    ghost_element,
-    is_idempotent,
-    make_path,
-    parse_element,
-    render_element,
-    v_H_element,
-    vertex_element,
-)
+# Each public name and the submodule that defines it.  A name is imported
+# on its first access (PEP 562), so ``import lpaideals`` loads no submodule
+# and a command loads only the layers it runs.
+_ORIGIN = {
+    "DirectedGraph": "graph",
+    "Edge": "graph",
+    "GraphError": "graph",
+    "GraphFormatError": "graph",
+    "OmegaBundle": "graph",
+    "ResourceCapError": "graph",
+    "UnknownVertexError": "graph",
+    "VertexKind": "graph",
+    "parse_graph": "graph",
+    "serialize_graph": "graph",
+    "ConditionReport": "cycles",
+    "Cycle": "cycles",
+    "condition_K": "cycles",
+    "condition_L": "cycles",
+    "cycles_without_K": "cycles",
+    "has_exit": "cycles",
+    "is_downward_directed": "cycles",
+    "is_maximal_tail": "cycles",
+    "make_cycle": "cycles",
+    "AdmissiblePair": "lattice",
+    "HSLattice": "lattice",
+    "breaking_vertices": "lattice",
+    "enumerate_HE": "lattice",
+    "hs_closure": "lattice",
+    "is_hereditary": "lattice",
+    "is_saturated": "lattice",
+    "leq_prime": "lattice",
+    "maximal_proper_elements": "lattice",
+    "quotient_graph": "lattice",
+    "GradedIdeal": "ideals",
+    "MaximalityReport": "ideals",
+    "NonGradedFamily": "ideals",
+    "classify_prime": "ideals",
+    "enumerate_primes": "ideals",
+    "existence_report": "ideals",
+    "gr_of": "ideals",
+    "maximal_graded_ideals": "ideals",
+    "maximal_nongraded_families": "ideals",
+    "AlgebraElement": "algebra",
+    "Monomial": "algebra",
+    "PathWord": "algebra",
+    "edge_element": "algebra",
+    "ghost_element": "algebra",
+    "is_idempotent": "algebra",
+    "make_path": "algebra",
+    "parse_element": "algebra",
+    "render_element": "algebra",
+    "v_H_element": "algebra",
+    "vertex_element": "algebra",
+}
+
+__all__ = list(_ORIGIN)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule and keep it here, so that
+    later reads find it without this call."""
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 from .graph import DirectedGraph, GraphError, _trusted
-from .lattice import breaking_vertices
 
 _COEFF_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -274,6 +272,8 @@ def v_H_element(g: DirectedGraph, subset, v: str) -> AlgebraElement:
     Only defined for breaking vertices v of H; the breaking condition
     makes the sum finite and over named edges only.
     """
+    from lpaideals.lattice import breaking_vertices
+
     hset = g.require_vertices(subset)
     if v not in breaking_vertices(g, hset):
         raise GraphError(f"{v!r} is not a breaking vertex of the given set")
@@ -414,6 +414,8 @@ def _integer(digits: str) -> int:
     try:
         return int(digits)
     except ValueError:  # over the limit
+        from decimal import Decimal
+
         return int(Decimal(digits))
 
 
@@ -487,4 +489,6 @@ def _coefficient_text(num: int, den: int) -> str:
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # over the limit
+        from decimal import Decimal
+
         return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"

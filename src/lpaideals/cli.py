@@ -5,6 +5,14 @@ Exit codes: 0 success, 1 invalid graph input, 2 bad arguments,
 under ``| head``; the status a shell reports for SIGPIPE).  With --json,
 output is canonical JSON that is byte-identical across runs on
 identical input.
+
+Only ``graph`` is imported with this module.  Each command imports the
+layers it runs when it runs, so that ``check`` never loads the lattice,
+the ideals or the algebra.  These imports name the module absolutely
+(``from lpaideals.lattice import ...``): a relative import inside a
+function makes one more Python-level call each time it runs.  Each
+reads the layer module's attribute at the call, so a function patched
+on its defining module is the one the command calls.
 """
 
 from __future__ import annotations
@@ -16,18 +24,15 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from . import algebra, lattice
-from .cycles import condition_K, condition_L
 from .graph import (
-    DEFAULT_CAP, DirectedGraph, GraphError, ResourceCapError, _json_block, parse_graph, serialize_graph
-)
-from .ideals import GradedIdeal, enumerate_primes, existence_report
-from .lattice import (
+    DEFAULT_CAP,
     MAX_EXACT_VERTICES,
-    AdmissiblePair,
-    enumerate_HE,
-    maximal_proper_elements,
-    quotient_graph,
+    DirectedGraph,
+    GraphError,
+    ResourceCapError,
+    _json_block,
+    parse_graph,
+    serialize_graph,
 )
 
 
@@ -171,6 +176,8 @@ def _lattice_json(lat, newline: str) -> str:
     mask's halves (``_set_texts``), and each set is framed inline.  The
     coatoms are read through ``lattice.maximal_proper_elements``, the
     name that ``to_json_dict`` reads."""
+    from lpaideals.lattice import maximal_proper_elements
+
     encoded = {v: _encode_str(v) for v in lat.graph.vertices}.__getitem__
     item, member = newline + "    ", newline + "      "
     opened, between, closed = "[" + member, "," + member, item + "]"
@@ -178,7 +185,7 @@ def _lattice_json(lat, newline: str) -> str:
     def listed(texts) -> str:
         return _json_block([opened + t + closed if t else "[]" for t in texts], newline + "  ", "[]")
 
-    coatoms = [between.join(map(encoded, sorted(s))) for s in lattice.maximal_proper_elements(lat)]
+    coatoms = [between.join(map(encoded, sorted(s))) for s in maximal_proper_elements(lat)]
     sections = ['"maximal_proper": ' + listed(coatoms), '"sets": ' + listed(_set_texts(lat, encoded, between))]
     return _json_block(sections, newline, "{}")
 
@@ -195,14 +202,20 @@ def _fmt_set(vs) -> str:
     return "{" + ",".join(sorted(vs)) + "}"
 
 
-def _fmt_pair(pair: AdmissiblePair) -> str:
+def _fmt_pair(pair) -> str:
     return f"I({_fmt_set(pair.H)}, {_fmt_set(pair.S)})"
 
 
-def _fmt_descriptor(d) -> str:
-    if isinstance(d, GradedIdeal):
-        return _fmt_pair(d.pair)
-    return f"I({_fmt_set(d.H)}, B_H) + <f({' '.join(d.cycle.edges)})>, {d.poly}"
+def _fmt_descriptors(descriptors) -> list[str]:
+    """The text of each prime or maximal ideal descriptor."""
+    from lpaideals.ideals import GradedIdeal
+
+    return [
+        _fmt_pair(d.pair)
+        if isinstance(d, GradedIdeal)
+        else f"I({_fmt_set(d.H)}, B_H) + <f({' '.join(d.cycle.edges)})>, {d.poly}"
+        for d in descriptors
+    ]
 
 
 def _fmt_condition(name: str, report) -> str:
@@ -220,6 +233,10 @@ def _split_vertices(g: DirectedGraph, raw: str, flag: str) -> frozenset[str]:
 
 
 def cmd_analyze(g: DirectedGraph, args) -> None:
+    from lpaideals.cycles import condition_K, condition_L
+    from lpaideals.ideals import enumerate_primes, existence_report
+    from lpaideals.lattice import enumerate_HE, maximal_proper_elements
+
     lat = enumerate_HE(g, args.cap, args.max_vertices)
     cond_l = condition_L(g)
     cond_k = condition_K(g)
@@ -249,8 +266,8 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
     )
     _print_maximality(report)
     print(f"primes ({len(primes)}):")
-    for d in primes:
-        print(f"  {_fmt_descriptor(d)}")
+    for text in _fmt_descriptors(primes):
+        print(f"  {text}")
 
 
 def _print_maximality(report) -> None:
@@ -266,7 +283,7 @@ def _print_maximality(report) -> None:
     print(f"exists maximal ideal: {_yn(report.exists_maximal)}")
     print(f"every ideal below a maximal ideal: {_yn(report.every_ideal_below_maximal)}")
     print(f"every maximal ideal graded: {_yn(report.every_maximal_graded)}")
-    unique = "none" if report.unique_maximal is None else _fmt_descriptor(report.unique_maximal)
+    unique = "none" if report.unique_maximal is None else _fmt_descriptors([report.unique_maximal])[0]
     print(f"unique maximal ideal: {unique}")
 
 
@@ -275,6 +292,8 @@ def _yn(flag: bool) -> str:
 
 
 def cmd_hsets(g: DirectedGraph, args) -> None:
+    from lpaideals.lattice import enumerate_HE, maximal_proper_elements
+
     lat = enumerate_HE(g, args.cap, args.max_vertices)
     if args.json:
         print(_lattice_json(lat, "\n"))
@@ -289,16 +308,20 @@ def cmd_hsets(g: DirectedGraph, args) -> None:
 
 
 def cmd_primes(g: DirectedGraph, args) -> None:
+    from lpaideals.ideals import enumerate_primes
+
     primes = enumerate_primes(g, args.cap, args.max_vertices)
     if args.json:
         _emit_json([d.to_json_dict() for d in primes])
         return
     print(f"primes ({len(primes)}):")
-    for d in primes:
-        print(f"  {_fmt_descriptor(d)}")
+    for text in _fmt_descriptors(primes):
+        print(f"  {text}")
 
 
 def cmd_maximals(g: DirectedGraph, args) -> None:
+    from lpaideals.ideals import existence_report
+
     report = existence_report(g, args.cap, args.max_vertices)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -307,6 +330,8 @@ def cmd_maximals(g: DirectedGraph, args) -> None:
 
 
 def cmd_quotient(g: DirectedGraph, args) -> None:
+    from lpaideals.lattice import AdmissiblePair, quotient_graph
+
     hset = _split_vertices(g, args.H, "--H")
     sset = _split_vertices(g, args.S, "--S")
     try:
@@ -320,6 +345,8 @@ def cmd_quotient(g: DirectedGraph, args) -> None:
 
 
 def cmd_check(g: DirectedGraph, args) -> None:
+    from lpaideals.cycles import condition_K, condition_L
+
     report = (condition_L if args.condition == "L" else condition_K)(g)
     if args.json:
         _emit_json(report.to_json_dict())
@@ -328,16 +355,18 @@ def cmd_check(g: DirectedGraph, args) -> None:
 
 
 def cmd_mul(g: DirectedGraph, args) -> None:
+    from lpaideals.algebra import parse_element, render_element
+
     try:
-        lhs = algebra.parse_element(g, args.lhs)
-        rhs = algebra.parse_element(g, args.rhs)
+        lhs = parse_element(g, args.lhs)
+        rhs = parse_element(g, args.rhs)
     except GraphError as exc:
         raise UsageError(f"bad element expression: {exc}") from None
     product = lhs * rhs
     if args.json:
         print(_product_json(product))
         return
-    print(algebra.render_element(product))
+    print(render_element(product))
 
 
 # One entry of the "terms" list of ``mul --json``: alpha, beta, coeff.
@@ -350,9 +379,11 @@ def _product_json(product) -> str:
     "alpha": <block>, "beta": <block>}, ...]}``.  One walk over the terms
     writes the text form and the terms list: each term fills one
     template, and each distinct path's block is written once."""
+    from lpaideals.algebra import _term_texts
+
     parts, items = [], []
     blocks: dict[int, str] = {}  # id of a path -> its {"edges", "source"} block
-    for part, coeff, m in algebra._term_texts(product.terms):
+    for part, coeff, m in _term_texts(product.terms):
         parts.append(part)
         alpha = blocks.get(id(m.alpha)) or _path_block(blocks, m.alpha)
         beta = blocks.get(id(m.beta)) or _path_block(blocks, m.beta)

@@ -38,6 +38,9 @@ class ResourceCapError(RuntimeError):
 # The default bound on the hereditary saturated sets that one walk of H_E finds.
 DEFAULT_CAP = 1_000_000
 
+# The default bound on the vertices of a graph whose H_E is enumerated exactly.
+MAX_EXACT_VERTICES = 20
+
 
 class VertexKind(Enum):
     SINK = "sink"

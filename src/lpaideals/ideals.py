@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cycles import Cycle, cycles_without_K
-from .graph import DEFAULT_CAP, DirectedGraph, GraphError, _trusted, _vertex_set
+from .graph import DEFAULT_CAP, MAX_EXACT_VERTICES, DirectedGraph, GraphError, _trusted, _vertex_set
 from .lattice import (
-    MAX_EXACT_VERTICES,
     AdmissiblePair,
     _is_hereditary_saturated,
     enumerate_HE,

@@ -14,6 +14,7 @@ from functools import cached_property
 
 from .graph import (
     DEFAULT_CAP,
+    MAX_EXACT_VERTICES,
     DirectedGraph,
     Edge,
     GraphError,
@@ -22,8 +23,6 @@ from .graph import (
     _Masks,
     _vertex_set,
 )
-
-MAX_EXACT_VERTICES = 20
 
 PRIME_MARK = "'"
 

@@ -312,8 +312,10 @@ def test_a_large_lattice_refuses_at_once(tmp_path, capsys):
 @pytest.fixture
 def lattice_work(monkeypatch):
     """Counts of ``enumerate_HE`` calls, ``_Masks`` builds and masks
-    converted to vertex sets."""
-    from lpaideals import cli, ideals
+    converted to vertex sets.  The walk is patched where it is defined
+    and where ``ideals`` binds it by name; ``cli`` reads it off
+    ``lattice`` when a command runs."""
+    from lpaideals import ideals
 
     counts = Counter()
     build, to_set, walk = _Masks.__init__, _Masks.to_set, lattice.enumerate_HE
@@ -332,7 +334,7 @@ def lattice_work(monkeypatch):
 
     monkeypatch.setattr(_Masks, "__init__", counted_build)
     monkeypatch.setattr(_Masks, "to_set", counted_to_set)
-    for module in (cli, ideals):
+    for module in (lattice, ideals):
         monkeypatch.setattr(module, "enumerate_HE", counted_walk)
     return counts
 
@@ -363,15 +365,15 @@ def test_the_coatoms_are_scanned_once_per_printed_list(monkeypatch, tmp_path, ca
     """A command scans H_E for its coatoms only to print them: ``analyze``
     and ``hsets`` print the maximal proper sets once each, and the
     maximal-ideal report answers both existence questions by theorem, so
-    ``maximals`` and ``primes`` scan nothing."""
-    from lpaideals import cli, ideals
+    ``maximals`` and ``primes`` scan nothing.  Every reader of the coatoms
+    reads them off ``lattice`` at the call, so one patch there sees each."""
+    from lpaideals import ideals
     from lpaideals.cli import main
 
     assert not hasattr(ideals, "maximal_proper_elements")
     scans = []
     original = lattice.maximal_proper_elements
-    for module in (lattice, cli):
-        monkeypatch.setattr(module, "maximal_proper_elements", lambda lat: scans.append(lat) or original(lat))
+    monkeypatch.setattr(lattice, "maximal_proper_elements", lambda lat: scans.append(lat) or original(lat))
     path = tmp_path / "k4.json"
     path.write_text(serialize_graph(clique_with_loop(4)), encoding="utf-8")
     expected = {"analyze": 1, "hsets": 1, "maximals": 0, "primes": 0}
