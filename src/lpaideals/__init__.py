@@ -8,9 +8,9 @@ maximal ideals.  A small exact-arithmetic model of the algebra's
 monomials backs the structural results as an independent oracle.
 """
 
-# Each public name and the submodule that defines it.  A name is imported
-# on its first access (PEP 562), so ``import lpaideals`` loads no submodule
-# and a command loads only the layers it runs.
+# Each public name and the submodule that defines it.  A name is read off
+# its submodule on each access (PEP 562), so ``import lpaideals`` loads no
+# submodule and a command loads only the layers it runs.
 _ORIGIN = {
     "DirectedGraph": "graph",
     "Edge": "graph",
@@ -69,16 +69,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import a public name from its submodule and keep it here, so that
-    later reads find it without this call."""
+    """A public name, read off its submodule (imported on first use) at
+    each access and kept nowhere here, so that the package gives what the
+    submodule holds now: a name patched there and restored reads as
+    restored, as ``cli``'s per-command imports do."""
     module = _ORIGIN.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:

@@ -53,10 +53,6 @@ def make_path(g: DirectedGraph, source: str, edge_ids=()) -> PathWord:
     return PathWord(source, edge_ids, at)
 
 
-def vertex_path(g: DirectedGraph, v: str) -> PathWord:
-    return make_path(g, v)
-
-
 @dataclass(frozen=True)
 class Monomial:
     """coeff * alpha * beta-star with matching ranges, coeff nonzero."""
@@ -241,20 +237,17 @@ def zero(g: DirectedGraph) -> AlgebraElement:
 
 
 def vertex_element(g: DirectedGraph, v: str) -> AlgebraElement:
-    p = vertex_path(g, v)
-    return AlgebraElement(g, (Monomial(Fraction(1), p, p),))
+    return monomial_element(g, v, (), v, ())
 
 
 def edge_element(g: DirectedGraph, edge_id: str) -> AlgebraElement:
     e = g.edge(edge_id)
-    alpha = make_path(g, e.src, (edge_id,))
-    return AlgebraElement(g, (Monomial(Fraction(1), alpha, vertex_path(g, e.dst)),))
+    return monomial_element(g, e.src, (edge_id,), e.dst, ())
 
 
 def ghost_element(g: DirectedGraph, edge_id: str) -> AlgebraElement:
     e = g.edge(edge_id)
-    beta = make_path(g, e.src, (edge_id,))
-    return AlgebraElement(g, (Monomial(Fraction(1), vertex_path(g, e.dst), beta),))
+    return monomial_element(g, e.dst, (), e.src, (edge_id,))
 
 
 def monomial_element(g, alpha_source, alpha_edges, beta_source, beta_edges, coeff=1):
@@ -277,7 +270,7 @@ def v_H_element(g: DirectedGraph, subset, v: str) -> AlgebraElement:
     hset = g.require_vertices(subset)
     if v not in breaking_vertices(g, hset):
         raise GraphError(f"{v!r} is not a breaking vertex of the given set")
-    p = vertex_path(g, v)
+    p = make_path(g, v)
     terms = [Monomial(Fraction(1), p, p)]
     for e in g.out_edges(v):
         if e.dst not in hset:
@@ -427,7 +420,7 @@ def _parse_real_part(g: DirectedGraph, tokens: list[str]) -> PathWord:
         if is_vertex and is_edge:
             raise GraphError(f"{name!r} names both a vertex and an edge; ambiguous")
         if is_vertex:
-            return vertex_path(g, name)
+            return make_path(g, name)
     return _paths_from_edges(g, tokens)
 
 

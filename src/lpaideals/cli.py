@@ -235,7 +235,7 @@ def _split_vertices(g: DirectedGraph, raw: str, flag: str) -> frozenset[str]:
 def cmd_analyze(g: DirectedGraph, args) -> None:
     from lpaideals.cycles import condition_K, condition_L
     from lpaideals.ideals import enumerate_primes, existence_report
-    from lpaideals.lattice import enumerate_HE, maximal_proper_elements
+    from lpaideals.lattice import enumerate_HE
 
     lat = enumerate_HE(g, args.cap, args.max_vertices)
     cond_l = condition_L(g)
@@ -260,11 +260,19 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
     print(_fmt_condition("K", cond_k))
     sets = _set_texts(lat, str, ",")
     print(f"hereditary saturated sets ({len(sets)}): {', '.join('{' + t + '}' for t in sets)}")
-    print(
-        "maximal proper: "
-        + (", ".join(_fmt_set(s) for s in maximal_proper_elements(lat)) or "none")
-    )
+    _print_coatoms(lat)
     _print_maximality(report)
+    _print_primes(primes)
+
+
+def _print_coatoms(lat) -> None:
+    """The ``maximal proper`` line, read through ``lattice.maximal_proper_elements`` at the call."""
+    from lpaideals.lattice import maximal_proper_elements
+
+    print("maximal proper: " + (", ".join(_fmt_set(s) for s in maximal_proper_elements(lat)) or "none"))
+
+
+def _print_primes(primes) -> None:
     print(f"primes ({len(primes)}):")
     for text in _fmt_descriptors(primes):
         print(f"  {text}")
@@ -292,7 +300,7 @@ def _yn(flag: bool) -> str:
 
 
 def cmd_hsets(g: DirectedGraph, args) -> None:
-    from lpaideals.lattice import enumerate_HE, maximal_proper_elements
+    from lpaideals.lattice import enumerate_HE
 
     lat = enumerate_HE(g, args.cap, args.max_vertices)
     if args.json:
@@ -301,10 +309,7 @@ def cmd_hsets(g: DirectedGraph, args) -> None:
     sets = _set_texts(lat, str, ",")
     print(f"hereditary saturated sets ({len(sets)}):")
     sys.stdout.write("".join(f"  {{{t}}}\n" for t in sets))
-    print(
-        "maximal proper: "
-        + (", ".join(_fmt_set(s) for s in maximal_proper_elements(lat)) or "none")
-    )
+    _print_coatoms(lat)
 
 
 def cmd_primes(g: DirectedGraph, args) -> None:
@@ -314,9 +319,7 @@ def cmd_primes(g: DirectedGraph, args) -> None:
     if args.json:
         _emit_json([d.to_json_dict() for d in primes])
         return
-    print(f"primes ({len(primes)}):")
-    for text in _fmt_descriptors(primes):
-        print(f"  {text}")
+    _print_primes(primes)
 
 
 def cmd_maximals(g: DirectedGraph, args) -> None:

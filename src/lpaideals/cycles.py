@@ -63,17 +63,16 @@ def _rotated(edge_ids, sources) -> Cycle:
 
 
 def has_exit(g: DirectedGraph, c: Cycle) -> bool:
-    """True iff some vertex of c emits a named edge not on c, or any bundle."""
+    """True iff some vertex of c emits a named edge not on c, or any
+    bundle: iff c is not one of the exitless cycles that Condition (L)
+    reads (``_exitless_cycles``)."""
     try:
         in_graph = make_cycle(g, c.edges) == c
     except GraphError:
         in_graph = False
     if not in_graph:
         raise GraphError("cycle does not belong to this graph")
-    for eid, v in zip(c.edges, c.vertices):
-        if g.out_bundles(v) or any(e.id != eid for e in g.out_edges(v)):
-            return True
-    return False
+    return c not in _exitless_cycles(g)
 
 
 @dataclass(frozen=True)

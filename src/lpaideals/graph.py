@@ -69,14 +69,20 @@ class DirectedGraph:
     omega_bundles: tuple[OmegaBundle, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.vertices, str):  # one str is not read as its characters
+            raise GraphError(f"the vertices are a collection of ids, not the string {self.vertices!r}")
         # Ids of mixed types cannot be sorted: reject non-strings first.
         for v in self.vertices:
             if not isinstance(v, str):
                 raise GraphError(f"vertex id must be a non-empty string, got {v!r}")
         for e in self.edges:
+            if not isinstance(e, Edge):
+                raise GraphError(f"an edge must be an Edge record, got {e!r}")
             if not isinstance(e.id, str):
                 raise GraphError(f"edge id must be a non-empty string, got {e.id!r}")
         for b in self.omega_bundles:
+            if not isinstance(b, OmegaBundle):
+                raise GraphError(f"an omega bundle must be an OmegaBundle record, got {b!r}")
             for endpoint in (b.src, b.dst):
                 if not isinstance(endpoint, str):
                     raise GraphError(f"omega bundle uses undeclared vertex {endpoint!r}")
@@ -130,7 +136,7 @@ class DirectedGraph:
     def from_parts(cls, vertices, edges=(), omega_bundles=()) -> "DirectedGraph":
         """Build from plain tuples: edges (id, src, dst), bundles (src, dst)."""
         return cls(
-            tuple(vertices),
+            vertices if isinstance(vertices, str) else tuple(vertices),  # the check refuses one str
             tuple(Edge(*e) for e in edges),
             tuple(OmegaBundle(*b) for b in omega_bundles),
         )
@@ -477,7 +483,8 @@ def _trusted(cls, **fields):
     valid by construction, set as given in one write, as each checked
     ``__post_init__`` writes its own: they are not checked again.  Every
     field is named, defaults included, and so is each private value that
-    the checked constructor keeps (an ``AdmissiblePair``'s ``_b_h``)."""
+    the checked constructor keeps (the ``_b_h`` of an ``AdmissiblePair``
+    or a ``NonGradedFamily``)."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj

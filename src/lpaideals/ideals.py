@@ -35,7 +35,8 @@ class GradedIdeal:
 class NonGradedFamily:
     """All ideals I(H, B_H) + <f(c)>, one per irreducible polynomial f,
     which every family names by the one token ``poly``.  H must be
-    hereditary saturated, and c one of ``cycles_without_K`` that misses H."""
+    hereditary saturated, and c one of ``cycles_without_K`` that misses H.
+    Each family keeps its B_H (``_b_h``) as ``AdmissiblePair`` does."""
 
     graph: DirectedGraph = field(repr=False)
     H: frozenset[str]
@@ -51,6 +52,7 @@ class NonGradedFamily:
             raise GraphError("cycle is not a cycle without K of this graph")
         if set(self.cycle.vertices) & self.H:
             raise GraphError("cycle meets H")
+        vars(self).update(_b_h=g._masks.breaking(g._masks.of(self.H)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -87,8 +89,8 @@ def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
             raise GraphError("descriptor was built for a different graph")
         tail = masks.full & ~masks.of(pair.H)
         if pair.S == pair._b_h:
-            # H is hereditary, so a downward-directed complement is an M(d), never empty
-            return tail in masks.components
+            # H is hereditary saturated, so a downward-directed complement is a closed tail
+            return tail in masks.tails
         missing = pair._b_h - pair.S
         if len(missing) != 1:
             raise GraphError("graded descriptor needs S = B_H or S = B_H minus one vertex")
@@ -102,15 +104,13 @@ def classify_prime(g: DirectedGraph, d: IdealDescriptor) -> bool:
 
 
 def gr_of(d: IdealDescriptor) -> AdmissiblePair:
-    """The largest graded ideal inside the described ideal.  A family's
-    H was checked hereditary saturated when it was built, so its B_H is
-    read off the index with no closure."""
+    """The largest graded ideal inside the described ideal, gr(M) for a
+    non-graded maximal M: for a family, the pair (H, B_H) of the B_H the
+    family holds, with no closure and no emitter scan."""
     if isinstance(d, GradedIdeal):
         return d.pair
     if isinstance(d, NonGradedFamily):
-        masks = d.graph._masks
-        b_h = masks.breaking(masks.of(d.H))
-        return _trusted(AdmissiblePair, graph=d.graph, H=d.H, S=b_h, _b_h=b_h)
+        return _trusted(AdmissiblePair, graph=d.graph, H=d.H, S=d._b_h, _b_h=d._b_h)
     raise GraphError(f"not an ideal descriptor: {d!r}")
 
 
@@ -140,7 +140,7 @@ def enumerate_primes(
         # each S lies within B_H
         out += [GradedIdeal(_trusted(AdmissiblePair, graph=g, H=hset, S=s, _b_h=b_h)) for s in graded]
         if cycle is not None:
-            out.append(_trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle))
+            out.append(_trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle, _b_h=b_h))
     return out
 
 
@@ -209,8 +209,8 @@ def maximal_nongraded_families(
     """One family per maximal proper H and exitless cycle of its quotient."""
     enumerate_HE(g, cap, max_vertices)
     return [
-        _trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle)
-        for hset, _, _, cycle in _maximal_rows(g)
+        _trusted(NonGradedFamily, graph=g, H=hset, cycle=cycle, _b_h=b_h)
+        for hset, b_h, _, cycle in _maximal_rows(g)
         if cycle is not None
     ]
 

@@ -55,13 +55,14 @@ def hs_closure(g: DirectedGraph, subset) -> frozenset[str]:
 @dataclass(frozen=True)
 class HSLattice:
     """All hereditary saturated sets of a graph, as closed masks.
-    ``enumerate_HE`` has decided the caps, so reading the masks cannot
-    refuse: the first read walks H_E (``_walk``), unless a call
-    already has, and keeps the walk in the graph's index.  ``sets`` lists
-    them as vertex sets, in canonical order, built on first use, and
-    ``sorted_ids`` as id lists in that order.  The commands print the
-    sets off the masks, each from the texts of its two halves
-    (``_Masks.texts``), and build neither."""
+    Membership is decided by the index's closure, with no walk
+    (``_is_hereditary_saturated``).  Only listing reads the masks:
+    ``enumerate_HE`` has decided the caps, so that cannot refuse, and
+    the first read walks H_E (``_walk``), unless a call already has, and
+    keeps the walk in the graph's index.  ``sets`` lists them as vertex
+    sets, in canonical order, built on first use.  The commands print
+    the sets off the masks, each from the texts of its two halves
+    (``_Masks.texts``), and build no set."""
 
     graph: DirectedGraph
 
@@ -77,21 +78,14 @@ class HSLattice:
         return self.graph._masks.sorted_sets(self._closed)
 
     def __contains__(self, subset) -> bool:
-        if isinstance(subset, str):
-            return False  # one string is no vertex set (``graph._vertex_set``)
         try:
-            return self.graph._masks.of(subset) in self._closed
-        except KeyError:  # a vertex of another graph
+            return _is_hereditary_saturated(self.graph, subset)
+        except (GraphError, TypeError):  # a string, a foreign id or no set of ids
             return False
-
-    def sorted_ids(self) -> list[list[str]]:
-        """Each set's sorted vertex ids, in the order of ``sets``."""
-        masks = self.graph._masks
-        return [masks.ids(m) for m in masks.in_order(self._closed)]
 
     def to_json_dict(self) -> dict:
         return {
-            "sets": self.sorted_ids(),
+            "sets": [sorted(s) for s in self.sets],
             "maximal_proper": [sorted(s) for s in maximal_proper_elements(self)],
         }
 

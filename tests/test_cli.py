@@ -599,8 +599,8 @@ def _printed(g, command, *flags):
 def assert_lattice_printed(g):
     """The lattice writer gives the stdlib's text at the top level and
     nested one level down, as ``analyze --json`` holds it; ``hsets`` and
-    ``analyze`` print each set of H_E as the writers that take its id
-    list (``lat.sorted_ids()``) do."""
+    ``analyze`` print each set of H_E as the writers that take its
+    vertex set (``lat.sets``) do."""
     lat = enumerate_HE(g, max_vertices=1000)
     doc = lat.to_json_dict()
     assert cli._lattice_json(lat, "\n") == json.dumps(doc, sort_keys=True, indent=2)
@@ -608,7 +608,7 @@ def assert_lattice_printed(g):
     nested = json.dumps({"hereditary_saturated": doc, "x": [1]}, sort_keys=True, indent=2)
     assert cli._json_block(sections, "\n", "{}") == nested
     assert _printed(g, "hsets", "--json") == cli._json_text(doc, "\n") + "\n"
-    sets = ["{" + ",".join(ids) + "}" for ids in lat.sorted_ids()]
+    sets = ["{" + ",".join(sorted(s)) + "}" for s in lat.sets]
     hsets = _printed(g, "hsets").splitlines()
     assert hsets[:-1] == [f"hereditary saturated sets ({len(sets)}):"] + ["  " + s for s in sets]
     assert hsets[-1].startswith("maximal proper: ")

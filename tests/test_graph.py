@@ -170,6 +170,33 @@ def test_ids_that_are_not_strings_raise_graph_error(parts, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("build", [DirectedGraph, DirectedGraph.from_parts])
+def test_one_string_is_no_vertex_set(build):
+    """As everywhere a vertex set is taken, one str is refused, not read
+    as the vertices of its characters."""
+    with pytest.raises(GraphError) as exc:
+        build("ab")
+    assert str(exc.value) == "the vertices are a collection of ids, not the string 'ab'"
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((("a",), (("e", "a", "a"),)), "an edge must be an Edge record, got ('e', 'a', 'a')"),
+        ((("a",), (OmegaBundle("a", "a"),)), "an edge must be an Edge record, got OmegaBundle(src='a', dst='a')"),
+        ((("a",), (), (("a", "a"),)), "an omega bundle must be an OmegaBundle record, got ('a', 'a')"),
+        ((("a",), (), ("aa",)), "an omega bundle must be an OmegaBundle record, got 'aa'"),
+    ],
+)
+def test_arrows_that_are_not_records_raise_graph_error(parts, message):
+    """The constructor takes ``Edge`` and ``OmegaBundle`` records, and
+    ``from_parts`` plain tuples; anything else is a GraphError, not an
+    AttributeError on a missing field."""
+    with pytest.raises(GraphError) as exc:
+        DirectedGraph(*parts)
+    assert str(exc.value) == message
+
+
 def test_reaches_examples():
     """u reaches v when v is among u's descendants."""
     a = unique_maximal_graph()

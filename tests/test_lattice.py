@@ -219,6 +219,10 @@ def test_lattice_membership():
     lat = enumerate_HE(unique_maximal_graph())
     assert {"w"} not in lat  # hereditary but not saturated: v must join
     assert {"u"} not in lat  # not hereditary
+    assert {"v", "w", "nope"} not in lat and {"v", "w", 1} not in lat  # ids of no vertex
+    assert [["v"], "w"] not in lat and [{"v"}] not in lat  # unhashable items
+    assert 5 not in lat and None not in lat  # no collection at all
+    assert "u" not in lat and "vw" not in lat  # one string is no vertex set
 
 
 def _check_coatoms_and_order(g):
@@ -246,7 +250,8 @@ def _check_printed_ids(g):
     descendants = {masks.hereditary(1 << i) for i in range(len(g.vertices))}
     for m in lat._closed | descendants | set(masks.ancestors):
         assert masks.ids(m) == sorted(masks.to_set(m))
-    assert lat.sorted_ids() == lat.to_json_dict()["sets"] == [sorted(s) for s in lat.sets]
+    printed = [masks.ids(m) for m in masks.in_order(lat._closed)]
+    assert printed == [sorted(s) for s in lat.sets] == lat.to_json_dict()["sets"]
 
 
 @given(graphs())
@@ -494,6 +499,22 @@ def test_the_coatoms_are_read_off_the_index_with_no_walk(walked_sets):
     assert walked_sets == [] and g._masks.closed_sets is None
     full = frozenset(g.vertices)
     assert len(coatoms) == 16 and set(coatoms) == {full - {v} for v in full}
+
+
+def test_membership_is_decided_by_the_closure_with_no_walk(monkeypatch):
+    """``in`` asks the index's closure, as ``is_hereditary`` does, not the
+    lattice's masks: on A_18 (262,144 sets) it answers with no walk and
+    keeps none."""
+
+    def refuse(masks, cap):
+        raise AssertionError("membership walked H_E")
+
+    monkeypatch.setattr(lattice, "_walk", refuse)
+    g = loop_antichain(18)
+    lat = enumerate_HE(g)
+    assert {"a1", "a2"} in lat and set() in lat and frozenset(g.vertices) in lat
+    assert {"a1", "b1"} not in lat and ["a1"] in lat
+    assert g._masks.closed_sets is None
 
 
 def _refusal(call):

@@ -88,7 +88,8 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
 
 def test_the_package_resolves_its_names_on_first_use():
     """A bare import loads no submodule; each of the 49 public names is
-    the object its defining module holds, kept in the package once read;
+    the object its defining module holds, read at each access and not
+    kept in the package;
     ``import *`` binds them all, ``dir`` lists them before any is read,
     and an unknown name raises AttributeError."""
     report = _run_fresh(PACKAGE_CONTRACT)
@@ -96,5 +97,24 @@ def test_the_package_resolves_its_names_on_first_use():
     assert len(set(report["all"])) == len(report["all"]) == 49
     assert report["listed"] == report["star"] == sorted(report["all"])
     assert report["foreign"] == []
-    assert report["kept"] is True
+    assert report["kept"] is False
     assert report["unknown"] == "module 'lpaideals' has no attribute 'no_such_name'"
+
+
+def test_a_name_patched_and_restored_on_its_module_reads_as_restored(monkeypatch):
+    """The package reads each public name off its module at each access:
+    it gives the patched function while the patch holds and the original
+    once the patch is undone, never a stale copy of either."""
+    import lpaideals
+    from lpaideals import algebra
+
+    original = algebra.is_idempotent
+
+    def patched(g, x):
+        return False
+
+    monkeypatch.setattr(algebra, "is_idempotent", patched)
+    assert lpaideals.is_idempotent is patched
+    monkeypatch.undo()
+    assert algebra.is_idempotent is original
+    assert lpaideals.is_idempotent is original

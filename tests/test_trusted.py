@@ -6,9 +6,9 @@ checked, each with no ``__post_init__``.  Each such value must equal what
 the checked constructor builds from its fields, on ``==``, ``hash`` and
 ``repr``, and hold exactly what the checked one holds: a field name
 misspelled in a ``_trusted`` call would leave the field at its class
-default (``S`` at ``frozenset()``) with no error.  Every pair, checked or
-not, holds the B_H (``_b_h``) it was built with from its build on, out
-of equality, hashing and ``repr``.
+default (``S`` at ``frozenset()``) with no error.  Every pair and every
+family, checked or not, holds the B_H (``_b_h``) it was built with from
+its build on, out of equality, hashing and ``repr``.
 """
 
 import dataclasses
@@ -58,7 +58,11 @@ def assert_same_pair(pair):
 
 
 def assert_same_family(family):
-    assert_same(family, NonGradedFamily(family.graph, family.H, family.cycle))
+    """Checked before anything reads ``family._b_h``: B_H is held from the build."""
+    g = family.graph
+    checked = NonGradedFamily(g, family.H, family.cycle)
+    assert_same(family, checked, {"_b_h"})
+    assert vars(family)["_b_h"] == vars(checked)["_b_h"] == breaking_vertices(g, family.H)
     assert_same_pair(gr_of(family))
 
 
