@@ -89,56 +89,48 @@ class DirectedGraph:
         vertices = tuple(sorted(self.vertices))
         edges = tuple(sorted(self.edges, key=lambda e: e.id))
         bundles = tuple(sorted(self.omega_bundles, key=lambda b: (b.src, b.dst)))
-        self._validate(vertices, edges, bundles)
-        out_edges: dict[str, list[Edge]] = {v: [] for v in vertices}
-        out_bundles: dict[str, list[OmegaBundle]] = {v: [] for v in vertices}
-        for e in edges:
-            out_edges[e.src].append(e)
-        for b in bundles:
-            out_bundles[b.src].append(b)
-        vars(self).update(
-            vertices=vertices, edges=edges, omega_bundles=bundles, _edge_by_id={e.id: e for e in edges},
-            _out_edges={v: tuple(es) for v, es in out_edges.items()},
-            _out_bundles={v: tuple(bs) for v, bs in out_bundles.items()},
-        )
-
-    @staticmethod
-    def _validate(vertices, edges, bundles):
         if not vertices:
             raise GraphError("graph must declare at least one vertex")
-        seen_v: set[str] = set()
+        out_edges: dict[str, list[Edge]] = {}
+        out_bundles: dict[str, list[OmegaBundle]] = {}
         for v in vertices:
             if not v:
                 raise GraphError(f"vertex id must be a non-empty string, got {v!r}")
-            if v in seen_v:
+            if v in out_edges:
                 raise GraphError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
-        seen_e: set[str] = set()
+            out_edges[v], out_bundles[v] = [], []
+        edge_by_id: dict[str, Edge] = {}
         for e in edges:
             if not e.id:
                 raise GraphError(f"edge id must be a non-empty string, got {e.id!r}")
-            if e.id in seen_e:
+            if e.id in edge_by_id:
                 raise GraphError(f"duplicate edge id {e.id!r}")
-            seen_e.add(e.id)
             for endpoint in (e.src, e.dst):
-                if not isinstance(endpoint, str) or endpoint not in seen_v:
+                if not isinstance(endpoint, str) or endpoint not in out_edges:
                     raise GraphError(f"edge {e.id!r} uses undeclared vertex {endpoint!r}")
-        seen_b: set[tuple[str, str]] = set()
+            edge_by_id[e.id] = e
+            out_edges[e.src].append(e)
         for b in bundles:
-            for endpoint in (b.src, b.dst):
-                if endpoint not in seen_v:
+            for endpoint in b:
+                if endpoint not in out_edges:
                     raise GraphError(f"omega bundle uses undeclared vertex {endpoint!r}")
-            if (b.src, b.dst) in seen_b:
+            twins = out_bundles[b.src]
+            if twins and twins[-1] == b:  # in canonical order a twin comes just before
                 raise GraphError(f"duplicate omega bundle ({b.src!r}, {b.dst!r})")
-            seen_b.add((b.src, b.dst))
+            twins.append(b)
+        vars(self).update(
+            vertices=vertices, edges=edges, omega_bundles=bundles, _edge_by_id=edge_by_id,
+            _out_edges={v: tuple(es) for v, es in out_edges.items()},
+            _out_bundles={v: tuple(bs) for v, bs in out_bundles.items()},
+        )
 
     @classmethod
     def from_parts(cls, vertices, edges=(), omega_bundles=()) -> "DirectedGraph":
         """Build from plain tuples: edges (id, src, dst), bundles (src, dst)."""
         return cls(
             vertices if isinstance(vertices, str) else tuple(vertices),  # the check refuses one str
-            tuple(Edge(*e) for e in edges),
-            tuple(OmegaBundle(*b) for b in omega_bundles),
+            _records(Edge, edges, "edge"),
+            _records(OmegaBundle, omega_bundles, "omega bundle"),
         )
 
     # -- queries -------------------------------------------------------
@@ -193,6 +185,22 @@ class DirectedGraph:
         """All vertices that reach v (v itself included)."""
         self.require_vertex(v)
         return self._masks.to_set(self._masks.ancestors[self._masks.index[v]])
+
+
+def _records(record, rows, what: str) -> tuple:
+    """Plain rows as records; one str is refused, as the part or as a
+    row, not read as its characters, and so is a row of another length."""
+    if isinstance(rows, str):
+        raise GraphError(f"the {what}s are a collection of tuples, not the string {rows!r}")
+    out = []
+    for row in rows:
+        try:
+            if isinstance(row, str):
+                raise TypeError
+            out.append(record._make(row))
+        except TypeError:
+            raise GraphError(f"an {what} must be a tuple ({', '.join(record._fields)}), got {row!r}") from None
+    return tuple(out)
 
 
 def _vertex_set(vs) -> frozenset[str]:
@@ -400,18 +408,15 @@ def parse_graph(text: str) -> DirectedGraph:
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphFormatError('"vertices" must be a list of strings')
 
-    raw_edges = doc["edges"]
-    if not isinstance(raw_edges, list):
-        raise GraphFormatError('"edges" must be a list')
-    edges = tuple(map(Edge._make, _strict_objects(raw_edges, Edge._fields, "edge")))
-
-    raw_bundles = doc.get("omega_bundles", [])
-    if not isinstance(raw_bundles, list):
-        raise GraphFormatError('"omega_bundles" must be a list')
-    bundles = tuple(map(OmegaBundle._make, _strict_objects(raw_bundles, OmegaBundle._fields, "omega bundle")))
+    parts = []
+    for key, record, what in (("edges", Edge, "edge"), ("omega_bundles", OmegaBundle, "omega bundle")):
+        items = doc.get(key, [])
+        if not isinstance(items, list):
+            raise GraphFormatError(f'"{key}" must be a list')
+        parts.append(tuple(map(record._make, _strict_objects(items, record._fields, what))))
 
     try:
-        return DirectedGraph(tuple(vertices), edges, bundles)
+        return DirectedGraph(tuple(vertices), *parts)
     except GraphError as exc:
         raise GraphFormatError(str(exc)) from None
 

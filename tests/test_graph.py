@@ -114,6 +114,10 @@ def test_a_malformed_item_names_its_first_fault(key, items, message):
         ({"vertices": ["v", 1], "edges": []}, '"vertices" must be a list of strings'),
         ({"vertices": ["v"], "edges": {}}, '"edges" must be a list'),
         ({"vertices": ["v"], "edges": [], "omega_bundles": None}, '"omega_bundles" must be a list'),
+        # the edges are read, and their first fault named, before the bundles
+        ({"vertices": ["v"], "edges": {}, "omega_bundles": [5]}, '"edges" must be a list'),
+        ({"vertices": ["v"], "edges": [5], "omega_bundles": None}, "each edge must be an object"),
+        ({"vertices": ["v"], "edges": [{"id": "e"}], "omega_bundles": [{"src": 1}]}, "edge is missing key 'src'"),
     ],
 )
 def test_a_part_that_is_not_a_list_is_named(doc, message):
@@ -195,6 +199,109 @@ def test_arrows_that_are_not_records_raise_graph_error(parts, message):
     with pytest.raises(GraphError) as exc:
         DirectedGraph(*parts)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((["a", "b"], "ab"), "the edges are a collection of tuples, not the string 'ab'"),
+        ((["a", "b"], [], "ab"), "the omega bundles are a collection of tuples, not the string 'ab'"),
+        ((["a", "b"], ["eab"]), "an edge must be a tuple (id, src, dst), got 'eab'"),
+        ((["a", "b"], [], ["ab"]), "an omega bundle must be a tuple (src, dst), got 'ab'"),
+        ((["a"], [("e", "a")]), "an edge must be a tuple (id, src, dst), got ('e', 'a')"),
+        ((["a"], [], [("a", "a", "a")]), "an omega bundle must be a tuple (src, dst), got ('a', 'a', 'a')"),
+        ((["a"], [5]), "an edge must be a tuple (id, src, dst), got 5"),
+    ],
+)
+def test_from_parts_refuses_what_is_not_a_row_of_plain_fields(parts, message):
+    """``from_parts`` reads each edge as (id, src, dst) and each bundle as
+    (src, dst): one str given as a part or as a row, and a row of another
+    length, are a GraphError that names the part, not a graph read off
+    the characters of a string, and not a TypeError."""
+    with pytest.raises(GraphError) as exc:
+        DirectedGraph.from_parts(*parts)
+    assert str(exc.value) == message
+
+
+def _records(vertices, edges=(), bundles=()):
+    return tuple(vertices), tuple(map(Edge._make, edges)), tuple(map(OmegaBundle._make, bundles))
+
+
+def _document(vertices, edges=(), bundles=()):
+    return json.dumps(
+        {
+            "vertices": list(vertices),
+            "edges": [dict(zip(Edge._fields, e)) for e in edges],
+            "omega_bundles": [dict(zip(OmegaBundle._fields, b)) for b in bundles],
+        }
+    )
+
+
+def _outcome(build, *args):
+    """The graph built, or the message of the GraphError raised."""
+    try:
+        return build(*args)
+    except GraphError as exc:
+        return str(exc)
+
+
+def _outcomes(vertices, edges=(), bundles=()):
+    """What the constructor, ``from_parts`` and, for parts of strings
+    alone, ``parse_graph`` give on one set of parts."""
+    parts = (vertices, edges, bundles)
+    out = [_outcome(DirectedGraph, *_records(*parts)), _outcome(DirectedGraph.from_parts, *parts)]
+    if all(isinstance(x, str) for x in [*vertices, *(x for row in (*edges, *bundles) for x in row)]):
+        out.append(_outcome(parse_graph, _document(*parts)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        # structural faults: in canonical order, the vertices, then the edges, then the bundles
+        ((["b", "b", ""],), "vertex id must be a non-empty string, got ''"),
+        ((["a", "a"], [("e", "a", "zz")]), "duplicate vertex id 'a'"),
+        ((["a"], [("e2", "a", "zz"), ("e1", "a", "yy")]), "edge 'e1' uses undeclared vertex 'yy'"),
+        ((["a"], [("e", "a", "a"), ("e", "a", "a"), ("", "a", "z")]), "edge id must be a non-empty string, got ''"),
+        ((["a"], [("e1", "a", "a"), ("e1", "a", "a")], [("a", "z")]), "duplicate edge id 'e1'"),
+        ((["a", "b"], [], [("b", "b"), ("b", "b"), ("a", "z")]), "omega bundle uses undeclared vertex 'z'"),
+        ((["a", "b"], [], [("b", "z"), ("a", "b"), ("a", "b")]), "duplicate omega bundle ('a', 'b')"),
+        # no vertices: named before an edge's endpoint, which the structural pass checks
+        (([], [("e", 1, "a")]), "graph must declare at least one vertex"),
+        # type faults: first, in the given order, as ids of mixed types cannot be sorted
+        (([], [], [(1, "a")]), "omega bundle uses undeclared vertex 1"),
+        ((["a", 1], [(None, "a", "a")], [(2, "a")]), "vertex id must be a non-empty string, got 1"),
+        ((["a", "a"], [("e", "a", "a"), (None, "a", "a")]), "edge id must be a non-empty string, got None"),
+        ((["a"], [("e", "a", "a"), (2, "a", "a"), (None, "a", "a")]), "edge id must be a non-empty string, got 2"),
+    ],
+)
+def test_a_graph_with_several_faults_names_the_same_one_by_every_route(parts, message):
+    """Type faults come first, in the given order; structural faults
+    follow, in canonical order.  The constructor, ``from_parts`` and
+    ``parse_graph`` (with parts of strings alone) name the same one."""
+    assert set(_outcomes(*parts)) == {message}
+
+
+_PART_IDS = st.sampled_from(["", "a", "b", "c", "z"])
+_EDGE_ROWS = st.tuples(st.sampled_from(["", "e1", "e2", "e3"]), _PART_IDS, _PART_IDS)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(_PART_IDS, max_size=4),
+    st.lists(_EDGE_ROWS, max_size=4, unique_by=lambda e: e[0]),
+    st.lists(st.tuples(_PART_IDS, _PART_IDS), max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_the_order_of_each_part_changes_neither_the_graph_nor_the_error(vertices, edges, bundles, rnd):
+    """For parts of strings with distinct edge ids, shuffled parts give
+    the same graph or the same message by every route.  Repeated edge ids
+    are left out: the sort by id keeps the given order of twins, so which
+    of two faults of twins is named first follows the given order."""
+    given_order = _outcomes(vertices, edges, bundles)
+    assert given_order.count(given_order[0]) == len(given_order)
+    shuffled = [rnd.sample(part, len(part)) for part in (vertices, edges, bundles)]
+    assert _outcomes(*shuffled) == given_order
 
 
 def test_reaches_examples():
