@@ -172,30 +172,22 @@ def _json_text(doc, newline: str) -> str:
 def _lattice_json(lat, newline: str) -> str:
     """The JSON of ``lat.to_json_dict()`` on a line that starts at
     ``newline``, byte for byte what ``_json_text`` gives: each vertex id
-    is encoded once, each set's text is joined from the texts of its
-    mask's halves (``_set_texts``), and each set is framed inline.  The
-    coatoms are read through ``lattice.maximal_proper_elements``, the
-    name that ``to_json_dict`` reads."""
+    is encoded once, and each set's framed text is joined from the texts
+    of its mask's halves (``_Masks.texts``).  The coatoms are read
+    through ``lattice.maximal_proper_elements``, the name that
+    ``to_json_dict`` reads."""
     from lpaideals.lattice import maximal_proper_elements
 
     encoded = {v: _encode_str(v) for v in lat.graph.vertices}.__getitem__
-    item, member = newline + "    ", newline + "      "
+    item, member, inner = newline + "    ", newline + "      ", newline + "  "
     opened, between, closed = "[" + member, "," + member, item + "]"
-
-    def listed(texts) -> str:
-        return _json_block([opened + t + closed if t else "[]" for t in texts], newline + "  ", "[]")
-
-    coatoms = [between.join(map(encoded, sorted(s))) for s in maximal_proper_elements(lat)]
-    sections = ['"maximal_proper": ' + listed(coatoms), '"sets": ' + listed(_set_texts(lat, encoded, between))]
+    coatoms = [
+        opened + between.join(map(encoded, sorted(s))) + closed if s else "[]"
+        for s in maximal_proper_elements(lat)
+    ]
+    sets = lat.graph._masks.texts(lat._closed, encoded, between, opened, closed, "[]")
+    sections = ['"maximal_proper": ' + _json_block(coatoms, inner, "[]"), '"sets": ' + _json_block(sets, inner, "[]")]
     return _json_block(sections, newline, "{}")
-
-
-def _set_texts(lat, word, sep: str) -> list[str]:
-    """Each set of ``lat`` in the order of ``lat.sets``, its sorted ids
-    written by ``word`` and joined by ``sep``, read off the masks
-    (``_Masks.texts``) with no id list per set."""
-    masks = lat.graph._masks
-    return masks.texts(masks.in_order(lat._closed), word, sep)
 
 
 def _fmt_set(vs) -> str:
@@ -258,8 +250,8 @@ def cmd_analyze(g: DirectedGraph, args) -> None:
     )
     print(_fmt_condition("L", cond_l))
     print(_fmt_condition("K", cond_k))
-    sets = _set_texts(lat, str, ",")
-    print(f"hereditary saturated sets ({len(sets)}): {', '.join('{' + t + '}' for t in sets)}")
+    sets = lat.graph._masks.texts(lat._closed, str, ",", "{", "}", "{}")
+    print(f"hereditary saturated sets ({len(sets)}): {', '.join(sets)}")
     _print_coatoms(lat)
     _print_maximality(report)
     _print_primes(primes)
@@ -306,9 +298,9 @@ def cmd_hsets(g: DirectedGraph, args) -> None:
     if args.json:
         print(_lattice_json(lat, "\n"))
         return
-    sets = _set_texts(lat, str, ",")
+    sets = lat.graph._masks.texts(lat._closed, str, ",", "  {", "}\n", "  {}\n")
     print(f"hereditary saturated sets ({len(sets)}):")
-    sys.stdout.write("".join(f"  {{{t}}}\n" for t in sets))
+    sys.stdout.write("".join(sets))
     _print_coatoms(lat)
 
 

@@ -69,17 +69,18 @@ class DirectedGraph:
     omega_bundles: tuple[OmegaBundle, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.vertices, str):  # one str is not read as its characters
-            raise GraphError(f"the vertices are a collection of ids, not the string {self.vertices!r}")
-        # Ids of mixed types cannot be sorted: reject non-strings first.
+        # Ids of mixed types cannot be sorted: check each part and its types first.
+        _collection(self.vertices, "vertices", "ids")
         for v in self.vertices:
             if not isinstance(v, str):
                 raise GraphError(f"vertex id must be a non-empty string, got {v!r}")
+        _collection(self.edges, "edges", "Edge records")
         for e in self.edges:
             if not isinstance(e, Edge):
                 raise GraphError(f"an edge must be an Edge record, got {e!r}")
             if not isinstance(e.id, str):
                 raise GraphError(f"edge id must be a non-empty string, got {e.id!r}")
+        _collection(self.omega_bundles, "omega bundles", "OmegaBundle records")
         for b in self.omega_bundles:
             if not isinstance(b, OmegaBundle):
                 raise GraphError(f"an omega bundle must be an OmegaBundle record, got {b!r}")
@@ -127,8 +128,9 @@ class DirectedGraph:
     @classmethod
     def from_parts(cls, vertices, edges=(), omega_bundles=()) -> "DirectedGraph":
         """Build from plain tuples: edges (id, src, dst), bundles (src, dst)."""
+        _collection(vertices, "vertices", "ids")
         return cls(
-            vertices if isinstance(vertices, str) else tuple(vertices),  # the check refuses one str
+            tuple(vertices),
             _records(Edge, edges, "edge"),
             _records(OmegaBundle, omega_bundles, "omega bundle"),
         )
@@ -187,11 +189,22 @@ class DirectedGraph:
         return self._masks.to_set(self._masks.ancestors[self._masks.index[v]])
 
 
+def _collection(part, name: str, items: str) -> None:
+    """Refuse a part of a graph that is no collection: one str, which is
+    not read as its characters, or a value that cannot be iterated."""
+    if isinstance(part, str):
+        raise GraphError(f"the {name} are a collection of {items}, not the string {part!r}")
+    try:
+        iter(part)
+    except TypeError:
+        raise GraphError(f"the {name} are a collection of {items}, not {part!r}") from None
+
+
 def _records(record, rows, what: str) -> tuple:
     """Plain rows as records; one str is refused, as the part or as a
-    row, not read as its characters, and so is a row of another length."""
-    if isinstance(rows, str):
-        raise GraphError(f"the {what}s are a collection of tuples, not the string {rows!r}")
+    row, not read as its characters, and so is a row of another length
+    or a part that is no collection."""
+    _collection(rows, what + "s", "tuples")
     out = []
     for row in rows:
         try:
@@ -271,25 +284,39 @@ class _Masks:
             mask ^= 1 << i
         return out
 
-    def texts(self, masks, word, sep: str) -> list[str]:
-        """Each mask's ids in ascending order, each written by ``word`` and
-        joined by ``sep``.  A mask is read as a high and a low half of
-        ceil(n / 2) bits or fewer; the high half holds the smaller ids, so
-        its text comes first.  Each distinct half is written once: the
-        4,096 sets of A_12 have 64 halves a side."""
+    def texts(self, masks, word, sep: str, opened: str, closed: str, empty: str) -> list[str]:
+        """The framed text of each mask, in ``in_order``: ``opened``, its
+        ids in ascending order, each written by ``word`` and joined by
+        ``sep``, then ``closed``; ``empty`` for the empty mask.  The
+        commands pass three frames: ``--json``'s, plain ``hsets``' line
+        and plain ``analyze``'s braces.  A mask is read as a high and a low
+        half of ceil(n / 2) bits or fewer; the high half holds the smaller
+        ids, so its text comes first.  Each distinct high half is written
+        once as ``opened`` + ids + ``sep`` and once framed alone, and each
+        distinct low half once as ids + ``closed``, so each set is one
+        concatenation or one lookup: the 4,096 sets of A_12 have 64 halves
+        a side."""
         h = (len(self.vertices) + 1) // 2
         low = (1 << h) - 1
-        highs: dict[int, str] = {0: ""}
-        lows: dict[int, str] = {0: ""}
+        highs: dict[int, str] = {0: opened}  # a high half -> opened, its ids, sep
+        lows: dict[int, str] = {}  # a low half -> its ids, closed
+        alone: dict[int, str] = {0: empty}  # a mask with no low half -> its text
         out = []
-        for m in masks:
+        for m in self.in_order(masks):
             a, b = m >> h, m & low
-            if a not in highs:
-                highs[a] = sep.join(map(word, self.ids(a << h)))
-            if b not in lows:
-                lows[b] = sep.join(map(word, self.ids(b)))
-            a, b = highs[a], lows[b]
-            out.append(a + sep + b if a and b else a or b)
+            if b:
+                head = highs.get(a)
+                if head is None:
+                    head = highs[a] = opened + sep.join(map(word, self.ids(a << h))) + sep
+                tail = lows.get(b)
+                if tail is None:
+                    tail = lows[b] = sep.join(map(word, self.ids(b))) + closed
+                out.append(head + tail)
+            else:
+                text = alone.get(a)
+                if text is None:
+                    text = alone[a] = opened + sep.join(map(word, self.ids(a << h))) + closed
+                out.append(text)
         return out
 
     def to_set(self, mask: int) -> frozenset[str]:

@@ -9,8 +9,10 @@ ordered by inclusion, index the graded ideals via admissible pairs
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 from .graph import (
     DEFAULT_CAP,
@@ -58,11 +60,12 @@ class HSLattice:
     Membership is decided by the index's closure, with no walk
     (``_is_hereditary_saturated``).  Only listing reads the masks:
     ``enumerate_HE`` has decided the caps, so that cannot refuse, and
-    the first read walks H_E (``_walk``), unless a call already has, and
-    keeps the walk in the graph's index.  ``sets`` lists them as vertex
-    sets, in canonical order, built on first use.  The commands print
-    the sets off the masks, each from the texts of its two halves
-    (``_Masks.texts``), and build no set."""
+    the first read walks H_E one closed tail at a time (``_walk``),
+    unless a call already has, and keeps the walk in the graph's index.
+    ``sets`` lists them as vertex sets, in canonical order, built on
+    first use.  The commands print the sets off the masks and build no
+    set: each set's framed text is one concatenation of the texts of its
+    two halves, or one lookup (``_Masks.texts``)."""
 
     graph: DirectedGraph
 
@@ -125,34 +128,32 @@ def enumerate_HE(
 
 
 def _walk(masks: _Masks, cap: int) -> frozenset[int]:
-    """The masks of H_E, walked over the closed tails (``_Masks.tails``).
+    """The masks of H_E, built over the closed tails (``_Masks.tails``).
     E^0 minus each H in H_E is the union of the closed tails that miss H
     (``_Masks.least_tails``), and that union holds every closed tail
     inside one it holds.  Conversely, for such a union U, E^0 minus U is
     the meet of the sets E^0 minus T over the held tails T, so it is in
     H_E, and a closed tail inside U has an end in a held tail, so it lies
     inside that tail and is held.  So H_E is the lattice of down-closed
-    sets of closed tails (Birkhoff's representation).  The walk builds
-    each union by taking the tails in their order in ``_Masks.tails``,
-    each after every tail inside it, and takes a tail once the union
-    holds the ends of the tails inside it.  So it finds each set once,
-    with one mask test per later tail.  Raises ResourceCapError once it
-    finds more than ``cap`` sets.
+    sets of closed tails (Birkhoff's representation).  The walk takes the
+    tails in their order in ``_Masks.tails``, each after every tail
+    inside it, one layer per tail T: each H found so far that misses the
+    ends of the tails inside T gives H minus T.  No union of earlier
+    tails holds all of T (a tail that holds an end of T holds T, so it
+    is T or comes after it), so each set is found once, with one mask
+    test per tail for each set found before it.  Each layer is appended
+    as it is built and stops at the room left up to ``cap`` + 1 sets, so
+    a walk holds no more masks than it needs to refuse, and it raises
+    ResourceCapError once it finds more than ``cap`` sets.
     """
-    tails = list(masks.tails.items())
+    room = min(cap, sys.maxsize - 1) + 1  # islice takes no stop above sys.maxsize
     closed = [masks.full]
-    stack = [(0, 0)]  # a down-closed union of tails, and the first tail it may take
-    while stack:
-        union, start = stack.pop()
-        for k in range(start, len(tails)):
-            tail, inside = tails[k]
-            if inside & ~union:
-                continue  # a tail inside this one is not yet held
-            child = union | tail
-            closed.append(masks.full & ~child)
-            if len(closed) > cap:
-                raise ResourceCapError(f"lattice exceeds cap {cap}")
-            stack.append((child, k + 1))
+    for tail, inside in masks.tails.items():
+        # islice reads only the sets found before this tail while the layer is appended
+        layer = (h & ~tail for h in islice(closed, len(closed)) if not inside & h)
+        closed.extend(islice(layer, room - len(closed)))
+        if len(closed) > cap:
+            raise ResourceCapError(f"lattice exceeds cap {cap}")
     return frozenset(closed)
 
 

@@ -642,14 +642,36 @@ def test_lattice_json_on_fixed_graphs():
         assert_lattice_printed(loop_antichain(n))
     for n in range(17, 21):
         assert_lattice_printed(two_chains(n))
-    masks = two_chains(18)._masks
-    assert masks.texts([masks.of({"v01", "v02"}), masks.of({"v18"}), 0], str, ",") == ["v01,v02", "v18", ""]
     # only {} and E^0: the empty set is the one maximal proper element
     single = parse_graph('{"vertices": ["v"], "edges": []}')
     assert cli._lattice_json(enumerate_HE(single), "\n") == (
         '{\n  "maximal_proper": [\n    []\n  ],\n  "sets": [\n    [],\n    [\n      "v"\n    ]\n  ]\n}'
     )
     assert_lattice_printed(single)
+
+
+# The frames of the three printers: --json at the top level, plain hsets, plain analyze.
+SET_FRAMES = {
+    "json": (json.dumps, ",\n      ", "[\n      ", "\n    ]", "[]"),
+    "hsets": (str, ",", "  {", "}\n", "  {}\n"),
+    "analyze": (str, ",", "{", "}", "{}"),
+}
+
+
+@pytest.mark.parametrize("frame", SET_FRAMES)
+def test_set_texts_are_framed_in_one_piece(frame):
+    """``_Masks.texts`` writes each set framed, in ``in_order``: the empty
+    set as the frame's empty text, and sets in the high half only (the
+    smaller ids), in the low half only, and in both.  On 18 vertices the
+    halves are 9 bits each."""
+    word, sep, opened, closed, empty = SET_FRAMES[frame]
+    masks = two_chains(18)._masks
+    sets = [{"v01", "v18"}, {"v18"}, set(), {"v01", "v02"}, {"v09", "v10"}, {"v10", "v11"}, {"v01", "v18"}]
+    texts = masks.texts(map(masks.of, sets), word, sep, opened, closed, empty)
+    order = [set(), {"v18"}, {"v01", "v02"}, {"v01", "v18"}, {"v01", "v18"}, {"v09", "v10"}, {"v10", "v11"}]
+    assert texts == [opened + sep.join(map(word, sorted(s))) + closed if s else empty for s in order]
+    assert masks.texts([], word, sep, opened, closed, empty) == []
+    assert masks.texts([0], word, sep, opened, closed, empty) == [empty]
 
 
 def test_closed_stdout_exits_141_quietly(tmp_path):

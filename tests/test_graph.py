@@ -223,6 +223,30 @@ def test_from_parts_refuses_what_is_not_a_row_of_plain_fields(parts, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, parts, message",
+    [
+        (DirectedGraph, (5,), "the vertices are a collection of ids, not 5"),
+        (DirectedGraph, (None,), "the vertices are a collection of ids, not None"),
+        (DirectedGraph, (("a",), 5), "the edges are a collection of Edge records, not 5"),
+        (DirectedGraph, (("a",), (), None), "the omega bundles are a collection of OmegaBundle records, not None"),
+        (DirectedGraph.from_parts, (5,), "the vertices are a collection of ids, not 5"),
+        (DirectedGraph.from_parts, (["a"], 5), "the edges are a collection of tuples, not 5"),
+        (DirectedGraph.from_parts, (["a"], [("e", "a", "a")], None), "the omega bundles are a collection of tuples, not None"),
+        # the parts are checked in the given order, by either route
+        (DirectedGraph, (5, 6), "the vertices are a collection of ids, not 5"),
+        (DirectedGraph.from_parts, (5, 6), "the vertices are a collection of ids, not 5"),
+        (DirectedGraph.from_parts, ("ab", "cd"), "the vertices are a collection of ids, not the string 'ab'"),
+    ],
+)
+def test_a_part_that_is_no_collection_is_named(build, parts, message):
+    """Each part is a collection: a value that cannot be iterated is a
+    GraphError that names the part, not a TypeError."""
+    with pytest.raises(GraphError) as exc:
+        build(*parts)
+    assert str(exc.value) == message
+
+
 def _records(vertices, edges=(), bundles=()):
     return tuple(vertices), tuple(map(Edge._make, edges)), tuple(map(OmegaBundle._make, bundles))
 
