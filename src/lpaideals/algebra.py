@@ -74,11 +74,26 @@ class Monomial:
         return len(self.alpha) - len(self.beta)
 
 
-def _add_row(merged: dict, num: int, den: int, alpha: PathWord, beta: PathWord) -> None:
-    """Add num/den alpha beta* to ``merged``, keyed by the paths' identity."""
-    entry = merged.get((id(alpha), id(beta)))
+def _number(index: dict, paths: list, p: PathWord) -> int:
+    """The number of the path ``p`` among the distinct paths met so far:
+    its place in ``paths``, keyed in ``index`` by its source and edges
+    (which fix its target), so that equal paths share one number and one
+    object."""
+    key = (p.source, p.edges)
+    n = index.get(key)
+    if n is None:
+        n = index[key] = len(paths)
+        paths.append(p)
+    return n
+
+
+def _add_row(rows: dict, a: int, b: int, num: int, den: int) -> None:
+    """Add num/den alpha beta* to ``rows``, which holds the sum at each
+    alpha's number and, inside it, at each beta's number as [num, den]."""
+    row = rows.setdefault(a, {})
+    entry = row.get(b)
     if entry is None:
-        merged[id(alpha), id(beta)] = [num, den, alpha, beta]
+        row[b] = [num, den]
     elif entry[1] == den:
         entry[0] += num
     else:
@@ -86,43 +101,53 @@ def _add_row(merged: dict, num: int, den: int, alpha: PathWord, beta: PathWord) 
         entry[1] *= den
 
 
-def _canonical_terms(merged: dict, paths) -> tuple[Monomial, ...]:
-    """The canonical terms of the rows that ``_add_row`` merged, whose
-    equal paths are one object, each held once in ``paths``: zero sums
-    dropped, sorted by (alpha, beta).  The order is read off integer ranks
-    of the distinct paths, never off their identity, and each distinct
-    coefficient becomes one Fraction."""
-    rank = {id(p): r for r, p in enumerate(sorted(paths, key=lambda p: (p.source, p.edges)))}
-    n = len(rank)
-    keys = [rank[a] * n + rank[b] for a, b in merged]
+def _canonical_terms(rows: dict, index: dict, paths: list) -> tuple[Monomial, ...]:
+    """The canonical terms of ``rows`` over the numbered ``paths``: zero
+    sums dropped, sorted by (alpha, beta).  The order is read off integer
+    ranks of the distinct paths, each distinct coefficient becomes one
+    Fraction, and each term is built without a second check, as
+    ``graph._trusted`` builds, with its three fields written in place."""
+    rank = [0] * len(paths)
+    for r, key in enumerate(sorted(index)):
+        rank[index[key]] = r
+    by_rank = rank.__getitem__
     fractions: dict[tuple[int, int], Fraction] = {}  # a row's (num, den) -> its Fraction
     values: dict[tuple[int, int], Fraction] = {}  # the same, keyed by lowest terms
+    new = object.__new__
     terms = []
-    for _, (num, den, alpha, beta) in sorted(zip(keys, merged.values())):
-        if not num:
-            continue
-        coeff = fractions.get((num, den))
-        if coeff is None:
-            d = gcd(num, den)
-            lowest = (num // d, den // d)
-            coeff = values.get(lowest)
+    for a in sorted(rows, key=by_rank):
+        alpha, row = paths[a], rows[a]
+        for b in sorted(row, key=by_rank):
+            num, den = row[b]
+            if not num:
+                continue
+            coeff = fractions.get((num, den))
             if coeff is None:
-                coeff = values[lowest] = Fraction(*lowest)
-            fractions[num, den] = coeff
-        terms.append(_trusted(Monomial, coeff=coeff, alpha=alpha, beta=beta))
+                d = gcd(num, den)
+                lowest = (num // d, den // d)
+                coeff = values.get(lowest)
+                if coeff is None:
+                    coeff = values[lowest] = Fraction(*lowest)
+                fractions[num, den] = coeff
+            term = new(Monomial)
+            fields = term.__dict__
+            fields["coeff"] = coeff
+            fields["alpha"] = alpha
+            fields["beta"] = paths[b]
+            terms.append(term)
     return tuple(terms)
 
 
 def _merged(monomials) -> tuple[Monomial, ...]:
     """The canonical terms of a sum of monomials, whose equal paths may be
     distinct objects."""
-    paths: dict[tuple, PathWord] = {}
-    merged: dict = {}
+    index: dict[tuple, int] = {}
+    paths: list[PathWord] = []
+    rows: dict = {}
     for m in monomials:
-        alpha = paths.setdefault((m.alpha.source, m.alpha.edges), m.alpha)
-        beta = paths.setdefault((m.beta.source, m.beta.edges), m.beta)
-        _add_row(merged, m.coeff.numerator, m.coeff.denominator, alpha, beta)
-    return _canonical_terms(merged, paths.values())
+        a, b = _number(index, paths, m.alpha), _number(index, paths, m.beta)
+        _add_row(rows, a, b, m.coeff.numerator, m.coeff.denominator)
+    return _canonical_terms(rows, index, paths)
 
 
 @dataclass(frozen=True)
@@ -166,50 +191,77 @@ class AlgebraElement:
         """The product by the prefix rule: (a b*)(c d*) is non-zero only when
         b and c start at one vertex and one is a prefix of the other.
 
-        The right factor's terms are indexed by the exact real path c and
-        by every prefix of it, so each left term looks up the c that extend
-        its b (c = b included) once, and the proper prefixes of b one by one.
-        The product of two valid monomials is valid, so it is not checked
-        again.  Each result path is built once, keyed by its source and
-        edges (which fix its target): equal paths in the product are one
-        object, so the products merge by the identity of their paths.
+        Every path met gets a small number (``_number``), and the rows add
+        up at the numbers of their paths, each sum an exact [num, den] (a
+        common denominator per factor would grow with the factors).  The
+        right factor's terms are indexed by their real path c, and by each
+        prefix of c into groups that share one suffix, so a left term a b*
+        looks up each group's result path (a suffix) once, not once per
+        row.  The paths (d rest) that the c shorter than b give are built
+        once per distinct b.  The product of two valid monomials is valid,
+        so it is not checked again; equal paths in it are one object.
         """
         self._same_algebra(other)
-        paths: dict[tuple, PathWord] = {}
-
-        def shared(p: PathWord) -> PathWord:
-            return paths.setdefault((p.source, p.edges), p)
-
-        exact: dict[tuple, list[tuple]] = {}
-        extending: dict[tuple, list[tuple]] = {}
+        index: dict[tuple, int] = {}
+        paths: list[PathWord] = []
+        exact: dict[tuple, list[tuple]] = {}  # c -> (num, den, d) of each term c d*
+        extending: dict[tuple, dict] = {}  # a prefix of c -> the suffix -> (target, rows)
         for m in other.terms:
-            gamma = m.alpha
-            entry = (m.coeff.numerator, m.coeff.denominator, gamma, shared(m.beta))
-            exact.setdefault((gamma.source, gamma.edges), []).append(entry)
-            for k in range(len(gamma.edges) + 1):
-                extending.setdefault((gamma.source, gamma.edges[:k]), []).append(entry)
+            gamma, delta = m.alpha, m.beta
+            num, den = m.coeff.numerator, m.coeff.denominator
+            source, edges = gamma.source, gamma.edges
+            exact.setdefault((source, edges), []).append((num, den, delta))
+            right = (num, den, _number(index, paths, delta))
+            for k in range(len(edges) + 1):
+                groups = extending.setdefault((source, edges[:k]), {})
+                group = groups.get(edges[k:])
+                if group is None:
+                    groups[edges[k:]] = (gamma.target, [right])
+                else:
+                    group[1].append(right)
 
-        merged: dict = {}
-        for m1 in self.terms:
-            alpha, beta = shared(m1.alpha), m1.beta
-            num, den = m1.coeff.numerator, m1.coeff.denominator
-            cut = len(beta.edges)
-            # gamma = beta + rest: (alpha beta*)(gamma delta*) = (alpha rest) delta*
-            for num2, den2, gamma, delta in extending.get((beta.source, beta.edges), ()):
-                key = (alpha.source, alpha.edges + gamma.edges[cut:])
-                path = paths.get(key)
-                if path is None:
-                    path = paths[key] = PathWord(alpha.source, key[1], gamma.target)
-                _add_row(merged, num * num2, den * den2, path, delta)
-            # beta = gamma + rest, rest non-empty: alpha (delta rest)*
-            for k in range(cut):
-                for num2, den2, _, delta in exact.get((beta.source, beta.edges[:k]), ()):
-                    key = (delta.source, delta.edges + beta.edges[k:])
-                    path = paths.get(key)
-                    if path is None:
-                        path = paths[key] = PathWord(delta.source, key[1], beta.target)
-                    _add_row(merged, num * num2, den * den2, alpha, path)
-        return _trusted(AlgebraElement, graph=self.graph, terms=_canonical_terms(merged, paths.values()))
+        rows: dict[int, dict] = {}
+        shorter: dict[tuple, list[tuple]] = {}  # b -> (num, den, number of d rest), c + rest = b
+        for m in self.terms:
+            alpha, beta = m.alpha, m.beta
+            ghost = (beta.source, beta.edges)
+            sums = []  # (the sums at one result alpha, the right rows they take)
+            # c = b + rest: (a b*)(c d*) = (a rest) d*
+            for rest, (target, group) in extending.get(ghost, {}).items():
+                key = (alpha.source, alpha.edges + rest)
+                a = index.get(key)
+                if a is None:
+                    a = index[key] = len(paths)
+                    paths.append(PathWord(alpha.source, key[1], target))
+                sums.append((rows.setdefault(a, {}), group))
+            # b = c + rest, rest non-empty: a (d rest)*
+            partners = shorter.get(ghost)
+            if partners is None:
+                partners = shorter[ghost] = []
+                for k in range(len(beta.edges)):
+                    rest = beta.edges[k:]
+                    for num2, den2, delta in exact.get((beta.source, beta.edges[:k]), ()):
+                        key = (delta.source, delta.edges + rest)
+                        b = index.get(key)
+                        if b is None:
+                            b = index[key] = len(paths)
+                            paths.append(PathWord(delta.source, key[1], beta.target))
+                        partners.append((num2, den2, b))
+            if partners:
+                sums.append((rows.setdefault(_number(index, paths, alpha), {}), partners))
+            num, den = m.coeff.numerator, m.coeff.denominator
+            for row, group in sums:
+                for num2, den2, b in group:
+                    n, d = num * num2, den * den2
+                    entry = row.get(b)
+                    if entry is None:
+                        row[b] = [n, d]
+                    elif entry[1] == d:
+                        entry[0] += n
+                    else:
+                        entry[0] = entry[0] * d + n * entry[1]
+                        entry[1] *= d
+        return _trusted(AlgebraElement, graph=self.graph, terms=_canonical_terms(rows, index, paths))
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -312,7 +364,7 @@ def parse_element(g: DirectedGraph, text: str) -> AlgebraElement:
     for tok in tokens:
         if tok == "+" or tok == "-":
             step = 1 if tok == "+" else -1
-            if not current and not reader.merged:  # a sign before the first term
+            if not current and not reader.rows:  # a sign before the first term
                 sign *= step
                 continue
             reader.read(current, sign)
@@ -321,20 +373,21 @@ def parse_element(g: DirectedGraph, text: str) -> AlgebraElement:
         else:
             current.append(tok)
     reader.read(current, sign)
-    return _trusted(AlgebraElement, graph=g, terms=_canonical_terms(reader.merged, reader.paths.values()))
+    return _trusted(AlgebraElement, graph=g, terms=_canonical_terms(reader.rows, reader.index, reader.paths))
 
 
 class _TermReader:
-    """Reads the terms of one element expression into merged rows.  Each
-    distinct run of real or of ghost tokens becomes a path once, and
-    equal paths are one object (``paths``, keyed by source and edges)."""
+    """Reads the terms of one element expression into rows (``_add_row``).
+    Each distinct run of real or of ghost tokens becomes a path once, and
+    equal paths are one object with one number (``_number``)."""
 
     def __init__(self, g: DirectedGraph):
         self.g = g
-        self.merged: dict = {}
-        self.paths: dict[tuple, PathWord] = {}
-        self._reals: dict[tuple[str, ...], PathWord] = {}
-        self._ghosts: dict[tuple[str, ...], PathWord] = {}
+        self.rows: dict = {}
+        self.index: dict[tuple, int] = {}
+        self.paths: list[PathWord] = []
+        self._reals: dict[tuple[str, ...], int] = {}
+        self._ghosts: dict[tuple[str, ...], int] = {}
 
     def read(self, tokens: list[str], sign: int) -> None:
         if not tokens:
@@ -370,35 +423,36 @@ class _TermReader:
                 real.append(name)
         if after_pipe and not ghost:
             raise GraphError("'|' must be followed by a ghost path")
-        alpha = self._run(self._reals, real, _parse_real_part) if real else None
+        paths = self.paths
+        a = self._run(self._reals, real, _parse_real_part) if real else None
         if ghost:
-            beta = self._run(self._ghosts, ghost, _paths_from_edges)
-            if alpha is None:
-                alpha = self._vertex(beta.target)
-        else:  # every token but a lone "|" joins one part, so alpha is set
-            beta = self._vertex(alpha.target)
-        if alpha.target != beta.target:
+            b = self._run(self._ghosts, ghost, _paths_from_edges)
+            if a is None:
+                a = self._vertex(paths[b].target)
+        else:  # every token but a lone "|" joins one part, so a is set
+            b = self._vertex(paths[a].target)
+        if paths[a].target != paths[b].target:
             raise GraphError(
-                f"real part ends at {alpha.target!r} but ghost part ends at {beta.target!r}"
+                f"real part ends at {paths[a].target!r} but ghost part ends at {paths[b].target!r}"
             )
         if not num:
             raise GraphError("monomials carry nonzero coefficients")
-        _add_row(self.merged, num, den, alpha, beta)
+        _add_row(self.rows, a, b, num, den)
 
-    def _run(self, runs: dict, names: list[str], read) -> PathWord:
-        """The path of a run of real or ghost tokens, read on first sight."""
+    def _run(self, runs: dict, names: list[str], read) -> int:
+        """The number of the path of a run of real or ghost tokens, read
+        on first sight."""
         key = tuple(names)
-        p = runs.get(key)
-        if p is None:
-            p = read(self.g, names)
-            p = runs[key] = self.paths.setdefault((p.source, p.edges), p)
-        return p
+        n = runs.get(key)
+        if n is None:
+            n = runs[key] = _number(self.index, self.paths, read(self.g, names))
+        return n
 
-    def _vertex(self, v: str) -> PathWord:
-        p = self.paths.get((v, ()))
-        if p is None:
-            p = self.paths[v, ()] = PathWord(v, (), v)
-        return p
+    def _vertex(self, v: str) -> int:
+        n = self.index.get((v, ()))
+        if n is None:
+            n = _number(self.index, self.paths, PathWord(v, (), v))
+        return n
 
 
 def _integer(digits: str) -> int:
@@ -432,47 +486,67 @@ def _paths_from_edges(g: DirectedGraph, edge_ids: list[str]) -> PathWord:
 def render_element(x: AlgebraElement) -> str:
     """Canonical text form, which parse_element reads back as x unless an
     id names both a vertex and an edge (ambiguous) or is '+' or '-'."""
-    return "".join([part for part, _, _ in _term_texts(x.terms)]) or "0"
+    return "".join(_term_texts(x.terms)[0]) or "0"
 
 
-def _term_texts(terms):
-    """Each term's piece of the canonical text form (joined to the piece
-    before by ' + ' or ' - '), its signed coefficient text, and the term.
-    Each distinct coefficient, real path and ghost path is written once,
-    keyed by the identity of its object."""
-    coeffs: dict[int, tuple[str, str, str, str, str]] = {}
-    reals: dict[int, tuple[str, bool]] = {}
-    ghosts: dict[int, str] = {}
-    head = 1  # where the coefficient's head sits: 1 on the first piece, 2 after
+def _term_texts(terms, frame=None):
+    """The one text rule of elements: the canonical text form of ``terms``
+    as one piece per term (joined to the piece before by ' + ' or ' - '),
+    and, given a ``frame`` (``cli._TermsJSON``), the ``mul --json`` terms
+    list as three pieces per term: its alpha's head, its beta's block and
+    its coefficient's tail.
+
+    Each distinct coefficient and ghost path is written once, keyed by
+    the identity of its object, and each alpha once per run of terms that
+    share it; in canonical order one run holds all of an alpha's terms.
+    The frame writes each piece of JSON, and the rule picks each term's
+    pieces."""
+    texts: list[str] = []
+    items: list[str] = []
+    coeffs: dict[int, tuple] = {}  # id of a coefficient -> _coefficient_texts
+    ghosts: dict[int, tuple] = {}  # id of a beta -> its ghost text, its block
+    alpha = None
+    later = 0  # 0 on the first term, 1 on a later one: which head the coefficient takes
     for m in terms:
+        if m.alpha is not alpha:
+            alpha = m.alpha
+            first = alpha.edges[0] if alpha.edges else alpha.source
+            real = " ".join(alpha.edges) or first
+            # 2 where the term's text opens with an id that reads as a coefficient
+            alone = 2 if _COEFF_RE.match(first) else 0
+            joined, before = (real + " | ", alone) if alpha.edges else ("", 0)
+            if frame is not None:
+                head = frame.head(alpha)
         coeff = coeffs.get(id(m.coeff))
         if coeff is None:
-            coeff = coeffs[id(m.coeff)] = _coefficient_texts(m.coeff.numerator, m.coeff.denominator)
-        alpha, beta = m.alpha, m.beta
-        real = reals.get(id(alpha))
-        if real is None:  # the real path's text, and if its first id reads as a coefficient
-            first = alpha.edges[0] if alpha.edges else alpha.source
-            real = reals[id(alpha)] = (" ".join(alpha.edges) or first, bool(_COEFF_RE.match(first)))
-        body, numeric = real
+            c = m.coeff
+            coeff = coeffs[id(c)] = _coefficient_texts(c.numerator, c.denominator, frame)
+        beta = m.beta
+        ghost = ghosts.get(id(beta))
+        if ghost is None:
+            ghost = ghosts[id(beta)] = (" ".join([e + "*" for e in beta.edges]), frame and frame.block(beta))
         if beta.edges:
-            ghost = ghosts.get(id(beta))
-            if ghost is None:
-                ghost = ghosts[id(beta)] = " ".join([eid + "*" for eid in beta.edges])
-            body, numeric = (body + " | " + ghost, numeric) if alpha.edges else (ghost, False)
-        yield coeff[head if numeric else head + 2] + body, coeff[0], m
-        head = 2
+            texts.append(coeff[later + before] + joined + ghost[0])
+        else:
+            texts.append(coeff[later + alone] + real)
+        later = 1
+        if frame is not None:
+            items += (head, ghost[1], coeff[4])
+    return texts, items
 
 
-def _coefficient_texts(num: int, den: int) -> tuple[str, str, str, str, str]:
-    """A coefficient's signed text; its head on the first term of the text
-    form and on a later one, where the sign becomes ' + ' or ' - '; and
-    the same two heads with a coefficient of 1 left out, used unless the
-    term's first id would then read as a coefficient."""
+def _coefficient_texts(num: int, den: int, frame=None) -> tuple:
+    """A coefficient's heads in the text form: on the first term and on a
+    later one (where the sign becomes ' + ' or ' - '), each with a
+    coefficient of 1 left out, then each written out, for a term whose
+    first id would read as a coefficient; and, given a ``frame``, its tail
+    in the ``mul --json`` terms list."""
     signed = _coefficient_text(num, den)
     first, later = signed + " ", (" - " if num < 0 else " + ") + signed.lstrip("-") + " "
+    tail = frame.tail(signed) if frame is not None else None
     if abs(num) == 1 and den == 1:
-        return signed, first, later, "" if num == 1 else first, later[:3]
-    return signed, first, later, first, later
+        return "" if num == 1 else first, later[:3], first, later, tail
+    return first, later, first, later, tail
 
 
 def _coefficient_text(num: int, den: int) -> str:

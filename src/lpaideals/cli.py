@@ -364,38 +364,48 @@ def cmd_mul(g: DirectedGraph, args) -> None:
     print(render_element(product))
 
 
-# One entry of the "terms" list of ``mul --json``: alpha, beta, coeff.
-_TERM_JSON = '{\n      "alpha": %s,\n      "beta": %s,\n      "coeff": %s\n    }'
+class _TermsJSON:
+    """The pieces of the ``mul --json`` terms list, each written once for
+    ``algebra._term_texts``, which lays them out three per term, the keys
+    in sorted order: a head, which opens the term's item with its alpha's
+    block (a comma first, which ``_product_json`` drops from the first
+    item); a path's ``{"edges", "source"}`` block, the beta's; and a
+    coefficient's tail, which closes the item.  The blocks of alpha and
+    beta sit at one indentation, so each distinct path's block is encoded
+    once."""
+
+    def __init__(self):
+        self.blocks: dict[int, str] = {}  # id of a path -> its block
+
+    def head(self, alpha) -> str:
+        return ',\n    {\n      "alpha": ' + self.block(alpha) + ',\n      "beta": '
+
+    def block(self, p) -> str:
+        text = self.blocks.get(id(p))
+        if text is None:
+            text = self.blocks[id(p)] = _json_text({"edges": p.edges, "source": p.source}, "\n      ")
+        return text
+
+    @staticmethod
+    def tail(coeff: str) -> str:
+        return ',\n      "coeff": ' + _encode_str(coeff) + "\n    }"
 
 
 def _product_json(product) -> str:
     """The ``mul --json`` text, byte for byte what ``_json_text`` gives for
     ``{"result": <rendered product>, "terms": [{"coeff": <coeff text>,
-    "alpha": <block>, "beta": <block>}, ...]}``.  One walk over the terms
-    writes the text form and the terms list: each term fills one
-    template, and each distinct path's block is written once."""
+    "alpha": <block>, "beta": <block>}, ...]}``.  One text rule
+    (``algebra._term_texts``) writes the text form and the terms list."""
     from lpaideals.algebra import _term_texts
 
-    parts, items = [], []
-    blocks: dict[int, str] = {}  # id of a path -> its {"edges", "source"} block
-    for part, coeff, m in _term_texts(product.terms):
-        parts.append(part)
-        alpha = blocks.get(id(m.alpha)) or _path_block(blocks, m.alpha)
-        beta = blocks.get(id(m.beta)) or _path_block(blocks, m.beta)
-        items.append(_TERM_JSON % (alpha, beta, _encode_str(coeff)))
+    texts, items = _term_texts(product.terms, _TermsJSON())
     if not items:
         return '{\n  "result": "0",\n  "terms": []\n}'
-    result = _encode_str("".join(parts))
-    # One expression, not ``graph._json_block``: the text runs to megabytes (2.6 MB
-    # on the benchmark's first product), and each nested frame would copy it once more.
-    return '{\n  "result": ' + result + ',\n  "terms": [\n    ' + ",\n    ".join(items) + "\n  ]\n}"
-
-
-def _path_block(blocks: dict, p) -> str:
-    """A path's ``{"edges", "source"}`` block, written into ``blocks``;
-    the blocks of alpha and beta sit at one indentation."""
-    text = blocks[id(p)] = _json_text({"edges": p.edges, "source": p.source}, "\n      ")
-    return text
+    # One join, not ``graph._json_block``: the text runs to megabytes (2.6-2.7 MB on
+    # the benchmark's products), and each nested frame would copy it once more.
+    items[0] = '{\n  "result": ' + _encode_str("".join(texts)) + ',\n  "terms": [' + items[0][1:]
+    items.append("\n  ]\n}")
+    return "".join(items)
 
 
 _COMMANDS = {

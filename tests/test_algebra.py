@@ -494,17 +494,40 @@ def test_parse_sum_and_scale_check_no_path_again(unique_max, monkeypatch):
     assert results[0] == parse_element(unique_max, "-7/3 e1 + f1 | g1* + c | c*")
 
 
-def _300_term_factors(g):
+def _300_term_factors(g, denominators=None):
+    """Two 300-term elements over ``g``: their coefficients' denominators
+    are drawn from 1-4, or are the 600 ``denominators`` in turn."""
     rng = random.Random(5)
     pool = _monomial_pool(g, max_len=4)
+    chosen = iter(denominators or ())
 
     def element():
         pairs = rng.sample(pool, 300)
         return AlgebraElement(
-            g, tuple(Monomial(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)), a, b) for a, b in pairs)
+            g,
+            tuple(
+                Monomial(Fraction(rng.choice([-3, -1, 1, 2]), next(chosen, None) or rng.randint(1, 4)), a, b)
+                for a, b in pairs
+            ),
         )
 
     return _with_own_paths(element()), _with_own_paths(element())
+
+
+def _primes(count):
+    found = []
+    n = 2
+    while len(found) < count:
+        if all(n % p for p in found if p * p <= n):
+            found.append(n)
+        n += 1
+    return found
+
+
+def _coprime_factors(g):
+    """Two 300-term elements whose 600 coefficients have pairwise-coprime
+    denominators: the first 600 primes."""
+    return _300_term_factors(g, _primes(600))
 
 
 def test_equal_paths_of_a_product_are_one_object(unique_max):
@@ -514,6 +537,15 @@ def test_equal_paths_of_a_product_are_one_object(unique_max):
     paths = [p for m in product.terms for p in (m.alpha, m.beta)]
     assert len(set(paths)) < len(paths) // 4
     assert len({id(p) for p in paths}) == len(set(paths))
+
+
+def test_a_product_with_pairwise_coprime_denominators_is_exact(unique_max):
+    """Each row of a product keeps its own exact (num, den).  Over these
+    factors one common denominator per factor would be a product of 300
+    primes, and every sum would carry it."""
+    x, y = _coprime_factors(unique_max)
+    assert len({m.coeff.denominator for m in x.terms + y.terms}) == 600
+    assert_product_matches_oracle(x, y)
 
 
 def test_a_product_checks_no_term_and_builds_each_coefficient_once(unique_max, monkeypatch):

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -29,7 +30,7 @@ from conftest import (
     unique_maximal_graph,
 )
 from oracles import hereditary_saturated_sets_brute, reach_sets
-from test_algebra import graph_and_two_elements
+from test_algebra import _300_term_factors, _coprime_factors, graph_and_two_elements
 from test_golden import escaped_ids, loop_antichain, mul_args
 from lpaideals import (
     DirectedGraph,
@@ -577,6 +578,70 @@ def test_product_json_on_fixed_shapes(unique_max):
     for lhs, rhs in shapes:
         assert_product_json(parse_element(g, lhs) * parse_element(g, rhs))
     assert cli._product_json(zero(g)) == '{\n  "result": "0",\n  "terms": []\n}'
+
+
+def test_product_json_where_ids_read_as_coefficients():
+    """Each branch of the text rule, where the edge ids ``2`` and ``1/2``
+    read as coefficients: such an id opens alpha with a ghost part and
+    without one, a ghost-only term follows one, and a coefficient of 1 or
+    -1 is written out on the first term and on a later one (and left out
+    on the ghost-only term).  Each product by ``a + z`` is its left
+    factor; the others share alphas across several betas."""
+    g = graph(["a", "z"], [("2", "a", "a"), ("1/2", "a", "z"), ("e", "z", "z")])
+    units = parse_element(g, "a + z")
+    for lhs, text in [
+        ("- 1 1/2 | 1/2* + 1 2 | 2* - 3 2 2 + 1/2*", "-1 1/2 | 1/2* + 1 2 | 2* - 3 2 2 + 1/2*"),
+        ("1 1/2 e - 1 2 - 1/2*", "1 1/2 e - 1 2 - 1/2*"),
+        ("- 1 1/2 + 1 2 | 2* - e* - 1/2*", "-1 1/2 + 1 2 | 2* - 1/2* - e*"),
+        ("1/2 1/2 e | 1/2* e* - 2/3 2", "1/2 1/2 e | 1/2* e* - 2/3 2"),
+    ]:
+        product = parse_element(g, lhs) * units
+        assert render_element(product) == text
+        assert parse_element(g, text) == product
+        assert_product_json(product)
+    for lhs, rhs, text in [
+        (
+            "1 2 | 2* - 1/2*",
+            "1 2 + 1 2 | 2* - 1/2 2 | 2* 2* + 1 1/2 | 1/2* - 2 1/2 | e*",
+            "1 2 + 1 2 | 2* - 1/2 2 | 2* 2* - 1/2* + 2 e*",
+        ),
+        (
+            "1 1/2 | 1/2* + 1/2 2 | 2*",
+            "1 1/2 e + 1 1/2 | e* + 1 2 2 | 2* + 1 1/2 | 1/2*",
+            "1 1/2 | 1/2* + 1 1/2 | e* + 1 1/2 e + 1/2 2 2 | 2*",
+        ),
+    ]:
+        product = parse_element(g, lhs) * parse_element(g, rhs)
+        assert render_element(product) == text
+        assert len({m.alpha for m in product.terms}) < len(product.terms)
+        assert_product_json(product)
+
+
+@pytest.mark.parametrize(
+    "factors, json_sha256, text_sha256",
+    [
+        (
+            _300_term_factors,
+            "12b965d363d515c2f5b3c35397b913205f9fa321e476c74c281850f1182a0dc3",
+            "92acdb5d862fd051f56503a4676c01f714e99add2b33a45de5983c3601df35eb",
+        ),
+        (
+            _coprime_factors,
+            "9198c701c6c27f235881abdb04516639b94e507777596a51b95cccca0ed845d4",
+            "d5f904e14201ef14d29ca403eb8df85ddbf85c1d30c57c7a3cb4eae8f2b1d75b",
+        ),
+    ],
+    ids=["300-terms", "coprime-denominators"],
+)
+def test_product_bytes_of_300_term_factors(unique_max, factors, json_sha256, text_sha256):
+    """``mul --json`` and plain ``mul`` text of products as large as the
+    benchmark's (about 7,000 terms), pinned by digest: the mul goldens
+    hold only 40- and 6-term inputs."""
+    x, y = factors(unique_max)
+    product = x * y
+    assert len(product.terms) > 6000
+    assert hashlib.sha256(cli._product_json(product).encode()).hexdigest() == json_sha256
+    assert hashlib.sha256(render_element(product).encode()).hexdigest() == text_sha256
 
 
 def test_product_json_with_escaped_ids():
