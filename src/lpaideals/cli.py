@@ -12,16 +12,19 @@ the ideals or the algebra.  These imports name the module absolutely
 (``from lpaideals.lattice import ...``): a relative import inside a
 function makes one more Python-level call each time it runs.  Each
 reads the layer module's attribute at the call, so a function patched
-on its defining module is the one the command calls.
+on its defining module is the one the command calls.  Nor is argparse
+imported for a well-formed command line: ``_read_command_line`` reads
+that form, and argparse every other one.
 """
 
 from __future__ import annotations
 
-import argparse
+import collections
 import functools
 import gc
 import os
 import sys
+import types
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .graph import (
@@ -37,10 +40,100 @@ from .graph import (
 
 
 class UsageError(Exception):
-    """A bad argument discovered after argparse (exit code 2)."""
+    """A bad argument discovered after the command line is read (exit code 2)."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+# One option of a command, read after its graph path.  ``convert`` is
+# None for a switch, which takes no value and is True when given.
+_Option = collections.namedtuple(
+    "_Option", "flag dest convert default choices required help", defaults=(None, None, False, None)
+)
+_JSON = _Option("--json", "json", None, False, help="emit canonical JSON")
+_CAP = _Option(
+    "--cap",
+    "cap",
+    int,
+    DEFAULT_CAP,
+    help="refuse when the hereditary saturated sets exceed this many (default %(default)s); check enumerates none",
+)
+_MAX_VERTICES = _Option(
+    "--max-vertices",
+    "max_vertices",
+    int,
+    MAX_EXACT_VERTICES,
+    help="refuse exact lattice enumeration above this many vertices (default %(default)s)",
+)
+_REPORT = (_JSON, _CAP, _MAX_VERTICES)
+
+# Each command: its help, its epilog and its options, in the order that
+# ``--help`` lists them.  ``build_parser`` and ``_read_command_line`` both
+# read this table, so each flag, default and choice is written here once.
+_COMMAND_LINES = {
+    "analyze": ("full report: conditions, lattice, primes, maximals", None, _REPORT),
+    "hsets": ("the lattice of hereditary saturated sets", None, _REPORT),
+    "primes": ("all prime-ideal descriptors", None, _REPORT),
+    "maximals": ("maximal ideals, graded and non-graded families", None, _REPORT),
+    "quotient": (
+        "quotient graph at an admissible pair (H, S)",
+        None,
+        (
+            _Option(
+                "--H",
+                "H",
+                str,
+                "",
+                help="comma-separated vertices of H (empty for the zero ideal); "
+                "give a list that starts with '-' with '=', as in --H=-1,0",
+            ),
+            _Option(
+                "--S",
+                "S",
+                str,
+                "",
+                help="comma-separated breaking vertices kept in S; "
+                "give a list that starts with '-' with '=', as in --S=-1,0",
+            ),
+        ),
+    ),
+    "check": (
+        "check Condition (L) or (K)",
+        None,
+        (_JSON, _CAP, _Option("--condition", "condition", str, choices=("L", "K"), required=True)),
+    ),
+    "mul": (
+        "multiply two algebra elements",
+        "Element grammar (whitespace-tokenised): a term is an optional rational "
+        "coefficient, then a real path as edge ids (or one vertex id), then a ghost "
+        "path as edge ids each ending in '*'; an optional '|' separates the parts. "
+        "Terms are joined by '+' or '-' tokens; '0' alone is the zero element. "
+        "Examples: 'u', 'a b', 'a b | c*', 'c*', '2/3 a - b | b*'. Ids containing "
+        "whitespace, '|', or a trailing '*', and ids that look like numbers at the "
+        "start of a term, are not addressable.",
+        (
+            _JSON,
+            _Option(
+                "--lhs",
+                "lhs",
+                str,
+                required=True,
+                help="left factor; give a factor that starts with '-' and holds no space with '=', as in --lhs=-x",
+            ),
+            _Option(
+                "--rhs",
+                "rhs",
+                str,
+                required=True,
+                help="right factor; give a factor that starts with '-' and holds no space with '=', as in --rhs=-x",
+            ),
+        ),
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of the command line, built from ``_COMMAND_LINES``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lpaideals",
         description="Ideal structure of the Leavitt path algebra of a directed graph.",
@@ -51,75 +144,89 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help, flags=("json", "cap", "max_vertices"), **kwargs):
-        """A subcommand with its graph argument and the flags it reads."""
-        p = sub.add_parser(name, help=help, **kwargs)
+    for name, (help, epilog, options) in _COMMAND_LINES.items():
+        p = sub.add_parser(name, help=help, epilog=epilog)
         p.add_argument("graph", help="path to a graph JSON file")
-        if "json" in flags:
-            p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        if "cap" in flags:
-            p.add_argument(
-                "--cap",
-                type=int,
-                default=DEFAULT_CAP,
-                help=(
-                    "refuse when the hereditary saturated sets exceed this many "
-                    "(default %(default)s); check enumerates none"
-                ),
-            )
-        if "max_vertices" in flags:
-            p.add_argument(
-                "--max-vertices",
-                type=int,
-                default=MAX_EXACT_VERTICES,
-                help="refuse exact lattice enumeration above this many vertices (default %(default)s)",
-            )
-        return p
-
-    command("analyze", "full report: conditions, lattice, primes, maximals")
-    command("hsets", "the lattice of hereditary saturated sets")
-    command("primes", "all prime-ideal descriptors")
-    command("maximals", "maximal ideals, graded and non-graded families")
-
-    quot = command("quotient", "quotient graph at an admissible pair (H, S)", flags=())
-    quot.add_argument(
-        "--H",
-        default="",
-        help=(
-            "comma-separated vertices of H (empty for the zero ideal); "
-            "give a list that starts with '-' with '=', as in --H=-1,0"
-        ),
-    )
-    quot.add_argument(
-        "--S",
-        default="",
-        help=(
-            "comma-separated breaking vertices kept in S; "
-            "give a list that starts with '-' with '=', as in --S=-1,0"
-        ),
-    )
-
-    check = command("check", "check Condition (L) or (K)", flags=("json", "cap"))
-    check.add_argument("--condition", choices=("L", "K"), required=True)
-
-    mul = command(
-        "mul",
-        "multiply two algebra elements",
-        flags=("json",),
-        epilog=(
-            "Element grammar (whitespace-tokenised): a term is an optional rational "
-            "coefficient, then a real path as edge ids (or one vertex id), then a ghost "
-            "path as edge ids each ending in '*'; an optional '|' separates the parts. "
-            "Terms are joined by '+' or '-' tokens; '0' alone is the zero element. "
-            "Examples: 'u', 'a b', 'a b | c*', 'c*', '2/3 a - b | b*'. Ids containing "
-            "whitespace, '|', or a trailing '*', and ids that look like numbers at the "
-            "start of a term, are not addressable."
-        ),
-    )
-    mul.add_argument("--lhs", required=True, help="left factor")
-    mul.add_argument("--rhs", required=True, help="right factor")
+        for o in options:
+            if o.convert is None:
+                p.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
+            else:
+                p.add_argument(
+                    o.flag,
+                    dest=o.dest,
+                    type=o.convert,
+                    default=o.default,
+                    choices=o.choices,
+                    required=o.required,
+                    help=o.help,
+                )
     return parser
+
+
+# Per command: its options by flag, the namespace of its defaults, and the
+# dests that must be given.
+_READER = {
+    name: (
+        {o.flag: o for o in options},
+        {"command": name, **{o.dest: o.default for o in options}},
+        [o.dest for o in options if o.required],
+    )
+    for name, (_, _, options) in _COMMAND_LINES.items()
+}
+
+
+_DIGIT_OR_SPACE = frozenset("0123456789 ")
+
+
+def _read_command_line(argv):
+    """The namespace that ``_parser().parse_args(argv)`` gives, for the one
+    form of command line read here, else None.
+
+    The form is ``COMMAND GRAPH`` followed only by that command's own
+    options, each flag spelled in full, each value its own token, every
+    value converted and in its choices, every required option given.  Any
+    other argv (help, an abbreviation, ``--flag=value``, ``--``, an
+    unknown or missing flag, a flag before the graph, a value that will
+    not convert) is left to argparse, whose messages and exit codes stay
+    the only ones.  So is a graph path or a value that starts with ``-``,
+    unless the value's second character is a digit or a space and it holds
+    a space, such as the factor ``-3/2 a b``: argparse reads such a token
+    as a value too, as no option of this command line starts with a dash
+    and a digit or a space."""
+    if len(argv) < 2:
+        return None
+    reader = _READER.get(argv[0])
+    graph = argv[1]
+    if reader is None or graph[:1] == "-":
+        return None
+    options, defaults, required = reader
+    values = dict(defaults, graph=graph)
+    i, n = 2, len(argv)
+    while i < n:
+        o = options.get(argv[i])
+        if o is None:
+            return None
+        if o.convert is None:
+            values[o.dest] = True
+            i += 1
+            continue
+        if i + 1 == n:
+            return None
+        value = argv[i + 1]
+        if value[:1] == "-" and not (value[1:2] in _DIGIT_OR_SPACE and " " in value):
+            return None
+        try:
+            value = o.convert(value)
+        except ValueError:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+        i += 2
+    for dest in required:
+        if values[dest] is None:
+            return None
+    return types.SimpleNamespace(**values)
 
 
 def _load_graph(path: str) -> DirectedGraph:
@@ -443,14 +550,19 @@ def main(argv=None) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first command rather than at import and
-    then reused: parsing leaves no state in it."""
+def _parser():
+    """The parser, built on the first command line that ``_read_command_line``
+    leaves to it rather than at import, and then reused: parsing leaves no
+    state in it."""
     return build_parser()
 
 
 def _run(argv) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_command_line(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     for attr, flag in (("cap", "--cap"), ("max_vertices", "--max-vertices")):
         if getattr(args, attr, 1) < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -226,6 +226,23 @@ def test_a_vertex_list_that_starts_with_a_dash_needs_an_equals_sign(run, tmp_pat
         run("quotient", path, "--H", "-1,0")
     assert exc.value.code == 2
     assert "--H: expected one argument" in capsys.readouterr().err
+
+
+def test_a_factor_that_starts_with_a_dash_and_holds_no_space_needs_an_equals_sign(run, tmp_path, capsys):
+    """argparse reads ``--lhs -x`` as ``--lhs`` with no value, as ``-x`` looks
+    like an option; ``--lhs=-x`` is the documented form (README, ``--help``).
+    A factor with a space, as ``-3/2 -x``, is read as a value."""
+    g = graph(["u", "v"], [("-x", "u", "v"), ("b", "v", "v")])
+    path = write_graph(tmp_path, g)
+    assert run("mul", path, "--lhs=-x", "--rhs", "b") == (0, "-x b\n", "")
+    assert run("mul", path, "--lhs", "b", "--rhs=-x*") == (0, "b | -x*\n", "")
+    assert run("mul", path, "--lhs", "-3/2 -x", "--rhs", "b") == (0, "-3/2 -x b\n", "")
+    for argv in (["--lhs", "-x", "--rhs", "b"], ["--lhs", "b", "--rhs", "-x*"]):
+        with pytest.raises(SystemExit) as exc:
+            run("mul", path, *argv)
+        assert exc.value.code == 2
+        flag = argv[0] if argv[1].startswith("-") else argv[2]
+        assert f"{flag}: expected one argument" in capsys.readouterr().err
 
 
 def test_check(run, tmp_path):
@@ -507,14 +524,16 @@ def test_lattice_commands_refuse_alike_at_each_cap(monkeypatch, capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
-    """A usage error and then three commands in one process print what
-    each prints in a process of its own."""
+    """Well-formed commands build no parser; a usage error builds it once,
+    and commands after it still read their own command lines.  Each prints
+    in one process what it prints in a process of its own."""
     path = write_graph(tmp_path, mixed_maximals_graph())
     calls = [
-        ["analyze", path, "--nope"],
         ["check", path, "--condition", "L"],
+        ["analyze", path, "--nope"],
         ["check", path, "--condition", "K", "--json"],
         ["analyze", path],
+        ["analyze", path, "--nope"],
     ]
 
     def call(argv):
@@ -533,10 +552,93 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     cli._parser.cache_clear()
-    together = [call(argv) for argv in calls]
+    together = [call(calls[0])]
+    assert built == []
+    together += [call(argv) for argv in calls[1:]]
     assert together == alone
-    assert [code for code, _, _ in together] == [2, 0, 0, 0]
+    assert [code for code, _, _ in together] == [0, 2, 0, 0, 2]
     assert built == [1]
+
+
+# Tokens a command line is drawn from: the command names and two that are
+# not, graph paths, every flag and forms argparse reads in its own way
+# (abbreviations, ``=``, help, ``--``), and values, among them ones that
+# argparse converts in its own way, ones that it refuses and ones that
+# start with a dash.
+_COMMAND_TOKENS = tuple(cli._COMMAND_LINES) + ("nope", "anal")
+_PATH_TOKENS = ("g.json", "", "-g.json")
+_FLAG_TOKENS = (
+    "--json", "--cap", "--max-vertices", "--condition", "--H", "--S", "--lhs", "--rhs",
+    "--cond", "--js", "--max", "--cap=5", "--H=-1,0", "--json=a b", "-h", "--help", "--",
+)  # fmt: skip
+_VALUE_TOKENS = (
+    "5", "0", " 7 ", "5_0", "+3", "x", "9" * 5000, "L", "K", "M", "", "-1", "-u",
+    "-1 u", "- u", "-h u", "-x b", "-3/2 a b", "a b | c*",
+)  # fmt: skip
+_ANY_TOKEN = st.sampled_from(_COMMAND_TOKENS + _PATH_TOKENS + _FLAG_TOKENS + _VALUE_TOKENS)
+
+
+@st.composite
+def _command_lines(draw):
+    """Mostly ``COMMAND GRAPH`` and then flags, values or flag-value
+    pairs, the command's own flags most often, so that many lines are
+    well formed; sometimes any tokens."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(_ANY_TOKEN, max_size=8))
+    command = draw(st.sampled_from(_COMMAND_TOKENS))
+    line = [command, draw(st.sampled_from(_PATH_TOKENS))]
+    own = cli._COMMAND_LINES[command][2] if command in cli._COMMAND_LINES else ()
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 4)) if own else 4
+        if kind <= 2:  # one of the command's own flags: with a value it takes, with any value, or alone
+            o = draw(st.sampled_from(own))
+            line.append(o.flag)
+            if o.convert is not None and kind < 2:
+                line.append(draw(st.sampled_from(_VALUE_TOKENS if kind else o.choices or ("5", " 7 "))))
+        elif kind == 3:
+            line += [draw(st.sampled_from(_FLAG_TOKENS)), draw(st.sampled_from(_VALUE_TOKENS))]
+        else:
+            line.append(draw(_ANY_TOKEN))
+    if draw(st.booleans()):  # the options the command requires, at the end
+        for o in own:
+            if o.required:
+                line += [o.flag, draw(st.sampled_from(o.choices or _VALUE_TOKENS))]
+    return line
+
+
+@settings(max_examples=2000)
+@given(_command_lines())
+def test_the_command_line_reader_gives_what_argparse_gives(argv):
+    """The reader returns None, or the namespace argparse returns for the
+    same argv, with argparse exiting on nothing the reader takes."""
+    args = cli._read_command_line(argv)
+    if args is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        expected = cli._parser().parse_args(argv)
+    assert vars(args) == vars(expected)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "g.json", "--json", *cap]
+        for command in ("analyze", "hsets", "primes", "maximals")
+        for cap in ([], ["--cap", "200000"])
+    ]
+    + [["check", "g.json", "--condition", c, "--json", *cap] for c in "LK" for cap in ([], ["--cap", "200000"])]
+    + [
+        ["quotient", "g.json", "--H", "a,b", "--S", ""],
+        ["quotient", "g.json", "--H", "", "--S", ""],
+        ["mul", "g.json", "--lhs", "-3/2 a b", "--rhs", "u", "--json"],
+        ["mul", "g.json", "--lhs", "1/4 a b | c*", "--rhs", "-1 u - 2/3 a*", "--json"],
+    ],
+)
+def test_the_reader_takes_every_command_line_the_benchmark_sends(argv):
+    args = cli._read_command_line(argv)
+    assert args is not None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert vars(args) == vars(cli._parser().parse_args(argv))
 
 
 def mul_document(product):

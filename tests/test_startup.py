@@ -1,5 +1,6 @@
-"""Start-up: each command loads only the layers it runs, and the package
-resolves its public names on first use.
+"""Start-up: each command loads only the layers it runs, a well-formed
+command line does not load argparse, and the package resolves its
+public names on first use.
 
 Each check runs in a fresh ``python -S`` process, so that the modules it
 finds loaded are the ones that process imported, not the test session's.
@@ -37,9 +38,13 @@ RUN_COMMAND = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import lpaideals.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = lpaideals.cli.main(sys.argv[2:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lpaideals"))]))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = lpaideals.cli.main(sys.argv[2:])
+    except SystemExit as exc:
+        code = exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("lpaideals"))
+print(json.dumps([code, loaded, "argparse" in sys.modules]))
 """
 
 PACKAGE_CONTRACT = """
@@ -75,15 +80,29 @@ def _run_fresh(script: str, *args: str):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("command", sorted(LAYERS))
-def test_each_command_loads_only_its_layers(tmp_path, command):
+def _write_graph(tmp_path) -> str:
     path = tmp_path / "graph.json"
     g = graph(["u", "v"], [("a", "u", "v"), ("b", "u", "u"), ("c", "v", "v")])
     path.write_text(serialize_graph(g), encoding="utf-8")
-    code, loaded = _run_fresh(RUN_COMMAND, command, str(path), *FLAGS.get(command, []))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(LAYERS))
+def test_each_command_loads_only_its_layers(tmp_path, command):
+    """Nor does a well-formed command line load argparse."""
+    code, loaded, argparse_loaded = _run_fresh(RUN_COMMAND, command, _write_graph(tmp_path), *FLAGS.get(command, []))
     assert code == 0
     expected = {"lpaideals", "lpaideals.cli", "lpaideals.graph"} | {f"lpaideals.{m}" for m in LAYERS[command]}
     assert set(loaded) == expected
+    assert argparse_loaded is False
+
+
+def test_a_usage_error_loads_argparse(tmp_path):
+    """A command line that is not well formed is read by argparse, which
+    exits 2 before the command loads its layers."""
+    code, loaded, argparse_loaded = _run_fresh(RUN_COMMAND, "check", _write_graph(tmp_path), "--condition", "M")
+    assert (code, argparse_loaded) == (2, True)
+    assert set(loaded) == {"lpaideals", "lpaideals.cli", "lpaideals.graph"}
 
 
 def test_the_package_resolves_its_names_on_first_use():
