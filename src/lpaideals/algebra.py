@@ -194,24 +194,21 @@ class AlgebraElement:
         Every path met gets a small number (``_number``), and the rows add
         up at the numbers of their paths, each sum an exact [num, den] (a
         common denominator per factor would grow with the factors).  The
-        right factor's terms are indexed by their real path c, and by each
-        prefix of c into groups that share one suffix, so a left term a b*
-        looks up each group's result path (a suffix) once, not once per
-        row.  The paths (d rest) that the c shorter than b give are built
-        once per distinct b.  The product of two valid monomials is valid,
-        so it is not checked again; equal paths in it are one object.
+        right factor's terms are indexed by each prefix of their real path c
+        into groups that share one suffix, the empty one for the terms of
+        that c, so a left term a b* looks up each group's result path once,
+        not once per row.  The paths (d rest) that the c shorter than b give
+        are built once per distinct b.  The product of two valid monomials
+        is valid, so it is not checked again; equal paths in it are one object.
         """
         self._same_algebra(other)
         index: dict[tuple, int] = {}
         paths: list[PathWord] = []
-        exact: dict[tuple, list[tuple]] = {}  # c -> (num, den, d) of each term c d*
         extending: dict[tuple, dict] = {}  # a prefix of c -> the suffix -> (target, rows)
         for m in other.terms:
-            gamma, delta = m.alpha, m.beta
-            num, den = m.coeff.numerator, m.coeff.denominator
+            gamma = m.alpha
             source, edges = gamma.source, gamma.edges
-            exact.setdefault((source, edges), []).append((num, den, delta))
-            right = (num, den, _number(index, paths, delta))
+            right = (m.coeff.numerator, m.coeff.denominator, _number(index, paths, m.beta))
             for k in range(len(edges) + 1):
                 groups = extending.setdefault((source, edges[:k]), {})
                 group = groups.get(edges[k:])
@@ -240,7 +237,8 @@ class AlgebraElement:
                 partners = shorter[ghost] = []
                 for k in range(len(beta.edges)):
                     rest = beta.edges[k:]
-                    for num2, den2, delta in exact.get((beta.source, beta.edges[:k]), ()):
+                    for num2, den2, number in extending.get((beta.source, beta.edges[:k]), {}).get((), (0, ()))[1]:
+                        delta = paths[number]
                         key = (delta.source, delta.edges + rest)
                         b = index.get(key)
                         if b is None:

@@ -238,20 +238,12 @@ def _load_graph(path: str) -> DirectedGraph:
     return parse_graph(text)
 
 
-def _emit_json(doc) -> None:
-    """Print ``doc`` as the stdlib's ``json.dumps`` does with sorted keys
-    and an indent of 2, byte for byte.
-
-    The stdlib turns to its pure-Python encoder when it indents; this
-    writer builds the same text with the C string encoder."""
-    print(_json_text(doc, "\n"))
-
-
 def _json_text(doc, newline: str) -> str:
     """Indented JSON of ``doc`` (dicts with str keys, lists, tuples, str,
-    int, bool, None); ``newline`` is a line break plus the indentation of
-    the line that ``doc`` starts on.  String items are encoded in place
-    rather than by a recursive call, the bulk of every document."""
+    int, bool, None) on a line whose break and indentation are ``newline``:
+    after a bare break, ``json.dumps(doc, sort_keys=True, indent=2)``, whose
+    indenting encoder is pure Python, with the C string encoder.  String
+    items, the bulk of every document, are encoded in place, not by a call."""
     if isinstance(doc, dict):
         inner = newline + "  "
         items = [
@@ -416,7 +408,7 @@ def cmd_primes(g: DirectedGraph, args) -> None:
 
     primes = enumerate_primes(g, args.cap, args.max_vertices)
     if args.json:
-        _emit_json([d.to_json_dict() for d in primes])
+        print(_json_text([d.to_json_dict() for d in primes], "\n"))
         return
     _print_primes(primes)
 
@@ -426,7 +418,7 @@ def cmd_maximals(g: DirectedGraph, args) -> None:
 
     report = existence_report(g, args.cap, args.max_vertices)
     if args.json:
-        _emit_json(report.to_json_dict())
+        print(_json_text(report.to_json_dict(), "\n"))
         return
     _print_maximality(report)
 
@@ -451,7 +443,7 @@ def cmd_check(g: DirectedGraph, args) -> None:
 
     report = (condition_L if args.condition == "L" else condition_K)(g)
     if args.json:
-        _emit_json(report.to_json_dict())
+        print(_json_text(report.to_json_dict(), "\n"))
         return
     print(_fmt_condition(args.condition, report))
 
@@ -515,15 +507,7 @@ def _product_json(product) -> str:
     return "".join(items)
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "hsets": cmd_hsets,
-    "primes": cmd_primes,
-    "maximals": cmd_maximals,
-    "quotient": cmd_quotient,
-    "check": cmd_check,
-    "mul": cmd_mul,
-}
+_COMMANDS = {name: globals()["cmd_" + name] for name in _COMMAND_LINES}
 
 
 def main(argv=None) -> int:
@@ -542,7 +526,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader is gone: point stdout at devnull, so that the
         # interpreter's final flush of what is left stays silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     finally:
         if enabled:
@@ -568,12 +554,7 @@ def _run(argv) -> int:
             print(f"error: {flag} must be positive", file=sys.stderr)
             return 2
     try:
-        g = _load_graph(args.graph)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        _COMMANDS[args.command](g, args)
+        _COMMANDS[args.command](_load_graph(args.graph), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -229,10 +229,11 @@ class _Masks:
     of two sets of one size the larger mask has the smaller sorted ids.
     Vertex i is reached from ``ancestors[i]``, its M(v), which holds i.
     Vertices with one M(v) reach each other, so ``components`` maps each
-    distinct M(v) to a strongly connected component.  Emitter i sends its
-    bundles to ``bundles[i]``.  The closed tails, the least of them and
-    B_H have one rule each (``tails``, ``least_tails``, ``breaking``); the
-    closed tails, which decide H_E, are built with the index.  Two facts
+    distinct M(v) to a strongly connected component, whose vertices hold
+    their M(v) as one int.  Emitter i sends its bundles to ``bundles[i]``.
+    The closed tails, the least of them and B_H have one rule each
+    (``tails``, ``least_tails``, ``breaking``); the closed tails, which
+    decide H_E, are built with the index.  Two facts
     derived once per graph are kept, each once it is complete, and neither
     refers back to the graph, so it is freed by reference counting:
 
@@ -400,16 +401,49 @@ class _Masks:
 
 
 def _reach(steps: list[int]) -> list[int]:
-    """Entry i: each vertex that a walk along ``steps`` from vertex i meets."""
+    """Entry i: each vertex that a walk along ``steps`` from vertex i meets.
+    The vertices are visited depth first along ``steps``, on a stack
+    rather than by recursion, and each walks on from itself as it
+    finishes, taking the whole entry of each finished vertex it meets; in
+    post-order most of what it meets has finished.  The vertices of one
+    strongly connected component share one int: a vertex whose walk meets
+    a finished entry that holds it takes that entry, and so do the
+    vertices left on the stack that its entry holds, which lie in its
+    component."""
     out = [0] * len(steps)
-    for i in range(len(steps)):
-        rest = 1 << i
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            if not out[j]:  # not done before: walk on from it
-                rest |= steps[j]
-            out[i] |= out[j] or 1 << j  # done before: its whole entry
-            rest &= ~out[i]
+    unseen = (1 << len(steps)) - 1
+    for root in range(len(steps)):
+        if out[root]:  # finished in an earlier pass
+            continue
+        unseen ^= 1 << root
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            step = steps[i]
+            todo = step & unseen
+            if todo:
+                low = todo & -todo
+                unseen ^= low
+                stack.append(low.bit_length() - 1)
+                continue
+            stack.pop()
+            if out[i]:  # taken from a vertex of its component
+                continue
+            out[i] = 1 << i
+            rest = step & ~out[i]
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                if out[j] >> i & 1:  # finished, in i's component
+                    out[i] = out[j]
+                    break
+                if not out[j]:  # not done before: walk on from it
+                    rest |= steps[j]
+                out[i] |= out[j] or 1 << j  # done before: its whole entry
+                rest &= ~out[i]
+            k = len(stack)
+            while k and not out[stack[k - 1]] and out[i] >> stack[k - 1] & 1:
+                k -= 1
+                out[stack[k]] = out[i]
     return out
 
 

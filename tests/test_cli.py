@@ -17,6 +17,7 @@ from conftest import (
     breaker_below_coatom,
     breaker_below_coatom_with_loop,
     breaking_emitters,
+    chain_graph,
     clique_with_loop,
     cross_bundle_cycle,
     diamond_chain,
@@ -416,9 +417,8 @@ JSON_SHAPES = [
 
 
 @pytest.mark.parametrize("doc", JSON_SHAPES)
-def test_json_writer_matches_json_dumps(doc, capsys):
-    cli._emit_json(doc)
-    assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json_text(doc, "\n") == json.dumps(doc, sort_keys=True, indent=2)
 
 
 _json_values = st.recursive(
@@ -858,6 +858,43 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
+def test_a_closed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    """Each run into a pipe whose reader has gone points stdout at devnull
+    and closes the descriptor that it opened to do so."""
+    path = write_graph(tmp_path, unique_maximal_graph())
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(2):
+        reader, writer = os.pipe()
+        os.close(reader)
+        with open(writer, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["hsets", path, "--json"]) == 141
+            monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize(
+    "build, holds",
+    [(lambda: ring(5000), False), (lambda: chain_graph(3000, reverse=True), True)],
+    ids=["ring", "reversed_chain"],
+)
+def test_check_on_a_long_cycle_or_path_takes_under_a_second(run, tmp_path, build, holds):
+    """Condition (K) on 5,000 vertices around one cycle and on 3,000
+    along a path, each numbered against the index's walk (F6)."""
+    path = write_graph(tmp_path, build())
+    start = time.perf_counter()
+    code, out, _ = run("check", path, "--condition", "K", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["holds"] is holds
+    if holds:
+        assert doc["witness"] is None
+    else:
+        assert len(doc["witness"]) == 5000
 
 
 def test_vertex_ids_are_checked_by_lookup():

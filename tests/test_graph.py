@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_graph, graph, graphs, unique_maximal_graph, mixed_maximals_graph, random_corpus, ring
+from conftest import (
+    chain_graph,
+    clique_with_loop,
+    graph,
+    graphs,
+    mixed_maximals_graph,
+    random_corpus,
+    ring,
+    sparse_graph,
+    unique_maximal_graph,
+)
 from oracles import components_brute, reach_sets
 from lpaideals import graph as graph_module
 from lpaideals import (
@@ -444,20 +454,25 @@ class _CountedSteps(list):
         return super().__getitem__(i)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="F6: graph._reach walks on from each vertex until it meets a finished entry, "
-    "so along a long path or cycle walked against the index order it reads about n^2 / 2 step masks",
-)
 @pytest.mark.parametrize(
     "build",
-    [lambda: ring(400), lambda: chain_graph(400), lambda: chain_graph(400, reverse=True)],
-    ids=["ring", "chain", "reversed_chain"],
+    [
+        lambda: ring(400),
+        lambda: chain_graph(400),
+        lambda: chain_graph(400, reverse=True),
+        lambda: clique_with_loop(40),
+    ],
+    ids=["ring", "chain", "reversed_chain", "clique"],
 )
 def test_the_reachability_index_reads_each_step_mask_a_bounded_number_of_times(build):
-    """At most 4n step-mask reads per direction.  Today one direction of
-    each graph takes 49,681-80,200 reads at n = 400, the other 781-799."""
+    """At most 4n step-mask reads per direction, on paths and cycles
+    numbered along the walk and against it (F6), and on a clique.  The
+    depth-first pass reads a vertex's mask when it steps on from it and
+    when it finishes, and a walk from a finishing vertex reads the masks
+    of the vertices it meets unfinished: 800-1,200 reads at n = 400, where
+    a walk from each vertex in index order took up to n^2 / 2.  On the
+    clique the first walk to finish gives its int to every vertex left on
+    the stack, which would each walk the others again."""
     g = build()
     masks = g._masks
     n = len(g.vertices)
@@ -470,6 +485,14 @@ def test_the_reachability_index_reads_each_step_mask_a_bounded_number_of_times(b
         assert graph_module._reach(counted) == reach
         reads[name] = counted.reads
     assert max(reads.values()) <= 4 * n, reads
+
+
+def test_the_vertices_of_one_component_share_one_ancestor_int():
+    """``_reach`` gives the vertices of a strongly connected component one
+    int object, so the index holds one M(v) per component."""
+    for g in random_corpus(500, seed=20260809) + [sparse_graph(2000)]:
+        masks = g._masks
+        assert len({id(t) for t in masks.ancestors}) == len(masks.components)
 
 
 def test_building_the_index_walks_the_predecessor_masks_once(monkeypatch):
