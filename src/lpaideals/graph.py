@@ -440,7 +440,7 @@ def _reach(steps: list[int]) -> list[int]:
                     rest |= steps[j]
                 out[i] |= out[j] or 1 << j  # done before: its whole entry
                 rest &= ~out[i]
-            k = len(stack)
+            k = len(stack)  # from the top down, the stack's vertices that out[i] holds lie in i's component
             while k and not out[stack[k - 1]] and out[i] >> stack[k - 1] & 1:
                 k -= 1
                 out[stack[k]] = out[i]
