@@ -228,9 +228,9 @@ class _Masks:
     Bit i stands for ``vertices[i]``, the ids in descending order, so that
     of two sets of one size the larger mask has the smaller sorted ids.
     Vertex i is reached from ``ancestors[i]``, its M(v), which holds i.
-    Vertices with one M(v) reach each other, so ``components`` maps each
-    distinct M(v) to a strongly connected component, whose vertices hold
-    their M(v) as one int.  Emitter i sends its bundles to ``bundles[i]``.
+    The pass that finds the M(v) (``_reach``) fills ``components``: each
+    distinct M(v) maps to a strongly connected component, whose vertices
+    hold their M(v) as one int.  Emitter i sends its bundles to ``bundles[i]``.
     The closed tails, the least of them and B_H have one rule each
     (``tails``, ``least_tails``, ``breaking``); the closed tails, which
     decide H_E, are built with the index.  Two facts
@@ -259,10 +259,7 @@ class _Masks:
         for arrow in g.edges + g.omega_bundles:
             self.successors[self.index[arrow.src]] |= 1 << self.index[arrow.dst]
             self.predecessors[self.index[arrow.dst]] |= 1 << self.index[arrow.src]
-        self.ancestors = _reach(self.predecessors)
-        self.components: dict[int, int] = {}
-        for d, t in enumerate(self.ancestors):
-            self.components[t] = self.components.get(t, 0) | 1 << d
+        self.ancestors, self.components = _reach(self.predecessors, self.successors)
         self.bundles = {self.index[v]: self.of(b.dst for b in bs) for v, bs in g._out_bundles.items() if bs}
         self.regular = self.of(v for v in self.vertices if g._out_edges[v] and not g._out_bundles[v])
         self.tails = self._closed_tails()
@@ -400,51 +397,48 @@ class _Masks:
         return closed
 
 
-def _reach(steps: list[int]) -> list[int]:
-    """Entry i: each vertex that a walk along ``steps`` from vertex i meets.
-    The vertices are visited depth first along ``steps``, on a stack
-    rather than by recursion, and each walks on from itself as it
-    finishes, taking the whole entry of each finished vertex it meets; in
-    post-order most of what it meets has finished.  The vertices of one
-    strongly connected component share one int: a vertex whose walk meets
-    a finished entry that holds it takes that entry, and so do the
-    vertices left on the stack that its entry holds, which lie in its
-    component."""
-    out = [0] * len(steps)
-    unseen = (1 << len(steps)) - 1
-    for root in range(len(steps)):
-        if out[root]:  # finished in an earlier pass
+def _reach(steps: list[int], back: list[int]) -> tuple[list[int], dict[int, int]]:
+    """Entry i: each vertex that a walk along ``steps`` from vertex i
+    meets; and the strongly connected components, each keyed by the one
+    entry that its vertices share.  ``back`` holds the arrows of
+    ``steps`` reversed.  Kosaraju's two passes, on a stack and on masks
+    rather than by recursion: the first finishes the vertices depth first
+    along ``back``; the second takes them in reverse finish order, and
+    each vertex not yet placed gathers its component along ``steps`` from
+    the vertices not yet placed.  The vertices outside it that the
+    component steps to are placed by then, so its entry is the component
+    and their entries, one int for all its vertices."""
+    finished, stack, unseen = [], [], (1 << len(steps)) - 1
+    while stack or unseen:
+        todo = back[stack[-1]] & unseen if stack else unseen  # an empty stack takes a new root
+        if todo:
+            i = todo.bit_length() - 1
+            unseen ^= 1 << i
+            stack.append(i)
+        else:
+            finished.append(stack.pop())
+    out, components, unplaced = [0] * len(steps), {}, (1 << len(steps)) - 1
+    for root in reversed(finished):
+        if out[root]:  # placed with an earlier root's component
             continue
-        unseen ^= 1 << root
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            step = steps[i]
-            todo = step & unseen
-            if todo:
-                low = todo & -todo
-                unseen ^= low
-                stack.append(low.bit_length() - 1)
-                continue
-            stack.pop()
-            if out[i]:  # taken from a vertex of its component
-                continue
-            out[i] = 1 << i
-            rest = step & ~out[i]
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                if out[j] >> i & 1:  # finished, in i's component
-                    out[i] = out[j]
-                    break
-                if not out[j]:  # not done before: walk on from it
-                    rest |= steps[j]
-                out[i] |= out[j] or 1 << j  # done before: its whole entry
-                rest &= ~out[i]
-            k = len(stack)  # from the top down, the stack's vertices that out[i] holds lie in i's component
-            while k and not out[stack[k - 1]] and out[i] >> stack[k - 1] & 1:
-                k -= 1
-                out[stack[k]] = out[i]
-    return out
+        members, todo, beyond, before = [], 1 << root, 0, unplaced
+        unplaced ^= todo
+        while todo:
+            i = todo.bit_length() - 1
+            todo ^= 1 << i
+            members.append(i)
+            beyond |= steps[i]
+            todo |= beyond & unplaced
+            unplaced &= ~beyond
+        component = before ^ unplaced
+        entry, beyond = component, beyond & ~component
+        while beyond:  # each entry read takes off every vertex that it holds
+            entry |= out[beyond.bit_length() - 1]
+            beyond &= ~entry
+        components[entry] = component
+        for i in members:
+            out[i] = entry
+    return out, components
 
 
 def parse_graph(text: str) -> DirectedGraph:

@@ -129,6 +129,21 @@ def ring(n):
     return graph(vertices, [(f"e{i:04}", v, vertices[(i + 1) % n]) for i, v in enumerate(vertices)])
 
 
+def paired_cycles(k):
+    """k two-cycles p{i}a <-> p{i}b joined in a path p{i}a -> p{i+1}a, the
+    vertices p00000a, p00000b, ...  The index numbers the ids in
+    descending order, so a walk in index order meets each pair from its
+    b."""
+    vertices = [f"p{i:05}{s}" for i in range(k) for s in "ab"]
+    edges = []
+    for i in range(k):
+        a, b = f"p{i:05}a", f"p{i:05}b"
+        edges += [(f"x{i}", a, b), (f"y{i}", b, a)]
+        if i + 1 < k:
+            edges.append((f"z{i}", a, f"p{i + 1:05}a"))
+    return graph(vertices, edges)
+
+
 def sparse_graph(n):
     """n vertices, 3n random named edges and n // 50 random bundles,
     drawn from random.Random(n)."""

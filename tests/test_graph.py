@@ -10,6 +10,7 @@ from conftest import (
     graph,
     graphs,
     mixed_maximals_graph,
+    paired_cycles,
     random_corpus,
     ring,
     sparse_graph,
@@ -461,29 +462,29 @@ class _CountedSteps(list):
         lambda: chain_graph(400),
         lambda: chain_graph(400, reverse=True),
         lambda: clique_with_loop(40),
+        lambda: paired_cycles(200),
     ],
-    ids=["ring", "chain", "reversed_chain", "clique"],
+    ids=["ring", "chain", "reversed_chain", "clique", "paired_cycles"],
 )
 def test_the_reachability_index_reads_each_step_mask_a_bounded_number_of_times(build):
-    """At most 4n step-mask reads per direction, on paths and cycles
-    numbered along the walk and against it (F6), and on a clique.  The
-    depth-first pass reads a vertex's mask when it steps on from it and
-    when it finishes, and a walk from a finishing vertex reads the masks
-    of the vertices it meets unfinished: 800-1,200 reads at n = 400, where
-    a walk from each vertex in index order took up to n^2 / 2.  On the
-    clique the first walk to finish gives its int to every vertex left on
-    the stack, which would each walk the others again."""
+    """At most 4n step-mask reads over both lists together, in each
+    direction, on paths and cycles numbered along the walk and against it
+    (F6), on a clique and on two-cycles joined in a path.  The first pass
+    reads a vertex's ``back`` mask when it steps on from it and when it
+    finishes, at most 2n reads, and the second reads each ``steps`` mask
+    once as it gathers the components: at most 3n, where a walk from
+    each vertex in index order took up to n^2 / 2."""
     g = build()
     masks = g._masks
     n = len(g.vertices)
     reads = {}
-    for name, steps, reach in (
-        ("descendants", masks.successors, [masks.hereditary(1 << i) for i in range(n)]),
-        ("ancestors", masks.predecessors, masks.ancestors),
+    for name, steps, back, reach in (
+        ("descendants", masks.successors, masks.predecessors, [masks.hereditary(1 << i) for i in range(n)]),
+        ("ancestors", masks.predecessors, masks.successors, masks.ancestors),
     ):
-        counted = _CountedSteps(steps)
-        assert graph_module._reach(counted) == reach
-        reads[name] = counted.reads
+        counted = _CountedSteps(steps), _CountedSteps(back)
+        assert graph_module._reach(*counted)[0] == reach
+        reads[name] = sum(c.reads for c in counted)
     assert max(reads.values()) <= 4 * n, reads
 
 
@@ -496,20 +497,21 @@ def test_the_vertices_of_one_component_share_one_ancestor_int():
 
 
 def test_building_the_index_walks_the_predecessor_masks_once(monkeypatch):
-    """The index runs one reachability pass, for the M(d); what a vertex
+    """The index runs one reachability pass, for the M(d), along the
+    predecessor masks with the successor masks as ``back``; what a vertex
     reaches is read off them."""
     calls = []
     reach = graph_module._reach
 
-    def counted(steps):
-        calls.append(list(steps))
-        return reach(steps)
+    def counted(steps, back):
+        calls.append((list(steps), list(back)))
+        return reach(steps, back)
 
     monkeypatch.setattr(graph_module, "_reach", counted)
     for g in [unique_maximal_graph(), mixed_maximals_graph(), ring(5), chain_graph(5)]:
         calls.clear()
         masks = g._masks
-        assert calls == [masks.predecessors]
+        assert calls == [(masks.predecessors, masks.successors)]
         assert not hasattr(masks, "descendants")
 
 
@@ -533,7 +535,8 @@ def test_the_components_are_the_strongly_connected_components(g):
 
 
 def test_the_components_are_the_strongly_connected_components_on_the_acceptance_corpus():
-    for g in random_corpus(500, seed=20260809) + [ring(7), chain_graph(7), chain_graph(7, reverse=True)]:
+    extra = [ring(7), chain_graph(7), chain_graph(7, reverse=True), paired_cycles(4)]
+    for g in random_corpus(500, seed=20260809) + extra:
         _check_components(g)
 
 

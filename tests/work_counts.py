@@ -1,29 +1,29 @@
-"""Work counts of the report commands: the Python-level calls that cProfile counts.
+"""Work counts of the report commands: the Python-level calls they make.
 
 Runs ``analyze``, ``hsets``, ``primes`` and ``maximals`` with ``--json``
 in one process (``cli.main``) on A_12 (twelve vertices with two loops
 each), K_9 (``clique_with_loop(9)``) and ``sparse_graph(200)`` (with
 ``--max-vertices 1000``).  Each command runs once to warm up and once
-under ``cProfile``, and the line printed for it is the sum of the call
-counts over the ``Profile.getstats()`` entries of Python code objects.
-Calls into C builtins are left out: cProfile counts some of them (``vars``,
-``dict.update``, a named tuple's ``_make``) but not slot wrappers such as
-``object.__setattr__``, so whether a field write counted would depend on
-how it is written.  pstats totals are not used: pstats keys its table by
-(file, first line, name), so the generated ``__init__`` of every
-dataclass shares one key and all but one of them drop out.
+under a ``sys.setprofile`` hook, and the line printed for it is the
+number of ``"call"`` events, each a Python function entered.  A
+generator, a generator expression or a coroutine counts once, on its
+first entry: the hook fires again each time one resumes, so its frames
+are kept in a set and not counted again, and the count reads the calls
+made, not how a loop is written.  Calls into C builtins (the
+``"c_call"`` events) are left out, so whether a field write counts does
+not depend on how it is written (``object.__setattr__`` or
+``vars(obj).update``).
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/work_counts.py
 """
 
-import cProfile
 import contextlib
+import inspect
 import io
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 from conftest import clique_with_loop, sparse_graph
@@ -36,18 +36,33 @@ GRAPHS = {
     "sparse_graph(200)": (sparse_graph(200), ["--max-vertices", "1000"]),
 }
 COMMANDS = ("analyze", "hsets", "primes", "maximals")
+_RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
 
 
 def calls(argv: list[str]) -> int:
-    """The Python-level calls of one ``cli.main(argv)``, summed per code object."""
-    profiler = cProfile.Profile()
+    """The Python functions that one ``cli.main(argv)`` enters, each
+    generator counted once."""
+    count, started = 0, set()
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event != "call":
+            return
+        if frame.f_code.co_flags & _RESUMABLE:
+            if frame in started:
+                return
+            started.add(frame)
+        count += 1
+
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-        profiler.enable()
-        code = cli.main(argv)
-        profiler.disable()
+        sys.setprofile(hook)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
     assert code == 0
-    return sum(entry.callcount for entry in profiler.getstats() if isinstance(entry.code, types.CodeType))
+    return count
 
 
 def main() -> None:
