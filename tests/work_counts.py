@@ -6,10 +6,10 @@ each), K_9 (``clique_with_loop(9)``) and ``sparse_graph(200)`` (with
 ``--max-vertices 1000``).  Each command runs once to warm up and once
 under a ``sys.setprofile`` hook, and the line printed for it is the
 number of ``"call"`` events, each a Python function entered.  A
-generator, a generator expression or a coroutine counts once, on its
-first entry: the hook fires again each time one resumes, so its frames
-are kept in a set and not counted again, and the count reads the calls
-made, not how a loop is written.  Calls into C builtins (the
+generator or a generator expression counts once, on its first entry:
+the hook fires again each time one resumes, so its frames are kept in a
+set and not counted again, and the count reads the calls made, not how
+a loop is written.  Calls into C builtins (the
 ``"c_call"`` events) are left out, so whether a field write counts does
 not depend on how it is written (``object.__setattr__`` or
 ``vars(obj).update``).
@@ -36,7 +36,6 @@ GRAPHS = {
     "sparse_graph(200)": (sparse_graph(200), ["--max-vertices", "1000"]),
 }
 COMMANDS = ("analyze", "hsets", "primes", "maximals")
-_RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
 
 
 def calls(argv: list[str]) -> int:
@@ -48,7 +47,7 @@ def calls(argv: list[str]) -> int:
         nonlocal count
         if event != "call":
             return
-        if frame.f_code.co_flags & _RESUMABLE:
+        if frame.f_code.co_flags & inspect.CO_GENERATOR:
             if frame in started:
                 return
             started.add(frame)
